@@ -3,8 +3,8 @@
  * google-benchmark microbenchmarks of the simulation engine itself:
  * event-queue throughput, callback allocation (inline vs heap
  * SmallFn storage), coroutine spawn/switch cost, network routing
- * cost (route-cache hit vs miss), and end-to-end cost of simulating
- * one collective.  These bound how large a sweep the figure benches
+ * cost (route-cache hit vs miss), the memo-key cost of one point, and
+ * end-to-end cost of simulating one collective.  These bound how large a sweep the figure benches
  * can afford.
  *
  * After the registered benchmarks run, main() executes one
@@ -14,6 +14,7 @@
  */
 
 #include <cstdio>
+#include <string>
 
 #include <benchmark/benchmark.h>
 
@@ -265,6 +266,22 @@ BM_SimulateCollective(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * p * (p - 1));
 }
 BENCHMARK(BM_SimulateCollective)->Arg(8)->Arg(32);
+
+/** The memo / serve-cache key of one paper point: paid on every memo
+ *  lookup and every `ccsim serve` request, so its cost is the floor of
+ *  a warm sweep point and of a cache-hit query. */
+void
+BM_MeasurePointKey(benchmark::State &state)
+{
+    const machine::MachineConfig cfg = machine::sp2Config();
+    for (auto _ : state) {
+        std::string key = harness::measurePointKey(
+            cfg, 64, machine::Coll::Bcast, 4096, machine::Algo::Auto);
+        benchmark::DoNotOptimize(key.data());
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MeasurePointKey);
 
 /** Same collective with the metrics registry live — the pair bounds
  *  the observability layer's overhead (CI guards the disabled side

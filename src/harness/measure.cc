@@ -1,10 +1,12 @@
 #include "harness/measure.hh"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
+#include <bit>
+#include <charconv>
+#include <cstdint>
 #include <mutex>
+#include <string_view>
+#include <type_traits>
 #include <unordered_map>
 
 #include "model/fit.hh"
@@ -69,77 +71,174 @@ memoEligible(const machine::MachineConfig &cfg,
            !opt.metrics && !cfg.collect_metrics;
 }
 
-void
-appendF(std::string &key, const char *fmt, ...)
+/**
+ * The memo key's field encoder.  Every field is written straight into
+ * a per-thread scratch buffer and closed by '|', with no formatting
+ * engine and no std::string call per field (the key is built on every
+ * memo lookup and every serve request):
+ *
+ *  - integers and enums in decimal (std::to_chars);
+ *  - doubles as the 16 hex digits of their IEEE-754 bit pattern —
+ *    fixed width, and injective where "%.17g" is merely round-trip
+ *    exact (it folds every NaN payload into "nan"); -0.0 and 0.0 stay
+ *    distinct;
+ *  - strings length-prefixed ("<len>:<bytes>"), so no spec string
+ *    can forge a field boundary.
+ *
+ * Each field is self-delimiting given its position in the fixed field
+ * list, so distinct inputs always give distinct keys.
+ */
+class KeyWriter
 {
-    char buf[64];
-    va_list ap;
-    va_start(ap, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, ap);
-    va_end(ap);
-    key += buf;
-    key += '|';
-}
+  public:
+    /** Starts the key with its version tag, kPointKeyVersion. */
+    explicit KeyWriter(std::string &scratch)
+        : buf_(scratch), at_(scratch.data()),
+          end_(scratch.data() + scratch.size())
+    {
+        const std::string_view tag = kPointKeyVersion;
+        room(tag.size() + 1);
+        at_ = std::copy(tag.begin(), tag.end(), at_);
+        *at_++ = '|';
+    }
+
+    void
+    put(std::int64_t v)
+    {
+        room(kMaxDecimal + 1);
+        at_ = std::to_chars(at_, at_ + kMaxDecimal, v).ptr;
+        *at_++ = '|';
+    }
+
+    void put(int v) { put(static_cast<std::int64_t>(v)); }
+
+    template <class E>
+        requires std::is_enum_v<E>
+    void
+    put(E v)
+    {
+        put(static_cast<std::int64_t>(v));
+    }
+
+    void
+    put(bool v)
+    {
+        room(2);
+        *at_++ = v ? '1' : '0';
+        *at_++ = '|';
+    }
+
+    void
+    put(double v)
+    {
+        static constexpr char kHex[] = "0123456789abcdef";
+        room(17);
+        const auto bits = std::bit_cast<std::uint64_t>(v);
+        for (int i = 0; i < 16; ++i)
+            at_[i] = kHex[(bits >> (60 - 4 * i)) & 0xf];
+        at_[16] = '|';
+        at_ += 17;
+    }
+
+    void
+    put(std::string_view s)
+    {
+        room(kMaxDecimal + s.size() + 2);
+        at_ = std::to_chars(at_, at_ + kMaxDecimal, s.size()).ptr;
+        *at_++ = ':';
+        at_ = std::copy(s.begin(), s.end(), at_);
+        *at_++ = '|';
+    }
+
+    /** The key so far, as an exact-size string. */
+    std::string str() const { return std::string(buf_.data(), at_); }
+
+  private:
+    static constexpr std::size_t kMaxDecimal = 20; //!< digits + sign
+
+    /** Make room for @p n more bytes.  The per-field check reads only
+     *  the cursor and the end, so both stay in registers; growing the
+     *  scratch buffer is the cold path. */
+    void
+    room(std::size_t n)
+    {
+        if (static_cast<std::size_t>(end_ - at_) < n)
+            grow(n);
+    }
+
+    [[gnu::noinline]] void
+    grow(std::size_t n)
+    {
+        const auto used = static_cast<std::size_t>(at_ - buf_.data());
+        buf_.resize(std::max(2 * buf_.size(), used + n));
+        at_ = buf_.data() + used;
+        end_ = buf_.data() + buf_.size();
+    }
+
+    std::string &buf_;
+    char *at_;
+    char *end_;
+};
 
 std::string
 memoKey(const machine::MachineConfig &cfg, int p, Coll op, Bytes m,
         Algo algo, const MeasureOptions &opt)
 {
-    std::string key;
-    key.reserve(512);
-
-    appendF(key, "v2");
-    appendF(key, "%d", static_cast<int>(cfg.topology));
-    appendF(key, "%d", cfg.switch_radix);
-    appendF(key, "%s", cfg.topo_spec.c_str());
-    appendF(key, "%d", cfg.hierarchy.chips);
-    appendF(key, "%d", cfg.hierarchy.cores);
-    appendF(key, "%.17g", cfg.hierarchy.chip.link_bandwidth_mbs);
-    appendF(key, "%" PRId64, cfg.hierarchy.chip.hop_latency);
-    appendF(key, "%.17g", cfg.hierarchy.node.link_bandwidth_mbs);
-    appendF(key, "%" PRId64, cfg.hierarchy.node.hop_latency);
+    // The memo and serve caches keep thousands of keys, so the key
+    // leaves the scratch buffer at its exact size.
+    thread_local std::string scratch(1024, '\0');
+    KeyWriter key(scratch);
+    key.put(cfg.topology);
+    key.put(cfg.switch_radix);
+    key.put(std::string_view(cfg.topo_spec));
+    key.put(cfg.hierarchy.chips);
+    key.put(cfg.hierarchy.cores);
+    key.put(cfg.hierarchy.chip.link_bandwidth_mbs);
+    key.put(cfg.hierarchy.chip.hop_latency);
+    key.put(cfg.hierarchy.node.link_bandwidth_mbs);
+    key.put(cfg.hierarchy.node.hop_latency);
 
     const net::NetworkParams &n = cfg.network;
-    appendF(key, "%.17g", n.link_bandwidth_mbs);
-    appendF(key, "%" PRId64, n.hop_latency);
-    appendF(key, "%" PRId64, n.packet_overhead);
-    appendF(key, "%d", n.contention ? 1 : 0);
+    key.put(n.link_bandwidth_mbs);
+    key.put(n.hop_latency);
+    key.put(n.packet_overhead);
+    key.put(n.contention);
 
     const msg::TransportParams &t = cfg.transport;
-    appendF(key, "%" PRId64, t.send_overhead);
-    appendF(key, "%" PRId64, t.recv_overhead);
-    appendF(key, "%.17g", t.copy_bandwidth_mbs);
-    appendF(key, "%" PRId64, t.eager_threshold);
-    appendF(key, "%" PRId64, t.rendezvous_overhead);
-    appendF(key, "%.17g", t.coprocessor_overlap);
-    appendF(key, "%d", t.blt_enabled ? 1 : 0);
-    appendF(key, "%" PRId64, t.blt_threshold);
-    appendF(key, "%" PRId64, t.blt_setup);
+    key.put(t.send_overhead);
+    key.put(t.recv_overhead);
+    key.put(t.copy_bandwidth_mbs);
+    key.put(t.eager_threshold);
+    key.put(t.rendezvous_overhead);
+    key.put(t.coprocessor_overlap);
+    key.put(t.blt_enabled);
+    key.put(t.blt_threshold);
+    key.put(t.blt_setup);
 
-    appendF(key, "%d", cfg.hardware_barrier ? 1 : 0);
-    appendF(key, "%" PRId64, cfg.hardware_barrier_latency);
-    appendF(key, "%.17g", cfg.reduce_bandwidth_mbs);
+    key.put(cfg.hardware_barrier);
+    key.put(cfg.hardware_barrier_latency);
+    key.put(cfg.reduce_bandwidth_mbs);
 
     for (std::size_t i = 0; i < machine::kNumColl; ++i) {
-        appendF(key, "%d", static_cast<int>(cfg.algorithms[i]));
+        key.put(cfg.algorithms[i]);
         const machine::CollCosts &c = cfg.costs[i];
-        appendF(key, "%" PRId64, c.entry);
-        appendF(key, "%" PRId64, c.per_stage);
-        appendF(key, "%.17g", c.per_stage_ns_per_byte);
-        appendF(key, "%.17g", c.reduce_bandwidth_override_mbs);
-        appendF(key, "%" PRId64, c.send_overhead_override);
-        appendF(key, "%" PRId64, c.recv_overhead_override);
+        key.put(c.entry);
+        key.put(c.per_stage);
+        key.put(c.per_stage_ns_per_byte);
+        key.put(c.reduce_bandwidth_override_mbs);
+        key.put(c.send_overhead_override);
+        key.put(c.recv_overhead_override);
     }
 
-    appendF(key, "%d", p);
-    appendF(key, "%d", static_cast<int>(op));
-    appendF(key, "%" PRId64, m);
-    appendF(key, "%d", static_cast<int>(algo));
-    appendF(key, "%d", opt.iterations);
-    appendF(key, "%d", opt.repetitions);
-    appendF(key, "%d", opt.warmup);
+    key.put(p);
+    key.put(op);
+    key.put(m);
+    key.put(algo);
+    key.put(opt.iterations);
+    key.put(opt.repetitions);
+    key.put(opt.warmup);
 
-    return key;
+    return key.str();
 }
 
 } // namespace

@@ -204,6 +204,14 @@ Measurement measureStartup(const machine::MachineConfig &cfg, int p,
 constexpr Bytes kStartupMessageBytes = 4;
 
 /**
+ * Version tag that leads every measurePointKey() string.  Bumped
+ * whenever the key encoding or its field list changes, so keys from
+ * an older build never alias new ones; persisted key stores (the
+ * `ccsim serve` cache file) record it and start cold on a mismatch.
+ */
+inline constexpr char kPointKeyVersion[] = "v3";
+
+/**
  * Canonical cache key of one measurement point — the memo-key
  * canonicalization of DESIGN.md §4.11, public so other result caches
  * (the `ccsim serve` query cache) key on exactly the bytes the memo

@@ -1,7 +1,12 @@
 #include "serve/cache.hh"
 
+#include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "machine/config_io.hh"
@@ -102,7 +107,14 @@ QueryCache::maxEntries() const
 
 namespace {
 
-constexpr const char *kCacheMagic = "ccsim-query-cache v1";
+/**
+ * Cache-file header: "<magic> <format> key=<point-key version> <n>".
+ * The key version is harness::kPointKeyVersion, so a file written by
+ * a build with another key encoding is recognized as stale (its keys
+ * could never hit) rather than loaded.
+ */
+constexpr const char *kCacheMagic = "ccsim-query-cache";
+constexpr const char *kCacheFormat = "v2";
 
 } // namespace
 
@@ -123,7 +135,8 @@ QueryCache::saveFile(const std::string &path) const
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (!f)
         throw ServeError("cannot write cache file " + path);
-    std::fprintf(f, "%s %zu\n", kCacheMagic, entries.size());
+    std::fprintf(f, "%s %s key=%s %zu\n", kCacheMagic, kCacheFormat,
+                 harness::kPointKeyVersion, entries.size());
     for (const auto &[key, meas] : entries) {
         std::fprintf(f, "%s\n", key.c_str());
         // Only the identity and the three times are ever non-default
@@ -156,7 +169,7 @@ badCacheFile(const std::string &path, std::size_t line,
 
 machine::Coll
 collFromKey(const std::string &path, std::size_t line,
-            const std::string &key)
+            std::string_view key)
 {
     for (machine::Coll op : machine::kAllColls)
         if (machine::collKey(op) == key)
@@ -164,75 +177,97 @@ collFromKey(const std::string &path, std::size_t line,
     badCacheFile(path, line, "unknown collective");
 }
 
+/** Strict decimal integer: the whole field, nothing else. */
+template <class Int>
+bool
+parseField(std::string_view field, Int &out)
+{
+    const char *end = field.data() + field.size();
+    auto [ptr, ec] = std::from_chars(field.data(), end, out);
+    return ec == std::errc() && ptr == end && !field.empty();
+}
+
+/** An entry's record line "machine|op|algo|p|m|max|min|mean". */
+harness::Measurement
+parseRecord(const std::string &path, std::size_t line,
+            std::string_view rec)
+{
+    std::vector<std::string_view> f;
+    for (std::size_t bar; (bar = rec.find('|')) != std::string_view::npos;
+         rec.remove_prefix(bar + 1))
+        f.push_back(rec.substr(0, bar));
+    f.push_back(rec);
+
+    harness::Measurement m;
+    if (f.size() != 8 || f[0].empty() || !parseField(f[3], m.p) ||
+        !parseField(f[4], m.m) || !parseField(f[5], m.max_time) ||
+        !parseField(f[6], m.min_time) || !parseField(f[7], m.mean_time))
+        badCacheFile(path, line, "bad entry record");
+    m.machine = f[0];
+    m.op = collFromKey(path, line, f[1]);
+    m.algo = machine::algoFromName(std::string(f[2]));
+    return m;
+}
+
 } // namespace
 
 std::size_t
 QueryCache::loadFile(const std::string &path)
 {
-    std::FILE *f = std::fopen(path.c_str(), "r");
-    if (!f)
+    std::ifstream in(path);
+    if (!in)
         return 0; // first start: nothing persisted yet
 
-    char buf[4096];
     std::size_t line = 0;
     auto getLine = [&](std::string &out) {
-        if (!std::fgets(buf, sizeof(buf), f))
+        if (!std::getline(in, out))
             return false;
         ++line;
-        out = buf;
-        while (!out.empty() &&
-               (out.back() == '\n' || out.back() == '\r'))
+        if (!out.empty() && out.back() == '\r')
             out.pop_back();
         return true;
     };
 
     std::string text;
-    std::size_t count = 0;
-    try {
-        if (!getLine(text))
-            badCacheFile(path, 1, "empty file");
-        std::size_t n = 0;
-        if (std::sscanf(text.c_str(),
-                        "ccsim-query-cache v1 %zu", &n) != 1)
+    if (!getLine(text))
+        badCacheFile(path, 1, "empty file");
+    std::istringstream header(text);
+    std::string magic, format, key_version, extra;
+    std::size_t n = 0;
+    header >> magic >> format;
+    if (magic != kCacheMagic || format.empty())
+        badCacheFile(path, line, "bad header");
+    if (format == kCacheFormat) {
+        header >> key_version;
+        if (key_version.rfind("key=", 0) != 0 || !(header >> n) ||
+            header >> extra)
             badCacheFile(path, line, "bad header");
-
-        // Entries are saved hottest-first; inserting in REVERSE
-        // (coldest first) reproduces the saved recency order, so a
-        // bounded cache keeps the hottest prefix.
-        std::vector<std::pair<std::string, harness::Measurement>> all;
-        all.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            std::string key, val;
-            if (!getLine(key) || !getLine(val))
-                badCacheFile(path, line, "truncated entry");
-            harness::Measurement m;
-            char mach[128], op[32], algo[32];
-            long long mm, maxt, mint, meant;
-            if (std::sscanf(val.c_str(),
-                            "%127[^|]|%31[^|]|%31[^|]|%d|%lld|%lld|"
-                            "%lld|%lld",
-                            mach, op, algo, &m.p, &mm, &maxt, &mint,
-                            &meant) != 8)
-                badCacheFile(path, line, "bad entry record");
-            m.machine = mach;
-            m.op = collFromKey(path, line, op);
-            m.algo = machine::algoFromName(algo);
-            m.m = mm;
-            m.max_time = maxt;
-            m.min_time = mint;
-            m.mean_time = meant;
-            all.emplace_back(std::move(key), std::move(m));
-        }
-        for (auto it = all.rbegin(); it != all.rend(); ++it) {
-            insert(it->first, it->second);
-            ++count;
-        }
-    } catch (...) {
-        std::fclose(f);
-        throw;
+        key_version.erase(0, 4);
     }
-    std::fclose(f);
-    return count;
+    if (format != kCacheFormat ||
+        key_version != harness::kPointKeyVersion) {
+        // Another build's key encoding: not one entry could ever hit,
+        // so start cold; the clean stop rewrites the file.
+        warn("%s: cache file written with a different key version "
+             "(%s); starting with a cold cache",
+             path.c_str(), text.c_str());
+        return 0;
+    }
+
+    // Entries are saved hottest-first; inserting in REVERSE (coldest
+    // first) reproduces the saved recency order, so a bounded cache
+    // keeps the hottest prefix.
+    std::vector<std::pair<std::string, harness::Measurement>> all;
+    all.reserve(std::min<std::size_t>(n, 4096)); // n is untrusted
+    for (std::size_t i = 0; i < n; ++i) {
+        std::string key, rec;
+        if (!getLine(key) || !getLine(rec))
+            badCacheFile(path, line, "truncated entry");
+        all.emplace_back(std::move(key), parseRecord(path, line, rec));
+    }
+    for (auto it = all.rbegin(); it != all.rend(); ++it)
+        insert(it->first, it->second);
+    return all.size();
 }
 
 } // namespace ccsim::serve

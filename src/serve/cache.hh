@@ -82,7 +82,10 @@ class QueryCache
      *  the file's hottest entries end up most recent here); returns
      *  the count loaded.  ConfigError with a line number on malformed
      *  input; a missing file is NOT an error and loads 0 entries
-     *  (first daemon start). */
+     *  (first daemon start), and neither is a well-formed file of
+     *  another format or point-key version (harness::kPointKeyVersion):
+     *  its keys could never hit, so it loads 0 entries with one
+     *  warning. */
     std::size_t loadFile(const std::string &path);
 
   private:

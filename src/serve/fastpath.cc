@@ -29,25 +29,44 @@ FastPath::calibrationLengths()
     return lengths;
 }
 
+namespace {
+
+/** The concrete algorithm a fit of (cfg, op, algo) calibrates.  One
+ *  fit covers one concrete algorithm; Auto/Default resolve at the
+ *  calibration anchor (largest p and m of the grid) so every
+ *  calibration point measures the same algorithm.  predictUs()
+ *  resolves per query point before reaching here, so an Auto whose
+ *  selection table switches algorithms mid-grid still lands on the
+ *  per-point-correct fit. */
+machine::Algo
+calibrationAlgo(const machine::MachineConfig &cfg, machine::Coll op,
+                machine::Algo algo)
+{
+    const bool barrier = op == machine::Coll::Barrier;
+    return tuning::resolveAlgo(
+        cfg, op, FastPath::calibrationSizes().back(),
+        barrier ? 0 : FastPath::calibrationLengths().back(), algo);
+}
+
+/** Identity of a fit.  p = 0, m = 0 degrade the point key to a
+ *  (machine-parameters, op, algo) identity — exactly what a fitted
+ *  model is for.  Built before taking the lock, so concurrent
+ *  connections only serialize on the map probe. */
+std::string
+fitKey(const machine::MachineConfig &cfg, machine::Coll op,
+       machine::Algo concrete)
+{
+    return harness::measurePointKey(cfg, 0, op, 0, concrete,
+                                    FastPath::calibrationOptions());
+}
+
+} // namespace
+
 const model::TimingExpression &
 FastPath::fitForLocked(const machine::MachineConfig &cfg,
-                       machine::Coll op, machine::Algo algo)
+                       machine::Coll op, machine::Algo concrete,
+                       const std::string &key)
 {
-    const harness::MeasureOptions opt = calibrationOptions();
-    const bool barrier = op == machine::Coll::Barrier;
-    // One fit covers one concrete algorithm; Auto/Default resolve at
-    // the calibration anchor (largest p and m of the grid) so every
-    // calibration point measures the same algorithm.  predictUs()
-    // resolves per query point before reaching here, so an Auto whose
-    // selection table switches algorithms mid-grid still lands on the
-    // per-point-correct fit.
-    const machine::Algo concrete = tuning::resolveAlgo(
-        cfg, op, calibrationSizes().back(),
-        barrier ? 0 : calibrationLengths().back(), algo);
-    // p = 0, m = 0 degrade the point key to a (machine-parameters,
-    // op, algo) identity — exactly what a fitted model is for.
-    const std::string key =
-        harness::measurePointKey(cfg, 0, op, 0, concrete, opt);
     auto it = fits_.find(key);
     if (it != fits_.end()) {
         ++stats_.hits;
@@ -55,6 +74,8 @@ FastPath::fitForLocked(const machine::MachineConfig &cfg,
     }
 
     ++stats_.misses;
+    const harness::MeasureOptions opt = calibrationOptions();
+    const bool barrier = op == machine::Coll::Barrier;
     std::vector<model::Sample> samples;
     for (int p : calibrationSizes()) {
         if (barrier) {
@@ -80,18 +101,21 @@ FastPath::predictUs(const machine::MachineConfig &cfg,
                     machine::Coll op, machine::Algo algo, int p,
                     Bytes m)
 {
-    machine::Algo concrete =
-        tuning::resolveAlgo(cfg, op, p, m, algo);
+    const machine::Algo concrete = calibrationAlgo(
+        cfg, op, tuning::resolveAlgo(cfg, op, p, m, algo));
+    const std::string key = fitKey(cfg, op, concrete);
     std::lock_guard<std::mutex> lock(mu_);
-    return fitForLocked(cfg, op, concrete).evalUs(m, p);
+    return fitForLocked(cfg, op, concrete, key).evalUs(m, p);
 }
 
 model::TimingExpression
 FastPath::expressionFor(const machine::MachineConfig &cfg,
                         machine::Coll op, machine::Algo algo)
 {
+    const machine::Algo concrete = calibrationAlgo(cfg, op, algo);
+    const std::string key = fitKey(cfg, op, concrete);
     std::lock_guard<std::mutex> lock(mu_);
-    return fitForLocked(cfg, op, algo);
+    return fitForLocked(cfg, op, concrete, key);
 }
 
 std::size_t

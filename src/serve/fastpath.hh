@@ -16,11 +16,12 @@
  * to a factor of two across the calibration region), not to the
  * picosecond.
  *
- * Thread-safe: fits are built and looked up under one mutex.  The
- * calibration runs while holding it, which serializes first-touch
- * fits of distinct triples — deliberate, because concurrent
- * calibrations would contend for the same cores the backfill pool
- * uses, and every subsequent lookup is a map probe.
+ * Thread-safe: fits are built and looked up under one mutex; the fit
+ * key is formed before taking it.  The calibration runs while holding
+ * it, which serializes first-touch fits of distinct triples —
+ * deliberate, because concurrent calibrations would contend for the
+ * same cores the backfill pool uses, and every subsequent lookup is a
+ * map probe.
  */
 
 #ifndef CCSIM_SERVE_FASTPATH_HH
@@ -73,9 +74,11 @@ class FastPath
     stats::CacheStats stats() const;
 
   private:
+    /** The fit keyed @p key (built by the caller, outside mu_) of
+     *  the concrete algorithm @p concrete; calibrates on a miss. */
     const model::TimingExpression &
     fitForLocked(const machine::MachineConfig &cfg, machine::Coll op,
-                 machine::Algo algo);
+                 machine::Algo concrete, const std::string &key);
 
     mutable std::mutex mu_;
     std::map<std::string, model::TimingExpression> fits_;

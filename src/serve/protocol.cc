@@ -1,8 +1,9 @@
 #include "serve/protocol.hh"
 
+#include <cctype>
 #include <cinttypes>
 #include <cstdio>
-#include <sstream>
+#include <string_view>
 
 #include "machine/config_io.hh"
 #include "util/error.hh"
@@ -21,27 +22,49 @@ badRequest(const std::string &what)
 }
 
 long long
-parseInt(const std::string &key, const std::string &value)
+parseInt(std::string_view key, std::string_view value)
 {
+    // std::stoll, not std::from_chars: it also takes a leading '+',
+    // which the grammar has always accepted.
+    const std::string text(value);
     try {
         std::size_t pos = 0;
-        long long v = std::stoll(value, &pos);
-        if (pos != value.size())
-            throw std::invalid_argument(value);
+        long long v = std::stoll(text, &pos);
+        if (pos != text.size())
+            throw std::invalid_argument(text);
         return v;
     } catch (const std::exception &) {
-        badRequest("key '" + key + "' wants an integer, got '" +
-                   value + "'");
+        badRequest("key '" + std::string(key) +
+                   "' wants an integer, got '" + text + "'");
     }
 }
 
 machine::Coll
-parseOp(const std::string &value)
+parseOp(std::string_view value)
 {
     for (machine::Coll op : machine::kAllColls)
         if (machine::collKey(op) == value)
             return op;
-    badRequest("unknown op '" + value + "'");
+    badRequest("unknown op '" + std::string(value) + "'");
+}
+
+/** Pop the next word off @p rest; empty at the end of the line.
+ *  Words split on the separators `std::istream >> std::string` uses. */
+std::string_view
+nextWord(std::string_view &rest)
+{
+    auto space = [](char c) {
+        return std::isspace(static_cast<unsigned char>(c)) != 0;
+    };
+    std::size_t b = 0;
+    while (b < rest.size() && space(rest[b]))
+        ++b;
+    std::size_t e = b;
+    while (e < rest.size() && !space(rest[e]))
+        ++e;
+    std::string_view word = rest.substr(b, e - b);
+    rest.remove_prefix(e);
+    return word;
 }
 
 /** "%.9g" — the snapshot layer's fixed number formatting. */
@@ -58,9 +81,9 @@ num(double v)
 Request
 parseRequest(const std::string &line)
 {
-    std::istringstream in(line);
-    std::string verb_word;
-    if (!(in >> verb_word))
+    std::string_view rest = line;
+    const std::string_view verb_word = nextWord(rest);
+    if (verb_word.empty())
         badRequest("empty request");
 
     Request req;
@@ -77,20 +100,22 @@ parseRequest(const std::string &line)
     else if (verb_word == "shutdown")
         req.verb = Verb::Shutdown;
     else
-        badRequest("unknown verb '" + verb_word +
+        badRequest("unknown verb '" + std::string(verb_word) +
                    "' (predict, poll, metrics, health, ping, "
                    "shutdown)");
 
     bool saw_p = false, saw_op = false, saw_ticket = false;
-    std::string word;
-    while (in >> word) {
+    for (std::string_view word = nextWord(rest); !word.empty();
+         word = nextWord(rest)) {
         std::size_t eq = word.find('=');
-        if (eq == std::string::npos || eq == 0)
-            badRequest("expected key=value, got '" + word + "'");
-        std::string key = word.substr(0, eq);
-        std::string value = word.substr(eq + 1);
+        if (eq == std::string_view::npos || eq == 0)
+            badRequest("expected key=value, got '" + std::string(word) +
+                       "'");
+        const std::string_view key = word.substr(0, eq);
+        const std::string_view value = word.substr(eq + 1);
         if (value.empty())
-            badRequest("key '" + key + "' has an empty value");
+            badRequest("key '" + std::string(key) +
+                       "' has an empty value");
 
         if (req.verb == Verb::Poll) {
             if (key != "ticket")
@@ -103,7 +128,8 @@ parseRequest(const std::string &line)
             continue;
         }
         if (req.verb != Verb::Predict)
-            badRequest("'" + verb_word + "' takes no keys");
+            badRequest("'" + std::string(verb_word) +
+                       "' takes no keys");
 
         if (key == "machine") {
             req.machine = value;
@@ -119,7 +145,7 @@ parseRequest(const std::string &line)
         } else if (key == "algo") {
             // algoFromName raises ConfigError itself, listing the
             // valid spellings.
-            req.algo = machine::algoFromName(value);
+            req.algo = machine::algoFromName(std::string(value));
         } else if (key == "p") {
             long long p = parseInt(key, value);
             if (p < 1)
@@ -154,7 +180,7 @@ parseRequest(const std::string &line)
                 badRequest("deadline_ms must be >= 0");
             req.deadline_ms = static_cast<int>(d);
         } else {
-            badRequest("unknown key '" + key + "'");
+            badRequest("unknown key '" + std::string(key) + "'");
         }
     }
 

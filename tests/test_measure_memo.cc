@@ -5,12 +5,16 @@
  * the cache, and the statistics must account for every lookup.
  */
 
+#include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "harness/measure.hh"
 #include "harness/sweep.hh"
+#include "machine/config_io.hh"
 #include "machine/machine_config.hh"
 
 namespace ccsim::harness {
@@ -167,6 +171,103 @@ TEST(MeasureMemo, SweepResultsIdenticalAcrossJobsAndCacheState)
         expectIdentical(cold[i], warm[i]);
         expectIdentical(cold[i], par[i]);
     }
+}
+
+/** measurePointKey of one fixed point on @p cfg. */
+std::string
+pointKey(const machine::MachineConfig &cfg)
+{
+    return measurePointKey(cfg, 8, machine::Coll::Bcast, 1024,
+                           machine::Algo::Default);
+}
+
+/** A different, still-valid value for one `key = value` line of a
+ *  saveConfig() document. */
+std::string
+perturbed(const std::string &key, const std::string &value)
+{
+    if (value == "true")
+        return "false";
+    if (value == "false")
+        return "true";
+    if (key == "topology")
+        return value == "omega" ? "mesh2d" : "omega";
+    if (key == "topology_spec")
+        return value == "dragonfly" ? "torus3d" : "dragonfly";
+    if (key.size() > 10 &&
+        key.compare(key.size() - 10, 10, ".algorithm") == 0)
+        return value == "linear" ? "binomial" : "linear";
+    // Every other persisted field is numeric.
+    std::ostringstream out;
+    out.precision(17);
+    out << std::stod(value) + 1;
+    return out.str();
+}
+
+TEST(MeasureMemo, EveryPersistedFieldChangesTheKey)
+{
+    // Fields config_io persists that deliberately stay out of the key:
+    // two identically parameterized machines are the same machine.
+    const std::set<std::string> display_only = {"name"};
+
+    // SP2 with the optional blocks switched on, so their lines are in
+    // the document too.  The fault block is not: a faulty config is
+    // never cacheable, so fault fields need no key bytes.
+    machine::MachineConfig cfg = machine::sp2Config();
+    cfg.topo_spec = "fattree";
+    cfg.hierarchy.chips = 2;
+    cfg.hierarchy.cores = 2;
+    std::ostringstream doc;
+    machine::saveConfig(cfg, doc);
+
+    std::vector<std::string> lines;
+    std::istringstream in(doc.str());
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    auto load = [&lines] {
+        std::ostringstream text;
+        for (const std::string &l : lines)
+            text << l << "\n";
+        std::istringstream is(text.str());
+        return machine::loadConfig(is);
+    };
+    const std::string base = pointKey(load());
+    ASSERT_EQ(base.rfind(std::string(kPointKeyVersion) + "|", 0), 0u);
+
+    int mutated = 0;
+    for (std::string &line : lines) {
+        const std::size_t eq = line.find(" = ");
+        if (line.empty() || line[0] == '#' || eq == std::string::npos)
+            continue;
+        const std::string original = line;
+        const std::string key = line.substr(0, eq);
+        const std::string value = line.substr(eq + 3);
+        const bool display = display_only.count(key) != 0;
+        line = key + " = " +
+               (display ? value + "-renamed" : perturbed(key, value));
+        const std::string changed = pointKey(load());
+        if (display)
+            EXPECT_EQ(changed, base) << line;
+        else
+            EXPECT_NE(changed, base) << "key ignores: " << line;
+        line = original;
+        ++mutated;
+    }
+    // Globals, the hierarchy block, and the per-collective blocks.
+    EXPECT_GT(mutated, 60);
+
+    auto faulty = cfg;
+    faulty.fault.msg_drop_rate = 0.01;
+    EXPECT_FALSE(measurePointCacheable(faulty, MeasureOptions{}));
+}
+
+TEST(MeasureMemo, SignedZeroesGetDistinctKeys)
+{
+    auto pos = machine::t3dConfig();
+    auto neg = pos;
+    pos.costsFor(machine::Coll::Bcast).per_stage_ns_per_byte = 0.0;
+    neg.costsFor(machine::Coll::Bcast).per_stage_ns_per_byte = -0.0;
+    EXPECT_NE(pointKey(pos), pointKey(neg));
 }
 
 TEST(MeasureMemo, ClearDropsEntriesAndZeroesStats)

@@ -401,6 +401,61 @@ TEST(ServeCache, MissingFileLoadsNothingAndGarbageIsAConfigError)
         f << "not a cache file\n";
     }
     EXPECT_THROW(cache.loadFile(path), machine::ConfigError);
+
+    // A current header over a broken record is still malformed.
+    {
+        std::ofstream f(path);
+        f << "ccsim-query-cache v2 key=" << harness::kPointKeyVersion
+          << " 1\nsome-key\nT3D|bcast|binomial|8|sixty-four|1|1|1\n";
+    }
+    EXPECT_THROW(cache.loadFile(path), machine::ConfigError);
+    std::remove(path.c_str());
+}
+
+TEST(ServeCache, AStaleVersionFileStartsCold)
+{
+    // Files of an older format or key encoding hold keys that can
+    // never hit: they load nothing, without failing the start-up.
+    const std::string path = "/tmp/ccsim_cache_stale.txt";
+    const char *stale[] = {
+        "ccsim-query-cache v1 1\n",
+        "ccsim-query-cache v2 key=v2 1\n",
+    };
+    for (const char *header : stale) {
+        {
+            std::ofstream f(path);
+            f << header << "v2|1|4|...\n"
+              << "T3D|bcast|binomial|8|64|1000|500|750\n";
+        }
+        QueryCache cache;
+        EXPECT_EQ(cache.loadFile(path), 0u) << header;
+        EXPECT_EQ(cache.size(), 0u) << header;
+    }
+    std::remove(path.c_str());
+}
+
+TEST(ServeCache, KeysLongerThanALineBufferSurviveSaveAndLoad)
+{
+    const std::string path = "/tmp/ccsim_cache_long_key.txt";
+    std::remove(path.c_str());
+
+    machine::MachineConfig cfg = machine::t3dConfig();
+    cfg.topo_spec = "hier:2x4/" + std::string(5000, 'x');
+    const std::string key =
+        harness::measurePointKey(cfg, 8, machine::Coll::Bcast, 64);
+    ASSERT_GT(key.size(), 4096u);
+
+    QueryCache cache;
+    cache.insert(key, syntheticPoint(8, 64, 4242));
+    cache.insert("short", syntheticPoint(4, 64, 1));
+    ASSERT_EQ(cache.saveFile(path), 2u);
+
+    QueryCache fresh;
+    EXPECT_EQ(fresh.loadFile(path), 2u);
+    harness::Measurement out;
+    ASSERT_TRUE(fresh.lookup(key, out));
+    EXPECT_EQ(out.max_time, 4242);
+    EXPECT_TRUE(fresh.contains("short"));
     std::remove(path.c_str());
 }
 
