@@ -36,22 +36,22 @@ main(int argc, char **argv)
     // Declare every point of both panels up front; tags separate the
     // contention-off variants from the stock machines (same name).
     SweepSession sweep(opts, benchMeasureOptions());
-    auto makeTopo = [](machine::TopologyKind kind,
+    auto makeTopo = [](const std::string &spec,
                        const std::string &name) {
         auto cfg = machine::t3dConfig();
         cfg.name = name;
-        cfg.topology = kind;
+        cfg.topology = spec;
         cfg.hardware_barrier = false;
         cfg.setAlgorithm(machine::Coll::Barrier,
                          machine::Algo::Dissemination);
         return cfg;
     };
     std::vector<machine::MachineConfig> topo_cfgs = {
-        makeTopo(machine::TopologyKind::Mesh2D, "mesh2d"),
-        makeTopo(machine::TopologyKind::Torus3D, "torus3d"),
-        makeTopo(machine::TopologyKind::Omega, "omega r4"),
-        makeTopo(machine::TopologyKind::Hypercube, "hypercube"),
-        makeTopo(machine::TopologyKind::FullyConnected, "crossbar"),
+        makeTopo("mesh2d", "mesh2d"),
+        makeTopo("torus3d", "torus3d"),
+        makeTopo("omega", "omega r4"),
+        makeTopo("hypercube", "hypercube"),
+        makeTopo("fully-connected", "crossbar"),
     };
     for (const auto &base : machine::paperMachines()) {
         auto off_cfg = base;

@@ -84,7 +84,7 @@ main(int argc, char **argv)
     mesh.name = "mesh2d (Paragon params)";
     machine::MachineConfig omega = machine::paragonConfig();
     omega.name = "omega (Paragon params)";
-    omega.topology = machine::TopologyKind::Omega;
+    omega.topology = "omega";
 
     harness::MeasureOptions mopt = benchMeasureOptions();
     mopt.metrics = true;

@@ -34,7 +34,7 @@
  *    blocking Client behind `ccsim query`, and the FastPath
  *    fitted-model store the examples build tables from;
  *  - ccsim::Error and its typed subclasses (FatalError, PanicError,
- *    fault::FaultError, replay::TraceError, machine::ConfigError) —
+ *    fault::FaultError, replay::TraceError, ccsim::ConfigError) —
  *    catch the base once, exit with exitCode();
  *  - cli::Options — the one flag-schema parser every binary uses;
  *  - sim::Trace plus the util table/units/logging helpers the above

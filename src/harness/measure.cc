@@ -188,11 +188,7 @@ memoKey(const machine::MachineConfig &cfg, int p, Coll op, Bytes m,
     // leaves the scratch buffer at its exact size.
     thread_local std::string scratch(1024, '\0');
     KeyWriter key(scratch);
-    key.put(cfg.topology);
-    key.put(cfg.switch_radix);
-    key.put(std::string_view(cfg.topo_spec));
-    key.put(cfg.hierarchy.chips);
-    key.put(cfg.hierarchy.cores);
+    key.put(std::string_view(cfg.topologySpec()));
     key.put(cfg.hierarchy.chip.link_bandwidth_mbs);
     key.put(cfg.hierarchy.chip.hop_latency);
     key.put(cfg.hierarchy.node.link_bandwidth_mbs);

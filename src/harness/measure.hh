@@ -209,7 +209,7 @@ constexpr Bytes kStartupMessageBytes = 4;
  * an older build never alias new ones; persisted key stores (the
  * `ccsim serve` cache file) record it and start cold on a mismatch.
  */
-inline constexpr char kPointKeyVersion[] = "v3";
+inline constexpr char kPointKeyVersion[] = "v4";
 
 /**
  * Canonical cache key of one measurement point — the memo-key

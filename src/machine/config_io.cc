@@ -8,7 +8,7 @@
 #include <mutex>
 #include <sstream>
 
-#include "util/cli.hh"
+#include "net/topology_factory.hh"
 #include "util/logging.hh"
 
 namespace ccsim::machine {
@@ -115,13 +115,7 @@ applyGlobal(MachineConfig &cfg, const std::string &key,
     if (key == "name")
         cfg.name = value;
     else if (key == "topology")
-        cfg.topology = topologyKindByName(value);
-    else if (key == "topology_spec")
-        // Full net::makeTopology grammar; "none" clears an inherited
-        // spec so a derived config can fall back to the kind above.
-        cfg.topo_spec = (value == "none") ? "" : value;
-    else if (key == "switch_radix")
-        cfg.switch_radix = static_cast<int>(parseInt(key, value));
+        cfg.topology = value;
     else if (key == "link_bandwidth_mbs")
         cfg.network.link_bandwidth_mbs = parseDouble(key, value);
     else if (key == "hop_latency_ns")
@@ -234,17 +228,57 @@ applyFault(MachineConfig &cfg, const std::string &field,
         configFatal("unknown fault field '%s'", key.c_str());
 }
 
+/**
+ * The keys older files used to name the fabric next to `topology`.
+ * They are read, never written: fold() turns them into the one spec
+ * with their old precedence.
+ */
+struct LegacyTopologyKeys
+{
+    std::string spec; //!< topology_spec; "none" and unset are empty
+    int radix = 4;    //!< switch_radix (the omega default)
+    int chips = 0;    //!< hierarchy.chips; 0 means flat
+    int cores = 1;    //!< hierarchy.cores
+
+    /** Take @p key if it is a legacy one; false otherwise. */
+    bool
+    take(const std::string &key, const std::string &value)
+    {
+        if (key == "topology_spec")
+            spec = value == "none" ? "" : value;
+        else if (key == "switch_radix")
+            radix = static_cast<int>(parseInt(key, value));
+        else if (key == "hierarchy.chips")
+            chips = static_cast<int>(parseInt(key, value));
+        else if (key == "hierarchy.cores")
+            cores = static_cast<int>(parseInt(key, value));
+        else
+            return false;
+        return true;
+    }
+
+    void
+    fold(std::string &topology) const
+    {
+        if (!spec.empty()) { // topology_spec overrides all the rest
+            topology = spec;
+            return;
+        }
+        if (topology == "omega" && radix != 4)
+            topology += ":" + std::to_string(radix);
+        if (chips != 0)
+            topology = "hier:" + std::to_string(chips) + "x" +
+                       std::to_string(cores) + "/" + topology;
+    }
+};
+
 /** Apply one hierarchy.<field> setting (multi-core node model). */
 void
 applyHierarchy(MachineConfig &cfg, const std::string &field,
                const std::string &key, const std::string &value)
 {
     HierarchySpec &h = cfg.hierarchy;
-    if (field == "chips")
-        h.chips = static_cast<int>(parseInt(key, value));
-    else if (field == "cores")
-        h.cores = static_cast<int>(parseInt(key, value));
-    else if (field == "chip_bandwidth_mbs")
+    if (field == "chip_bandwidth_mbs")
         h.chip.link_bandwidth_mbs = parseDouble(key, value);
     else if (field == "chip_latency_ns")
         h.chip.hop_latency = nanoseconds(parseDouble(key, value));
@@ -285,34 +319,6 @@ algoFromName(const std::string &name)
                 valid.c_str());
 }
 
-Algo
-algoByName(const std::string &name)
-{
-    return algoFromName(name);
-}
-
-TopologyKind
-topologyKindByName(const std::string &name)
-{
-    static const TopologyKind kinds[] = {
-        TopologyKind::Mesh2D,    TopologyKind::Torus3D,
-        TopologyKind::Omega,     TopologyKind::Hypercube,
-        TopologyKind::FatTree,   TopologyKind::Dragonfly,
-        TopologyKind::FullyConnected,
-    };
-    std::vector<std::string> names;
-    for (TopologyKind k : kinds) {
-        if (topologyKindName(k) == name)
-            return k;
-        names.push_back(topologyKindName(k));
-    }
-    std::string hint = cli::closestMatch(name, names);
-    if (!hint.empty())
-        configFatal("unknown topology '%s' (did you mean '%s'?)",
-                    name.c_str(), hint.c_str());
-    configFatal("unknown topology '%s'", name.c_str());
-}
-
 MachineConfig
 presetByName(const std::string &name)
 {
@@ -340,10 +346,7 @@ saveConfig(const MachineConfig &cfg, std::ostream &os)
     os.precision(12); // lossless round trip for all calibrations
     os << "# ccsim machine configuration\n";
     os << "name = " << cfg.name << "\n";
-    os << "topology = " << topologyKindName(cfg.topology) << "\n";
-    if (!cfg.topo_spec.empty())
-        os << "topology_spec = " << cfg.topo_spec << "\n";
-    os << "switch_radix = " << cfg.switch_radix << "\n";
+    os << "topology = " << cfg.topologySpec() << "\n";
     os << "link_bandwidth_mbs = " << cfg.network.link_bandwidth_mbs
        << "\n";
     os << "hop_latency_ns = " << toNanos(cfg.network.hop_latency)
@@ -373,13 +376,11 @@ saveConfig(const MachineConfig &cfg, std::ostream &os)
     os << "hardware_barrier_latency_us = "
        << toMicros(cfg.hardware_barrier_latency) << "\n";
 
-    // Hierarchy block only when enabled, so flat configs round-trip
-    // byte-identically to their pre-hierarchy form.
-    if (cfg.hierarchy.enabled()) {
+    // Hierarchy block only for a `hier:` fabric, the one that reads
+    // it, so flat configs round-trip without it.
+    if (cfg.topologySpec().starts_with("hier:")) {
         const HierarchySpec &h = cfg.hierarchy;
-        os << "\nhierarchy.chips = " << h.chips << "\n";
-        os << "hierarchy.cores = " << h.cores << "\n";
-        os << "hierarchy.chip_bandwidth_mbs = "
+        os << "\nhierarchy.chip_bandwidth_mbs = "
            << h.chip.link_bandwidth_mbs << "\n";
         os << "hierarchy.chip_latency_ns = "
            << toNanos(h.chip.hop_latency) << "\n";
@@ -452,6 +453,7 @@ loadConfig(std::istream &is)
     MachineConfig cfg = idealConfig();
     cfg.name = "custom";
 
+    LegacyTopologyKeys legacy;
     std::string line;
     int lineno = 0;
     bool first_setting = true;
@@ -485,6 +487,8 @@ loadConfig(std::istream &is)
             continue;
         }
         first_setting = false;
+        if (legacy.take(key, value))
+            continue;
 
         auto dot = key.find('.');
         if (dot == std::string::npos) {
@@ -506,6 +510,12 @@ loadConfig(std::istream &is)
                       lineno, op_key.c_str());
             applyCollective(cfg, it->second, field, key, value);
         }
+    }
+    legacy.fold(cfg.topology);
+    try {
+        net::checkTopologySpec(cfg.topology);
+    } catch (const ConfigError &e) {
+        raiseError(e);
     }
     cfg.validate();
     return cfg;

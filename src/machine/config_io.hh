@@ -13,20 +13,25 @@
  *     name = MyCluster
  *     base = SP2
  *     link_bandwidth_mbs = 100
- *     topology_spec = fattree:2;4,4;1,2
- *     hierarchy.chips = 2
+ *     topology = hier:2x4/fattree:2;4,4;1,2
  *     hierarchy.chip_bandwidth_mbs = 4000
  *     bcast.algorithm = scatter-allgather
  *     bcast.per_stage_us = 12
  * @endverbatim
  *
- * `topology_spec` (the net::makeTopology grammar, docs/TOPOLOGY.md)
- * overrides the preset's topology kind; `hierarchy.*` keys set the
- * multi-core node shape and the per-class link parameters.
+ * `topology` is a net::makeTopology spec (docs/TOPOLOGY.md); an
+ * unknown family is rejected on load.  `hierarchy.*` keys set the
+ * link parameters of a `hier:` fabric's multi-core nodes.
  *
- * saveConfig() emits a complete round-trippable file; loadConfig()
- * is strict — unknown keys, malformed values, or out-of-range
- * settings raise ConfigError.
+ * Older files named the fabric in several keys, which still load:
+ * `topology_spec` (`none` clears it) replaces `topology` outright;
+ * otherwise `switch_radix` applies to a bare `omega` and
+ * `hierarchy.chips`/`hierarchy.cores` wrap the spec in `hier:CxK/`.
+ * They fold into `topology` at the end of the load.
+ *
+ * saveConfig() emits a complete round-trippable file with one
+ * `topology` line; loadConfig() is strict — unknown keys, malformed
+ * values, or out-of-range settings raise ConfigError.
  */
 
 #ifndef CCSIM_MACHINE_CONFIG_IO_HH
@@ -39,15 +44,6 @@
 #include "util/error.hh"
 
 namespace ccsim::machine {
-
-/**
- * A bad machine configuration: unknown preset/key/algorithm, a
- * malformed value, or an unreadable config file.  Now defined at the
- * util layer (util/error.hh) so the net topology factory raises the
- * same type; this alias keeps every existing machine::ConfigError
- * throw/catch site compiling unchanged.
- */
-using ConfigError = ccsim::ConfigError;
 
 /** Write @p cfg as a complete key = value document. */
 void saveConfig(const MachineConfig &cfg, std::ostream &os);
@@ -92,12 +88,6 @@ std::string collKey(Coll op);
  * file fail identically and catchably.
  */
 Algo algoFromName(const std::string &name);
-
-/** Deprecated alias for algoFromName() (kept for source compat). */
-Algo algoByName(const std::string &name);
-
-/** Inverse of topologyKindName(); ConfigError on unknown names. */
-TopologyKind topologyKindByName(const std::string &name);
 
 } // namespace ccsim::machine
 

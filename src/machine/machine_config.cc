@@ -1,100 +1,14 @@
 #include "machine/machine_config.hh"
 
-#include "net/dragonfly.hh"
-#include "net/fat_tree.hh"
-#include "net/fully_connected.hh"
-#include "net/hierarchical.hh"
-#include "net/hypercube.hh"
-#include "net/mesh2d.hh"
-#include "net/omega.hh"
 #include "net/topology_factory.hh"
-#include "net/torus3d.hh"
 #include "util/logging.hh"
 
 namespace ccsim::machine {
 
-std::string
-topologyKindName(TopologyKind k)
-{
-    switch (k) {
-      case TopologyKind::Mesh2D:
-        return "mesh2d";
-      case TopologyKind::Torus3D:
-        return "torus3d";
-      case TopologyKind::Omega:
-        return "omega";
-      case TopologyKind::Hypercube:
-        return "hypercube";
-      case TopologyKind::FullyConnected:
-        return "fully-connected";
-      case TopologyKind::FatTree:
-        return "fattree";
-      case TopologyKind::Dragonfly:
-        return "dragonfly";
-      default:
-        panic("topologyKindName: bad kind %d", static_cast<int>(k));
-    }
-}
-
 std::unique_ptr<net::Topology>
 MachineConfig::makeTopology(int p) const
 {
-    if (p < 1)
-        fatal("MachineConfig::makeTopology: bad node count %d", p);
-    // An explicit spec overrides the kind-based balanced shapes
-    // entirely (including any `hier:` wrapping it asks for).
-    if (!topo_spec.empty())
-        return net::makeTopology(topo_spec, p);
-
-    int inner_p = p;
-    if (hierarchy.enabled()) {
-        const int per = hierarchy.ranksPerNode();
-        if (p % per != 0)
-            fatal("MachineConfig %s: %d ranks do not divide into "
-                  "%d per node (%d chips x %d cores)",
-                  name.c_str(), p, per, hierarchy.chips,
-                  hierarchy.cores);
-        inner_p = p / per;
-    }
-
-    std::unique_ptr<net::Topology> inner;
-    if (inner_p == 1) {
-        inner = std::make_unique<net::FullyConnected>(1);
-    } else {
-        switch (topology) {
-          case TopologyKind::Mesh2D: {
-              auto [rows, cols] = net::meshDimsFor(inner_p);
-              inner = std::make_unique<net::Mesh2D>(rows, cols);
-              break;
-          }
-          case TopologyKind::Torus3D: {
-              auto d = net::torusDimsFor(inner_p);
-              inner = std::make_unique<net::Torus3D>(d[0], d[1], d[2]);
-              break;
-          }
-          case TopologyKind::Omega:
-            inner = std::make_unique<net::Omega>(inner_p, switch_radix);
-            break;
-          case TopologyKind::Hypercube:
-            inner = std::make_unique<net::Hypercube>(inner_p);
-            break;
-          case TopologyKind::FullyConnected:
-            inner = std::make_unique<net::FullyConnected>(inner_p);
-            break;
-          case TopologyKind::FatTree:
-            inner = net::FatTree::balancedFor(inner_p);
-            break;
-          case TopologyKind::Dragonfly:
-            inner = net::Dragonfly::balancedFor(inner_p);
-            break;
-          default:
-            panic("MachineConfig::makeTopology: bad topology kind");
-        }
-    }
-    if (hierarchy.enabled())
-        return std::make_unique<net::Hierarchical>(
-            std::move(inner), hierarchy.chips, hierarchy.cores);
-    return inner;
+    return net::makeTopology(topologySpec(), p);
 }
 
 void
@@ -102,15 +16,7 @@ MachineConfig::validate() const
 {
     if (name.empty())
         fatal("MachineConfig: empty machine name");
-    if (topology == TopologyKind::Omega && switch_radix < 2)
-        fatal("MachineConfig %s: omega radix %d < 2", name.c_str(),
-              switch_radix);
-    if (hierarchy.chips < 0 ||
-        (hierarchy.enabled() && hierarchy.cores < 1))
-        fatal("MachineConfig %s: bad hierarchy shape %d chips x %d "
-              "cores",
-              name.c_str(), hierarchy.chips, hierarchy.cores);
-    if (hierarchy.enabled() &&
+    if (topologySpec().starts_with("hier:") &&
         (hierarchy.chip.link_bandwidth_mbs <= 0 ||
          hierarchy.node.link_bandwidth_mbs <= 0 ||
          hierarchy.chip.hop_latency < 0 ||
@@ -161,8 +67,7 @@ sp2Config()
 {
     MachineConfig m;
     m.name = "SP2";
-    m.topology = TopologyKind::Omega;
-    m.switch_radix = 4;
+    m.topology = "omega";
 
     m.network.link_bandwidth_mbs = 40.0;
     m.network.hop_latency = nanoseconds(125);
@@ -210,7 +115,7 @@ t3dConfig()
 {
     MachineConfig m;
     m.name = "T3D";
-    m.topology = TopologyKind::Torus3D;
+    m.topology = "torus3d";
 
     m.network.link_bandwidth_mbs = 300.0;
     m.network.hop_latency = nanoseconds(20);
@@ -266,7 +171,7 @@ paragonConfig()
 {
     MachineConfig m;
     m.name = "Paragon";
-    m.topology = TopologyKind::Mesh2D;
+    m.topology = "mesh2d";
 
     m.network.link_bandwidth_mbs = 175.0;
     m.network.hop_latency = nanoseconds(40);
@@ -321,7 +226,7 @@ idealConfig()
 {
     MachineConfig m;
     m.name = "Ideal";
-    m.topology = TopologyKind::FullyConnected;
+    m.topology = "fully-connected";
 
     m.network.link_bandwidth_mbs = 1000.0;
     m.network.hop_latency = nanoseconds(10);

@@ -5,7 +5,7 @@
  * paper's three machines.
  *
  * Everything the simulator knows about a machine is in this plain
- * struct — topology family, physical link parameters, messaging
+ * struct — topology spec, physical link parameters, messaging
  * software overheads, special hardware (barrier tree, block-transfer
  * engine, message coprocessor), per-collective algorithm defaults
  * and software costs — so ablations are one-field edits and new
@@ -34,32 +34,14 @@ class SelectionTable; // src/tuning: per-(op, p, m) decision map
 
 namespace ccsim::machine {
 
-/** Topology family a machine instantiates for a given node count. */
-enum class TopologyKind
-{
-    Mesh2D,         //!< Paragon-style 2-D mesh
-    Torus3D,        //!< T3D-style 3-D torus
-    Omega,          //!< SP2-style multistage switch
-    Hypercube,      //!< nCUBE/iPSC-style binary hypercube
-    FullyConnected, //!< ideal crossbar baseline
-    FatTree,        //!< folded-Clos D-mod-k fat tree (post-paper)
-    Dragonfly,      //!< group/router/node direct network (post-paper)
-};
-
-/** Printable topology-family name. */
-std::string topologyKindName(TopologyKind k);
-
 /**
- * Multi-core node hierarchy: hang chips * cores ranks off every
- * network endpoint (net::Hierarchical) with their own intra-chip /
- * intra-node link parameters.  Disabled by default (chips == 0):
- * the paper's machines were one rank per endpoint.
+ * Link parameters of the multi-core nodes a `hier:CxK/inner`
+ * topology hangs off every network endpoint (net::Hierarchical).
+ * The shape is part of the topology spec; these set the two extra
+ * link classes and are unused by flat fabrics.
  */
 struct HierarchySpec
 {
-    int chips = 0; //!< chips per node; 0 disables the hierarchy
-    int cores = 1; //!< cores (ranks) per chip
-
     /** Link class 1: the shared on-chip interconnect. */
     net::NetworkParams chip{.link_bandwidth_mbs = 8000.0,
                             .hop_latency = nanoseconds(5)};
@@ -67,11 +49,6 @@ struct HierarchySpec
     /** Link class 2: the shared in-node bus / NIC path. */
     net::NetworkParams node{.link_bandwidth_mbs = 2000.0,
                             .hop_latency = nanoseconds(50)};
-
-    bool enabled() const { return chips > 0; }
-
-    /** Ranks per network endpoint (1 when disabled). */
-    int ranksPerNode() const { return enabled() ? chips * cores : 1; }
 };
 
 /** Full description of one simulated multicomputer. */
@@ -79,22 +56,22 @@ struct MachineConfig
 {
     std::string name = "unnamed";
 
-    TopologyKind topology = TopologyKind::FullyConnected;
-
-    /** Switch radix (Omega topology only). */
-    int switch_radix = 4;
+    /**
+     * The machine's fabric, in the net::makeTopology spec grammar
+     * (docs/TOPOLOGY.md): "omega", "torus3d:8x4x4",
+     * "hier:2x4/fattree"...  A family without parameters gets a
+     * balanced shape for each node count.
+     */
+    std::string topology = "fully-connected";
 
     /**
-     * Explicit topology spec (net::makeTopology grammar, e.g.\
-     * "fattree:2;4,4;1,2" or "hier:2x4/torus3d").  When non-empty it
-     * overrides `topology`/`switch_radix` entirely — the factory
-     * builds exactly what the spec says for the requested node
-     * count.  Empty (the default) keeps the kind-based balanced
-     * shapes, so every pre-spec config behaves as before.
+     * Per-run override of `topology`, in the same grammar (`--topo`,
+     * the serve `topo=` field).  Empty keeps the machine's own
+     * fabric.
      */
     std::string topo_spec;
 
-    /** Multi-core node model (off by default; see HierarchySpec). */
+    /** Link parameters for `hier:` fabrics (see HierarchySpec). */
     HierarchySpec hierarchy;
 
     /** Physical network parameters. */
@@ -169,7 +146,17 @@ struct MachineConfig
         algorithms[static_cast<size_t>(c)] = a;
     }
 
-    /** Instantiate this config's topology for @p p nodes. */
+    /** The fabric this config builds: topo_spec when set, else
+     *  topology.  makeTopology(), saveConfig() and the memo key all
+     *  read it, so one fabric has one spelling. */
+    const std::string &
+    topologySpec() const
+    {
+        return topo_spec.empty() ? topology : topo_spec;
+    }
+
+    /** Instantiate topologySpec() for @p p nodes
+     *  (ccsim::ConfigError on a bad spec). */
     std::unique_ptr<net::Topology> makeTopology(int p) const;
 
     /** Sanity-check all fields; fatal() on user error. */

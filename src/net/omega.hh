@@ -6,7 +6,7 @@
  *
  * The network has S = ceil(log_r n) switch stages over N = r^S
  * virtual ports (ports beyond n are unattached padding, which lets
- * any power-of-two machine size use any radix).  Destination-tag
+ * any machine size n >= 2 use any radix).  Destination-tag
  * routing: before each stage the wires perform a perfect shuffle
  * (rotate-left of the base-r port digits) and the stage-i switch
  * steers to the i-th base-r digit of the destination, MSB first.

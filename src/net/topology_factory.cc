@@ -1,5 +1,6 @@
 #include "net/topology_factory.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 
@@ -92,6 +93,31 @@ checkProduct(const std::string &spec, const std::vector<int> &dims,
     }
 }
 
+/** A spec's optional `hier:CHIPSxCORES/` prefix and the inner spec
+ *  after it; chips == 0 when there is no prefix. */
+struct HierSplit
+{
+    int chips = 0;
+    int cores = 0;
+    std::string inner;
+};
+
+HierSplit
+splitHier(const std::string &spec)
+{
+    if (spec.empty())
+        specFail(spec, "empty spec");
+    if (spec.rfind("hier:", 0) != 0)
+        return {0, 0, spec};
+    const std::string rest = spec.substr(5);
+    const auto slash = rest.find('/');
+    if (slash == std::string::npos)
+        specFail(spec, "hier needs CHIPSxCORES/inner-spec");
+    auto shape =
+        parseDims(spec, rest.substr(0, slash), 2, "CHIPSxCORES");
+    return {shape[0], shape[1], rest.substr(slash + 1)};
+}
+
 std::unique_ptr<Topology>
 makeInner(const std::string &spec, const std::string &inner, int p)
 {
@@ -102,6 +128,15 @@ makeInner(const std::string &spec, const std::string &inner, int p)
         params = inner.substr(colon + 1);
     }
     const bool has_params = family.size() < inner.size();
+
+    // A single node has no fabric to shape: every family (and every
+    // `hier:` inner of one node) is one fully-connected node, and
+    // its parameters go unchecked.
+    const auto &families = topologyFamilies();
+    if (p == 1 && family != "hier" &&
+        std::find(families.begin(), families.end(), family) !=
+            families.end())
+        return std::make_unique<FullyConnected>(1);
 
     if (family == "mesh2d") {
         auto [rows, cols] = meshDimsFor(p);
@@ -128,16 +163,14 @@ makeInner(const std::string &spec, const std::string &inner, int p)
         int radix = 4;
         if (has_params)
             radix = parsePositive(spec, params, "switch radix");
-        if (p < 1 || (p & (p - 1)) != 0)
-            specFail(spec, "omega needs a power-of-two node count, "
-                           "got " +
-                               std::to_string(p));
+        if (radix < 2)
+            specFail(spec, "switch radix must be >= 2");
         return std::make_unique<Omega>(p, radix);
     }
     if (family == "hypercube") {
         if (has_params)
             specFail(spec, "hypercube takes no parameters");
-        if (p < 1 || (p & (p - 1)) != 0)
+        if ((p & (p - 1)) != 0)
             specFail(spec, "hypercube needs a power-of-two node "
                            "count, got " +
                                std::to_string(p));
@@ -198,6 +231,12 @@ topologyFamilies()
     return families;
 }
 
+void
+checkTopologySpec(const std::string &spec)
+{
+    makeInner(spec, splitHier(spec).inner, 1);
+}
+
 std::unique_ptr<Topology>
 makeTopology(const std::string &spec, int p)
 {
@@ -205,30 +244,20 @@ makeTopology(const std::string &spec, int p)
         throw ConfigError("bad topology spec '" + spec +
                           "': machine needs at least 1 node, got " +
                           std::to_string(p));
-    if (spec.empty())
-        specFail(spec, "empty spec");
-    if (spec.rfind("hier:", 0) == 0) {
-        const std::string rest = spec.substr(5);
-        const auto slash = rest.find('/');
-        if (slash == std::string::npos)
-            specFail(spec, "hier needs CHIPSxCORES/inner-spec");
-        auto shape =
-            parseDims(spec, rest.substr(0, slash), 2, "CHIPSxCORES");
-        const std::string inner = rest.substr(slash + 1);
-        const long long per_node = 1LL * shape[0] * shape[1];
-        if (p % per_node != 0) {
-            char buf[96];
-            std::snprintf(buf, sizeof(buf),
-                          "%d ranks do not divide into %lld per "
-                          "node",
-                          p, per_node);
-            specFail(spec, buf);
-        }
-        return std::make_unique<Hierarchical>(
-            makeInner(spec, inner, static_cast<int>(p / per_node)),
-            shape[0], shape[1]);
+    const HierSplit split = splitHier(spec);
+    if (split.chips == 0)
+        return makeInner(spec, spec, p);
+    const long long per_node = 1LL * split.chips * split.cores;
+    if (p % per_node != 0) {
+        char buf[96];
+        std::snprintf(buf, sizeof(buf),
+                      "%d ranks do not divide into %lld per node", p,
+                      per_node);
+        specFail(spec, buf);
     }
-    return makeInner(spec, spec, p);
+    return std::make_unique<Hierarchical>(
+        makeInner(spec, split.inner, static_cast<int>(p / per_node)),
+        split.chips, split.cores);
 }
 
 } // namespace ccsim::net

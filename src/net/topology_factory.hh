@@ -1,8 +1,9 @@
 /**
  * @file
  * makeTopology: build any topology from a compact spec string, the
- * one grammar shared by `--topo`, config files (`topology_spec`),
- * the serve wire protocol, and programmatic callers.
+ * one way a MachineConfig names its fabric (`topology`), shared by
+ * `--topo`, config files, the serve wire protocol, and programmatic
+ * callers.
  *
  * Grammar (EBNF-ish; every parameter block is optional — an omitted
  * block picks a balanced shape for the requested node count):
@@ -21,7 +22,9 @@
  *
  * Explicit dimensions must multiply out to exactly the machine's
  * node count p; `hier:CxK/inner` gives the inner topology p/(C*K)
- * nodes and requires that division to be exact.  Malformed or
+ * nodes and requires that division to be exact.  `omega` takes any
+ * p >= 2 (ports past p are padding); a single node is one
+ * fully-connected node whatever the family.  Malformed or
  * impossible specs raise ccsim::ConfigError (CLI exit code 5) with a
  * "did you mean" hint on misspelled family names.
  */
@@ -41,6 +44,11 @@ namespace ccsim::net {
  *  ccsim::ConfigError on malformed specs; see the file comment for
  *  the grammar. */
 std::unique_ptr<Topology> makeTopology(const std::string &spec, int p);
+
+/** The checks on @p spec that need no node count: the `hier:`
+ *  prefix and the family name.  ccsim::ConfigError (with the
+ *  did-you-mean hint) on failure. */
+void checkTopologySpec(const std::string &spec);
 
 /** The valid family names, for help text and did-you-mean hints. */
 const std::vector<std::string> &topologyFamilies();

@@ -163,8 +163,8 @@ namespace {
 badCacheFile(const std::string &path, std::size_t line,
              const char *what)
 {
-    throw machine::ConfigError(path + ":" + std::to_string(line) +
-                               ": bad cache file: " + what);
+    throw ConfigError(path + ":" + std::to_string(line) +
+                      ": bad cache file: " + what);
 }
 
 machine::Coll

@@ -12,8 +12,6 @@ namespace ccsim::serve {
 
 namespace {
 
-using machine::ConfigError;
-
 [[noreturn]] void
 badRequest(const std::string &what)
 {

@@ -31,7 +31,7 @@
  * simulation was still running — carries `"shed":true` so clients can
  * tell a degraded approximation from a first-class one.
  *
- * A malformed request raises machine::ConfigError from
+ * A malformed request raises ccsim::ConfigError from
  * parseRequest(); the server converts it to an error response on the
  * same connection — a protocol mistake never drops the session.
  */
@@ -119,7 +119,7 @@ struct Request
 };
 
 /**
- * Parse one request line; machine::ConfigError (component "config",
+ * Parse one request line; ccsim::ConfigError (component "config",
  * exit code 5) on an unknown verb, unknown/duplicate/malformed keys,
  * or missing required keys — typed, so the server can answer with a
  * structured error response instead of dropping the connection.

@@ -13,7 +13,6 @@ namespace ccsim::tuning {
 
 using machine::Algo;
 using machine::Coll;
-using machine::ConfigError;
 
 namespace {
 

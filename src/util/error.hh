@@ -36,7 +36,7 @@ namespace ccsim {
 inline constexpr int kUserExit = 1;   //!< FatalError
 inline constexpr int kTraceExit = 3;  //!< replay::TraceError
 inline constexpr int kFaultExit = 4;  //!< fault::FaultError
-inline constexpr int kConfigExit = 5; //!< machine::ConfigError
+inline constexpr int kConfigExit = 5; //!< ConfigError
 inline constexpr int kPanicExit = 70; //!< PanicError (EX_SOFTWARE)
 
 /** Base of all ccsim exceptions; see file comment. */
@@ -90,8 +90,7 @@ struct FatalError : Error
  * unreadable config file.  Derives from FatalError (a user error,
  * catchable as one) but refines the component to "config" and the
  * CLI exit code to kConfigExit.  Lives at the util layer so both the
- * machine config loader and the net topology factory can raise it;
- * machine::ConfigError is an alias (config_io.hh).
+ * machine config loader and the net topology factory can raise it.
  */
 struct ConfigError : FatalError
 {

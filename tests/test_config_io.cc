@@ -14,8 +14,7 @@ void
 expectConfigsEqual(const MachineConfig &a, const MachineConfig &b)
 {
     EXPECT_EQ(a.name, b.name);
-    EXPECT_EQ(a.topology, b.topology);
-    EXPECT_EQ(a.switch_radix, b.switch_radix);
+    EXPECT_EQ(a.topologySpec(), b.topologySpec());
     EXPECT_DOUBLE_EQ(a.network.link_bandwidth_mbs,
                      b.network.link_bandwidth_mbs);
     EXPECT_EQ(a.network.hop_latency, b.network.hop_latency);
@@ -58,8 +57,11 @@ expectConfigsEqual(const MachineConfig &a, const MachineConfig &b)
 
 TEST(ConfigIo, AllPresetsRoundTrip)
 {
-    for (const auto &cfg :
-         {sp2Config(), t3dConfig(), paragonConfig(), idealConfig()}) {
+    // A per-run topology override is saved as the machine's fabric.
+    MachineConfig hier_t3d = t3dConfig();
+    hier_t3d.topo_spec = "hier:2x4/fattree";
+    for (const auto &cfg : {sp2Config(), t3dConfig(), paragonConfig(),
+                            idealConfig(), hier_t3d}) {
         std::stringstream ss;
         saveConfig(cfg, ss);
         MachineConfig loaded = loadConfig(ss);
@@ -77,7 +79,7 @@ TEST(ConfigIo, BasePresetWithOverrides)
        << "bcast.per_stage_us = 10\n";
     MachineConfig cfg = loadConfig(ss);
     EXPECT_EQ(cfg.name, "FatPipeSP2");
-    EXPECT_EQ(cfg.topology, TopologyKind::Omega); // from the base
+    EXPECT_EQ(cfg.topology, "omega"); // from the base
     EXPECT_DOUBLE_EQ(cfg.network.link_bandwidth_mbs, 150.0);
     EXPECT_EQ(cfg.algorithmFor(Coll::Bcast), Algo::ScatterAllgather);
     EXPECT_EQ(cfg.costsFor(Coll::Bcast).per_stage, microseconds(10));
@@ -113,6 +115,8 @@ TEST(ConfigIo, ErrorsAreFatal)
     EXPECT_THROW(load("warp.algorithm = linear\n"), FatalError);
     EXPECT_THROW(load("bcast.algorithm = warp-speed\n"), FatalError);
     EXPECT_THROW(load("topology = moebius\n"), FatalError);
+    EXPECT_THROW(load("topology = hier:2x2/moebius\n"), FatalError);
+    EXPECT_THROW(load("topology_spec = moebius\n"), FatalError);
     EXPECT_THROW(load("name = x\nbase = SP2\n"), FatalError);
     EXPECT_THROW(load("base = VAX\n"), FatalError);
     // Validation runs on load: hardware algo without hardware.
@@ -124,11 +128,63 @@ TEST(ConfigIo, NameHelpers)
 {
     EXPECT_EQ(collKey(Coll::Alltoall), "alltoall");
     EXPECT_EQ(collKey(Coll::ReduceScatter), "reduce_scatter");
-    EXPECT_EQ(algoByName("binomial"), Algo::Binomial);
-    EXPECT_EQ(algoByName("rabenseifner"), Algo::Rabenseifner);
-    EXPECT_EQ(topologyKindByName("torus3d"), TopologyKind::Torus3D);
-    EXPECT_EQ(topologyKindByName("hypercube"), TopologyKind::Hypercube);
+    EXPECT_EQ(algoFromName("binomial"), Algo::Binomial);
+    EXPECT_EQ(algoFromName("rabenseifner"), Algo::Rabenseifner);
     EXPECT_EQ(presetByName("T3D").name, "T3D");
+}
+
+TEST(ConfigIo, LegacyTopologyKeysStillLoad)
+{
+    // Documents that name the fabric with the legacy keys, the spec
+    // each folds into, and the fabric it builds (pinned values).
+    struct Case
+    {
+        const char *doc;
+        const char *spec;
+        int p;
+        const char *fabric;
+        std::size_t links;
+    };
+    const Case cases[] = {
+        {"base = SP2\ntopology = omega\nswitch_radix = 8\n", "omega:8",
+         64, "omega 64-node radix-8 (2 stages)", 192},
+        {"topology = torus3d\nswitch_radix = 8\n", "torus3d", 12,
+         "torus3d 3x2x2", 72},
+        {"base = T3D\nhierarchy.chips = 2\nhierarchy.cores = 2\n",
+         "hier:2x2/torus3d", 32, "hier 2chip x 2core / torus3d 2x2x2",
+         72},
+        {"base = T3D\nhierarchy.chips = 2\nhierarchy.cores = 2\n"
+         "topology_spec = fattree\n",
+         "fattree", 16, "fat-tree XGFT(2; 4,4; 1,2)", 48},
+        {"base = SP2\ntopology_spec = fattree\ntopology_spec = none\n",
+         "omega", 12, "omega 12-node radix-4 (2 stages)", 44},
+    };
+    for (const Case &c : cases) {
+        std::istringstream in(c.doc);
+        const MachineConfig cfg = loadConfig(in);
+        EXPECT_EQ(cfg.topology, c.spec) << c.doc;
+        EXPECT_TRUE(cfg.topo_spec.empty()) << c.doc;
+        auto topo = cfg.makeTopology(c.p);
+        EXPECT_EQ(topo->name(), c.fabric) << c.doc;
+        EXPECT_EQ(topo->numLinks(), c.links) << c.doc;
+
+        // Saved in the new form, the document is a fixed point.
+        std::ostringstream first;
+        saveConfig(cfg, first);
+        EXPECT_NE(first.str().find(std::string("\ntopology = ") +
+                                   c.spec + "\n"),
+                  std::string::npos)
+            << first.str();
+        for (const char *gone :
+             {"topology_spec", "switch_radix", "hierarchy.chips",
+              "hierarchy.cores"})
+            EXPECT_EQ(first.str().find(gone), std::string::npos)
+                << gone;
+        std::istringstream reread(first.str());
+        std::ostringstream second;
+        saveConfig(loadConfig(reread), second);
+        EXPECT_EQ(first.str(), second.str()) << c.doc;
+    }
 }
 
 TEST(ConfigIo, FileRoundTrip)

@@ -1,5 +1,8 @@
 /** @file Unit tests for machine configs, presets, and hw barrier. */
 
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "machine/machine.hh"
@@ -24,19 +27,19 @@ TEST(MachineConfig, PaperPhysicalParameters)
     auto sp2 = sp2Config();
     EXPECT_DOUBLE_EQ(sp2.network.link_bandwidth_mbs, 40.0);
     EXPECT_EQ(sp2.network.hop_latency, nanoseconds(125));
-    EXPECT_EQ(sp2.topology, TopologyKind::Omega);
+    EXPECT_EQ(sp2.topology, "omega");
 
     auto t3d = t3dConfig();
     EXPECT_DOUBLE_EQ(t3d.network.link_bandwidth_mbs, 300.0);
     EXPECT_EQ(t3d.network.hop_latency, nanoseconds(20));
-    EXPECT_EQ(t3d.topology, TopologyKind::Torus3D);
+    EXPECT_EQ(t3d.topology, "torus3d");
     EXPECT_TRUE(t3d.hardware_barrier);
     EXPECT_TRUE(t3d.transport.blt_enabled);
 
     auto par = paragonConfig();
     EXPECT_DOUBLE_EQ(par.network.link_bandwidth_mbs, 175.0);
     EXPECT_EQ(par.network.hop_latency, nanoseconds(40));
-    EXPECT_EQ(par.topology, TopologyKind::Mesh2D);
+    EXPECT_EQ(par.topology, "mesh2d");
     EXPECT_GT(par.transport.coprocessor_overlap, 0.5);
 }
 
@@ -57,6 +60,56 @@ TEST(MachineConfig, MakeTopologyMatchesKind)
     EXPECT_EQ(paragonConfig().makeTopology(32)->name(), "mesh2d 4x8");
     // Single node degenerates to the trivial topology everywhere.
     EXPECT_EQ(t3dConfig().makeTopology(1)->numNodes(), 1);
+}
+
+TEST(MachineConfig, PresetFabricsArePinned)
+{
+    // Pinned name and link count of every preset's fabric.  One node
+    // is a single crossbar node whatever the family.
+    struct Pin
+    {
+        int p;
+        const char *name;
+        std::size_t links;
+    };
+    const std::vector<std::pair<MachineConfig, std::vector<Pin>>> pins = {
+        {sp2Config(),
+         {{1, "fully-connected 1-node", 1},
+          {2, "omega 2-node radix-4 (1 stages)", 6},
+          {3, "omega 3-node radix-4 (1 stages)", 7},
+          {12, "omega 12-node radix-4 (2 stages)", 44},
+          {64, "omega 64-node radix-4 (3 stages)", 256},
+          {128, "omega 128-node radix-4 (4 stages)", 1152}}},
+        {t3dConfig(),
+         {{1, "fully-connected 1-node", 1},
+          {2, "torus3d 2x1x1", 12},
+          {3, "torus3d 3x1x1", 18},
+          {12, "torus3d 3x2x2", 72},
+          {64, "torus3d 4x4x4", 384},
+          {128, "torus3d 8x4x4", 768}}},
+        {paragonConfig(),
+         {{1, "fully-connected 1-node", 1},
+          {2, "mesh2d 1x2", 8},
+          {3, "mesh2d 1x3", 12},
+          {12, "mesh2d 3x4", 48},
+          {64, "mesh2d 8x8", 256},
+          {128, "mesh2d 8x16", 512}}},
+        {idealConfig(),
+         {{1, "fully-connected 1-node", 1},
+          {2, "fully-connected 2-node", 4},
+          {3, "fully-connected 3-node", 9},
+          {12, "fully-connected 12-node", 144},
+          {64, "fully-connected 64-node", 4096},
+          {128, "fully-connected 128-node", 16384}}},
+    };
+    for (const auto &[cfg, fabrics] : pins)
+        for (const Pin &pin : fabrics) {
+            auto topo = cfg.makeTopology(pin.p);
+            EXPECT_EQ(topo->name(), pin.name)
+                << cfg.name << " p=" << pin.p;
+            EXPECT_EQ(topo->numLinks(), pin.links)
+                << cfg.name << " p=" << pin.p;
+        }
 }
 
 TEST(MachineConfig, HardwareAlgoWithoutHardwareIsFatal)

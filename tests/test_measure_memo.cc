@@ -192,8 +192,6 @@ perturbed(const std::string &key, const std::string &value)
         return "true";
     if (key == "topology")
         return value == "omega" ? "mesh2d" : "omega";
-    if (key == "topology_spec")
-        return value == "dragonfly" ? "torus3d" : "dragonfly";
     if (key.size() > 10 &&
         key.compare(key.size() - 10, 10, ".algorithm") == 0)
         return value == "linear" ? "binomial" : "linear";
@@ -210,13 +208,11 @@ TEST(MeasureMemo, EveryPersistedFieldChangesTheKey)
     // two identically parameterized machines are the same machine.
     const std::set<std::string> display_only = {"name"};
 
-    // SP2 with the optional blocks switched on, so their lines are in
+    // SP2 on a `hier:` fabric, so the optional hierarchy block is in
     // the document too.  The fault block is not: a faulty config is
     // never cacheable, so fault fields need no key bytes.
     machine::MachineConfig cfg = machine::sp2Config();
-    cfg.topo_spec = "fattree";
-    cfg.hierarchy.chips = 2;
-    cfg.hierarchy.cores = 2;
+    cfg.topology = "hier:2x2/fattree";
     std::ostringstream doc;
     machine::saveConfig(cfg, doc);
 
@@ -259,6 +255,17 @@ TEST(MeasureMemo, EveryPersistedFieldChangesTheKey)
     auto faulty = cfg;
     faulty.fault.msg_drop_rate = 0.01;
     EXPECT_FALSE(measurePointCacheable(faulty, MeasureOptions{}));
+}
+
+TEST(MeasureMemo, OneMachineOneKey)
+{
+    // Naming the preset's own fabric through the per-run override
+    // builds the same machine, so it must share the preset's key.
+    machine::MachineConfig same = machine::t3dConfig();
+    same.topo_spec = "torus3d";
+    EXPECT_EQ(pointKey(same), pointKey(machine::t3dConfig()));
+    same.topo_spec = "mesh2d";
+    EXPECT_NE(pointKey(same), pointKey(machine::t3dConfig()));
 }
 
 TEST(MeasureMemo, SignedZeroesGetDistinctKeys)

@@ -379,7 +379,7 @@ TEST_F(ErrorSurfaceTest, TypedErrorsRemainFatalError)
     // Existing call sites catch FatalError; the typed subclasses must
     // stay substitutable for it.
     EXPECT_THROW(machine::presetByName("nope"), FatalError);
-    EXPECT_THROW(machine::presetByName("nope"), machine::ConfigError);
+    EXPECT_THROW(machine::presetByName("nope"), ccsim::ConfigError);
     std::istringstream is("np 0\n");
     EXPECT_THROW(replay::TraceParser::parse(is, "b.trace"),
                  replay::TraceError);

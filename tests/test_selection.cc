@@ -23,7 +23,6 @@ namespace {
 
 using machine::Algo;
 using machine::Coll;
-using machine::ConfigError;
 
 SelectionTable
 twoRuleTable()

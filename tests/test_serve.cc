@@ -77,7 +77,7 @@ TEST(ServeProtocol, BarrierNeedsNoMessageLength)
 
 TEST(ServeProtocol, MalformedRequestsRaiseConfigError)
 {
-    // Every protocol mistake is machine::ConfigError (exit code 5),
+    // Every protocol mistake is ccsim::ConfigError (exit code 5),
     // so the server can answer with a typed error response.
     const char *bad[] = {
         "",                                  // empty
@@ -95,7 +95,7 @@ TEST(ServeProtocol, MalformedRequestsRaiseConfigError)
         try {
             parseRequest(line);
             FAIL() << "no error for: " << line;
-        } catch (const machine::ConfigError &e) {
+        } catch (const ccsim::ConfigError &e) {
             EXPECT_EQ(e.exitCode(), kConfigExit) << line;
             EXPECT_EQ(e.component(), "config") << line;
         }
@@ -112,13 +112,13 @@ TEST(ServeProtocol, DeadlineParsesAndRoundTrips)
     EXPECT_THROW(
         parseRequest(
             "predict machine=T3D op=bcast p=8 m=64 deadline_ms=-1"),
-        machine::ConfigError);
+        ccsim::ConfigError);
 }
 
 TEST(ServeProtocol, HealthIsABareVerb)
 {
     EXPECT_EQ(parseRequest("health").verb, Verb::Health);
-    EXPECT_THROW(parseRequest("health p=4"), machine::ConfigError);
+    EXPECT_THROW(parseRequest("health p=4"), ccsim::ConfigError);
     Request r;
     r.verb = Verb::Health;
     EXPECT_EQ(formatRequest(r), "health");
@@ -400,7 +400,7 @@ TEST(ServeCache, MissingFileLoadsNothingAndGarbageIsAConfigError)
         std::ofstream f(path);
         f << "not a cache file\n";
     }
-    EXPECT_THROW(cache.loadFile(path), machine::ConfigError);
+    EXPECT_THROW(cache.loadFile(path), ccsim::ConfigError);
 
     // A current header over a broken record is still malformed.
     {
@@ -408,7 +408,7 @@ TEST(ServeCache, MissingFileLoadsNothingAndGarbageIsAConfigError)
         f << "ccsim-query-cache v2 key=" << harness::kPointKeyVersion
           << " 1\nsome-key\nT3D|bcast|binomial|8|sixty-four|1|1|1\n";
     }
-    EXPECT_THROW(cache.loadFile(path), machine::ConfigError);
+    EXPECT_THROW(cache.loadFile(path), ccsim::ConfigError);
     std::remove(path.c_str());
 }
 

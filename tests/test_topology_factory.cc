@@ -98,6 +98,58 @@ TEST(TopologyFactory, HierSpecWrapsInnerTopology)
     EXPECT_EQ(h2->inner().numNodes(), 8);
 }
 
+TEST(TopologyFactory, OmegaTakesAnyNodeCount)
+{
+    // Ports past p are padding, so omega needs no power of two.
+    for (int p : {3, 12}) {
+        auto t = makeTopology("omega", p);
+        EXPECT_EQ(t->numNodes(), p);
+        for (int s = 0; s < p; ++s)
+            for (int d = 0; d < p; ++d)
+                t->forEachLink(s, d, [&](LinkId l) {
+                    EXPECT_GE(l, 0);
+                    EXPECT_LT(l, t->numLinks());
+                });
+    }
+    EXPECT_EQ(makeTopology("omega", 12)->name(),
+              "omega 12-node radix-4 (2 stages)");
+}
+
+TEST(TopologyFactory, OneNodeIsOneFullyConnectedNode)
+{
+    for (const char *spec :
+         {"mesh2d", "torus3d", "omega", "hypercube", "fattree",
+          "fully-connected", "dragonfly", "omega:8"}) {
+        auto t = makeTopology(spec, 1);
+        EXPECT_EQ(t->name(), "fully-connected 1-node") << spec;
+        EXPECT_EQ(t->numLinks(), 1u) << spec;
+    }
+    // A `hier:` inner of one node collapses the same way.
+    auto t = makeTopology("hier:2x2/omega", 4);
+    auto *h = dynamic_cast<Hierarchical *>(t.get());
+    ASSERT_NE(h, nullptr);
+    EXPECT_EQ(h->numNodes(), 4);
+    EXPECT_EQ(h->inner().name(), "fully-connected 1-node");
+    // The family is still checked.
+    expectRejects("omgea", 1, "did you mean 'omega'");
+}
+
+TEST(TopologyFactory, CheckNeedsNoNodeCount)
+{
+    checkTopologySpec("hier:2x4/fattree:2;4,4;1,2");
+    checkTopologySpec("omega:8");
+    for (const char *bad : {"", "hier:2/omega", "hier:2x4/"})
+        EXPECT_THROW(checkTopologySpec(bad), ConfigError) << bad;
+    try {
+        checkTopologySpec("hier:2x4/torus2d");
+        FAIL() << "accepted unknown family";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find("did you mean 'torus3d'"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(TopologyFactory, UnknownFamilySuggestsClosestMatch)
 {
     try {
@@ -114,7 +166,7 @@ TEST(TopologyFactory, MalformedSpecsAreTypedConfigErrors)
 {
     expectRejects("mesh2d:3x3", 16, "16");       // product mismatch
     expectRejects("torus3d:0x4x4", 16, "dimension");
-    expectRejects("omega", 12, "power-of-two");
+    expectRejects("omega:1", 8, "radix");
     expectRejects("hypercube", 12, "power-of-two");
     expectRejects("fattree:2;4,4", 16, "u1");     // missing up list
     expectRejects("fattree:0;;", 16, "level count");

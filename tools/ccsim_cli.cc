@@ -362,7 +362,7 @@ cmdMachines()
             special += "BLT ";
         if (cfg.transport.coprocessor_overlap > 0)
             special += "coprocessor";
-        t.row({cfg.name, machine::topologyKindName(cfg.topology),
+        t.row({cfg.name, cfg.topologySpec(),
                formatG(cfg.network.link_bandwidth_mbs),
                formatG(toNanos(cfg.network.hop_latency)),
                formatG(toMicros(cfg.transport.send_overhead)),
