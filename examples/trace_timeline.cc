@@ -23,7 +23,8 @@ int
 main()
 {
     machine::Machine m(machine::paragonConfig(), 8);
-    m.trace().enable(true);
+    sim::Trace trace;
+    m.attachTrace(trace);
 
     auto prog = [&](int rank) -> sim::Task<void> {
         mpi::Comm comm(m, rank);
@@ -37,15 +38,15 @@ main()
 
     const char *path = "ccsim_trace.json";
     std::ofstream out(path);
-    m.trace().writeChromeJson(out);
+    trace.writeChromeJson(out);
     std::printf("wrote %s (%zu spans) — open in chrome://tracing or "
                 "ui.perfetto.dev\n\n",
-                path, m.trace().spans().size());
+                path, trace.spans().size());
 
     TableWriter t;
     t.header({"rank", "compute", "send", "recv", "comm total",
               "spans"});
-    for (auto &[rank, rs] : m.trace().summarize()) {
+    for (auto &[rank, rs] : trace.summarize()) {
         t.row({std::to_string(rank), formatTime(rs.compute),
                formatTime(rs.send), formatTime(rs.recv),
                formatTime(rs.comm()), std::to_string(rs.spans)});

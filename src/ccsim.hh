@@ -24,11 +24,11 @@
  *  - fault — FaultSpec / FaultInjector / FaultReport for
  *    deterministic fault-injection scenarios;
  *  - replay — TraceParser / Recorder / Replayer: record any run as a
- *    plain-text action trace and replay it on any machine (plus
- *    machine::CommHook, the observation interface the Recorder
- *    implements);
- *  - stats — the metrics registry and MetricsSnapshot, the
- *    observability layer every run can expose (docs/METRICS.md);
+ *    plain-text action trace and replay it on any machine;
+ *  - machine::Probe — the one observation object of a Machine: its
+ *    consumers are the metric groups (read back as a
+ *    stats::MetricsSnapshot, docs/METRICS.md), an attached sim::Trace,
+ *    and one machine::CallListener such as the replay Recorder;
  *  - serve — the prediction service (docs/SERVE.md): the wire
  *    protocol, the three-tier Server behind `ccsim serve`, the
  *    blocking Client behind `ccsim query`, and the FastPath
@@ -56,10 +56,10 @@
 #include "fault/fault_spec.hh"
 #include "harness/measure.hh"
 #include "harness/sweep.hh"
-#include "machine/comm_hook.hh"
 #include "machine/config_io.hh"
 #include "machine/machine.hh"
 #include "machine/machine_config.hh"
+#include "machine/probe.hh"
 #include "model/fit.hh"
 #include "model/hockney.hh"
 #include "model/paper_data.hh"

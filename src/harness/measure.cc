@@ -64,9 +64,10 @@ bool
 memoEligible(const machine::MachineConfig &cfg,
              const MeasureOptions &opt)
 {
-    // CommHooks need no eligibility bit: measureCollective builds its
-    // own Machine from cfg and never installs one, so no observer can
-    // differ between a cached and a re-simulated point.
+    // Call listeners and traces need no eligibility bit:
+    // measureCollective builds its own Machine from cfg and never
+    // attaches one, so no observer can differ between a cached and a
+    // re-simulated point.
     return opt.memoize && !cfg.fault.enabled() && opt.max_skew == 0 &&
            !opt.metrics && !cfg.collect_metrics;
 }
@@ -281,20 +282,20 @@ memoClear()
 }
 
 sim::Task<void>
-runCollectiveOnce(mpi::Comm &comm, Coll op, Bytes m, Algo algo)
+runCollectiveOnce(mpi::Comm &comm, Coll op, Bytes m, Algo algo, int root)
 {
     switch (op) {
       case Coll::Barrier:
         co_await comm.barrier(algo);
         break;
       case Coll::Bcast:
-        co_await comm.bcast(m, 0, algo);
+        co_await comm.bcast(m, root, algo);
         break;
       case Coll::Gather:
-        co_await comm.gather(m, 0, algo);
+        co_await comm.gather(m, root, algo);
         break;
       case Coll::Scatter:
-        co_await comm.scatter(m, 0, algo);
+        co_await comm.scatter(m, root, algo);
         break;
       case Coll::Allgather:
         co_await comm.allgather(m, algo);
@@ -303,7 +304,7 @@ runCollectiveOnce(mpi::Comm &comm, Coll op, Bytes m, Algo algo)
         co_await comm.alltoall(m, algo);
         break;
       case Coll::Reduce:
-        co_await comm.reduce(m, 0, algo);
+        co_await comm.reduce(m, root, algo);
         break;
       case Coll::Allreduce:
         co_await comm.allreduce(m, algo);

@@ -159,15 +159,16 @@ using CollectiveCall =
     std::function<sim::Task<void>(mpi::Comm &, Bytes)>;
 
 /**
- * Issue a single call of @p op on @p comm (root 0 for the rooted
- * operations) — the building block of the Section 2 loop, public so
- * other drivers (the CLI's --trace-out path, the replay recorder
- * tools) can run one traced call without duplicating the dispatch.
+ * Issue a single call of @p op on @p comm (@p root for the rooted
+ * operations, ignored by the rest) — the building block of the
+ * Section 2 loop, and the one collective dispatch: the CLI's
+ * --trace-out path and the replayer issue their calls through it.
  */
 sim::Task<void> runCollectiveOnce(mpi::Comm &comm, machine::Coll op,
                                   Bytes m,
                                   machine::Algo algo
-                                  = machine::Algo::Auto);
+                                  = machine::Algo::Auto,
+                                  int root = 0);
 
 /**
  * Run the Section 2 procedure for one collective on one machine.

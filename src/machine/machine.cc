@@ -2,7 +2,6 @@
 
 #include <cstdio>
 
-#include "machine/comm_hook.hh"
 #include "machine/config_io.hh"
 #include "util/logging.hh"
 
@@ -41,13 +40,13 @@ Machine::Machine(ConfigHandle config, int p)
                     return fi->linkSlowdown(l, t);
                 });
     }
+    fabric_ = std::make_unique<msg::Fabric>(sim_, *network_, p,
+                                            config_->transport,
+                                            fault_.get());
     if (config_->collect_metrics) {
-        metrics_ = std::make_unique<stats::MachineMetrics>(kNumColl);
-        network_->enableCounters();
+        network_->setProbe(&makeProbe());
+        fabric_->setProbe(probe_.get());
     }
-    fabric_ = std::make_unique<msg::Fabric>(
-        sim_, *network_, p, config_->transport, &trace_, fault_.get(),
-        metrics_ ? &metrics_->transport : nullptr);
     // Pending-event high water scales with the node count (each rank
     // keeps a few wire/resume events in flight); pre-size the
     // calendar so sweeps at large p skip the early growth phase.
@@ -55,6 +54,28 @@ Machine::Machine(ConfigHandle config, int p)
     if (config_->hardware_barrier)
         hw_barrier_ = std::make_unique<HardwareBarrier>(
             sim_, p, config_->hardware_barrier_latency);
+}
+
+Probe &
+Machine::makeProbe()
+{
+    if (!probe_)
+        probe_ = std::make_unique<Probe>(*network_,
+                                         config_->collect_metrics);
+    return *probe_;
+}
+
+void
+Machine::attachTrace(sim::Trace &trace)
+{
+    makeProbe().trace = &trace;
+    fabric_->setProbe(probe_.get());
+}
+
+void
+Machine::attachListener(CallListener &listener)
+{
+    makeProbe().listener = &listener;
 }
 
 int
@@ -75,12 +96,12 @@ stats::MetricsSnapshot
 Machine::metricsSnapshot()
 {
     stats::MetricsSnapshot snap;
-    if (!metrics_)
+    if (!probe_ || !probe_->metrics)
         return snap;
 
     snap.horizon_us = toMicros(sim_.now());
 
-    const stats::TransportMetrics &t = metrics_->transport;
+    const stats::TransportMetrics &t = probe_->transport;
     snap.counters["msg.sends.eager"] = t.eager_sends.value();
     snap.counters["msg.sends.rdv"] = t.rdv_sends.value();
     snap.counters["msg.sends.self"] = t.self_sends.value();
@@ -95,7 +116,7 @@ Machine::metricsSnapshot()
 
     for (Coll op : kAllColls) {
         const stats::CollOpMetrics &c =
-            metrics_->coll[static_cast<std::size_t>(op)];
+            probe_->coll[static_cast<std::size_t>(op)];
         if (c.calls.value() == 0)
             continue;
         std::string prefix = "coll." + collKey(op);
@@ -153,53 +174,31 @@ Machine::metricsSnapshot()
             toMicros(fr.degradation.absorbed_delay);
     }
 
-    if (const net::Network::LinkCounters *lc = network_->counters()) {
-        snap.counters["net.stalled_transfers"] = lc->stalled_transfers;
-        // Only touched occupancy pages are visited — per-link rows
-        // stay O(links used) even on million-link fabrics.
-        network_->forEachTouchedLink([&](net::LinkId l, Time busy) {
-            const auto i = static_cast<std::size_t>(l);
-            const Bytes b = lc->bytes.get(i);
-            const Time stall = lc->stall.get(i);
-            if (b == 0 && stall == 0)
-                return;
-            // Zero-padded ids keep the name-sorted link table in
-            // numeric order.
-            char label[16];
-            std::snprintf(label, sizeof(label), "link%05zu", i);
-            stats::LinkRow row;
-            row.link = label;
-            row.bytes = static_cast<std::uint64_t>(b);
-            row.busy_us = toMicros(busy);
-            row.stall_us = toMicros(stall);
-            row.util = snap.horizon_us > 0.0
-                           ? row.busy_us / snap.horizon_us
-                           : 0.0;
-            snap.links.push_back(std::move(row));
-        });
-    }
-
-    // Extension-point registry entries, folded in under their own
-    // names (extensions should pick a distinct prefix).
-    for (const auto &[name, c] : metrics_->registry.counters())
-        snap.counters[name] = c.value();
-    for (const auto &[name, g] : metrics_->registry.gauges())
-        snap.gauges[name] = g.value();
-    for (const auto &[name, h] : metrics_->registry.histograms())
-        snap.histograms[name] = stats::HistogramSnapshot::of(h);
+    const stats::LinkMetrics &lm = probe_->links;
+    snap.counters["net.stalled_transfers"] = lm.stalled_transfers;
+    // Only touched occupancy pages are visited — per-link rows stay
+    // O(links used) even on million-link fabrics.
+    network_->forEachTouchedLink([&](net::LinkId l, Time busy) {
+        const auto i = static_cast<std::size_t>(l);
+        const Bytes b = lm.bytes.get(i);
+        const Time stall = lm.stall.get(i);
+        if (b == 0 && stall == 0)
+            return;
+        // Zero-padded ids keep the name-sorted link table in numeric
+        // order.
+        char label[16];
+        std::snprintf(label, sizeof(label), "link%05zu", i);
+        stats::LinkRow row;
+        row.link = label;
+        row.bytes = static_cast<std::uint64_t>(b);
+        row.busy_us = toMicros(busy);
+        row.stall_us = toMicros(stall);
+        row.util =
+            snap.horizon_us > 0.0 ? row.busy_us / snap.horizon_us : 0.0;
+        snap.links.push_back(std::move(row));
+    });
 
     return snap;
-}
-
-void
-Machine::resetMetrics()
-{
-    if (metrics_) {
-        metrics_->reset();
-        network_->resetCounters();
-    }
-    if (comm_hook_)
-        comm_hook_->onMetricsReset();
 }
 
 void

@@ -23,16 +23,14 @@
 #include "fault/fault_injector.hh"
 #include "machine/hw_barrier.hh"
 #include "machine/machine_config.hh"
+#include "machine/probe.hh"
 #include "msg/transport.hh"
 #include "net/network.hh"
 #include "sim/simulator.hh"
 #include "sim/trace.hh"
-#include "stats/metrics.hh"
 #include "stats/snapshot.hh"
 
 namespace ccsim::machine {
-
-class CommHook;
 
 /** A ready-to-run simulated multicomputer. */
 class Machine
@@ -76,11 +74,23 @@ class Machine
         return fault_ ? fault_->report() : fault::FaultReport{};
     }
 
-    /** Activity-trace sink (enable() it before running). */
-    sim::Trace &trace() { return trace_; }
+    /**
+     * The probe every layer reports to (machine/probe.hh), or null
+     * while nothing listens.  It exists from construction when
+     * config().collect_metrics is set, else from the first attach.
+     */
+    Probe *probe() { return probe_.get(); }
 
-    /** Live metrics, or nullptr unless config().collect_metrics. */
-    stats::MachineMetrics *metrics() { return metrics_.get(); }
+    /**
+     * Record activity spans into @p trace (not owned; must outlive
+     * the run).  Attach observers before the rank programs start:
+     * each mpi::Comm takes the probe when it is constructed.
+     */
+    void attachTrace(sim::Trace &trace);
+
+    /** Report every mpi::Comm call to @p listener (e.g.\ the replay
+     *  Recorder); not owned, same rules as attachTrace. */
+    void attachListener(CallListener &listener);
 
     /**
      * Assemble the machine-wide MetricsSnapshot: every live metric
@@ -89,19 +99,6 @@ class Machine
      * schema).  Empty when metrics are off.
      */
     stats::MetricsSnapshot metricsSnapshot();
-
-    /**
-     * Zero all metric state (sweep/replay point boundary) without
-     * touching any simulated state, and notify the CommHook via
-     * onMetricsReset().  No-op on the simulation itself: times after
-     * a reset are identical to times without one.
-     */
-    void resetMetrics();
-
-    /** Observer of mpi::Comm calls (e.g.\ the replay Recorder), or
-     *  null.  Not owned; must outlive the run. */
-    CommHook *commHook() const { return comm_hook_; }
-    void setCommHook(CommHook *hook) { comm_hook_ = hook; }
 
     /** Spawn one rank program per node (rank passed to the factory). */
     void spawnAll(const std::function<sim::Task<void>(int)> &factory);
@@ -118,16 +115,17 @@ class Machine
     int contextFor(const std::vector<int> &global_ranks);
 
   private:
+    /** The probe, created on first use. */
+    Probe &makeProbe();
+
     ConfigHandle config_;
     int size_;
     sim::Simulator sim_;
-    sim::Trace trace_;
     std::unique_ptr<net::Network> network_;
     std::unique_ptr<fault::FaultInjector> fault_;
-    std::unique_ptr<stats::MachineMetrics> metrics_;
+    std::unique_ptr<Probe> probe_;
     std::unique_ptr<msg::Fabric> fabric_;
     std::unique_ptr<HardwareBarrier> hw_barrier_;
-    CommHook *comm_hook_ = nullptr;
     std::map<std::vector<int>, int> context_registry_;
 };
 

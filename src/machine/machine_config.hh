@@ -84,9 +84,10 @@ struct MachineConfig
     fault::FaultSpec fault;
 
     /**
-     * Collect runtime metrics (stats::MachineMetrics) on machines
-     * built from this config.  Off by default — the hot paths then
-     * skip all metric updates — and deliberately not persisted by
+     * Collect runtime metrics (the machine probe's metric groups) on
+     * machines built from this config.  Off by default — the hot
+     * paths then skip all metric updates — and deliberately not
+     * persisted by
      * config-file I/O: observability is a per-run choice
      * (--metrics), not a machine property, and simulated results are
      * identical either way.

@@ -44,11 +44,13 @@ struct CollCtx
 
     Combiner combiner; //!< null in size-only mode
 
-    /** This operation's metrics group (null: collection off).  The
-     *  ctx-level helpers count stages and messages here, so every
-     *  algorithm in coll_*.cc is covered without per-algorithm
+    machine::Coll op = machine::Coll::Barrier; //!< the operation
+
+    /** The machine's probe (null: nobody listens).  The ctx-level
+     *  helpers report stages and messages to it, so every algorithm
+     *  in coll_*.cc is covered without per-algorithm
      *  instrumentation. */
-    stats::CollOpMetrics *om = nullptr;
+    machine::Probe *probe = nullptr;
 
     /** Global node id of communicator rank @p r. */
     int
@@ -68,8 +70,8 @@ struct CollCtx
     sim::Task<void>
     stage(Bytes bytes = 0) const
     {
-        if (om)
-            om->stages.add();
+        if (probe)
+            probe->collStage(op);
         Time per_byte = nanoseconds(costs.per_stage_ns_per_byte *
                                     static_cast<double>(bytes));
         return tp->busy(costs.per_stage + per_byte);
@@ -89,8 +91,8 @@ struct CollCtx
     sim::Task<void>
     send(int to, Bytes bytes, msg::PayloadPtr payload = nullptr) const
     {
-        if (om)
-            om->msgs.add();
+        if (probe)
+            probe->collMessage(op);
         return tp->send(global(to), tag, context, bytes,
                         std::move(payload), ov);
     }
@@ -107,8 +109,8 @@ struct CollCtx
     msg::Request
     isend(int to, Bytes bytes, msg::PayloadPtr payload = nullptr) const
     {
-        if (om)
-            om->msgs.add();
+        if (probe)
+            probe->collMessage(op);
         return tp->isend(global(to), tag, context, bytes,
                          std::move(payload), ov);
     }
@@ -133,8 +135,8 @@ struct CollCtx
     sendrecv(int to, Bytes bytes, int from,
              msg::PayloadPtr payload = nullptr) const
     {
-        if (om)
-            om->msgs.add();
+        if (probe)
+            probe->collMessage(op);
         return tp->sendrecv(global(to), tag, bytes, global(from), tag,
                             context, std::move(payload), ov);
     }

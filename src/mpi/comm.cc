@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "machine/comm_hook.hh"
 #include "tuning/selection_table.hh"
 #include "util/logging.hh"
 
@@ -23,35 +22,11 @@ collContext(int ctx_id)
     return ctx_id * 2 + 1;
 }
 
-/**
- * Close out one timed collective call: bump the op's call count,
- * record the per-rank duration, and (rank 0 only, trace enabled)
- * sample machine-wide network counters so Chrome timelines carry
- * "C" counter tracks next to the activity spans.
- */
-void
-finishColl(machine::Machine *mach, int grank, stats::CollOpMetrics *om,
-           Time t0)
-{
-    Time now = mach->sim().now();
-    om->calls.add();
-    om->time_us.add(toMicros(now - t0));
-    if (grank == 0 && mach->trace().enabled()) {
-        net::Network &net = mach->network();
-        mach->trace().recordCounter(
-            now, "net.payload_bytes",
-            static_cast<double>(net.totalBytes()));
-        if (const auto *lc = net.counters())
-            mach->trace().recordCounter(now, "net.stall_us",
-                                        toMicros(lc->total_stall));
-    }
-}
-
 } // namespace
 
 Comm::Comm(machine::Machine &mach, int rank)
-    : mach_(&mach), rank_(rank), size_(mach.size()), group_(nullptr),
-      ctx_id_(0)
+    : mach_(&mach), probe_(mach.probe()), rank_(rank),
+      size_(mach.size()), group_(nullptr), ctx_id_(0)
 {
     if (rank < 0 || rank >= size_)
         fatal("Comm: rank %d outside machine of %d nodes", rank, size_);
@@ -59,8 +34,8 @@ Comm::Comm(machine::Machine &mach, int rank)
 
 Comm::Comm(machine::Machine &mach, int rank, int size,
            std::shared_ptr<const std::vector<int>> group, int ctx_id)
-    : mach_(&mach), rank_(rank), size_(size), group_(std::move(group)),
-      ctx_id_(ctx_id)
+    : mach_(&mach), probe_(mach.probe()), rank_(rank), size_(size),
+      group_(std::move(group)), ctx_id_(ctx_id)
 {
 }
 
@@ -116,8 +91,8 @@ sim::Task<void>
 Comm::send(int dst, int tag, Bytes bytes, msg::PayloadPtr payload) const
 {
     int g = globalRank(dst);
-    if (auto *h = mach_->commHook())
-        h->onSend(globalRank(rank_), g, tag, bytes, false);
+    report({.kind = machine::CallKind::Send, .peer = g, .tag = tag,
+            .bytes = bytes});
     return transport().send(g, tag, ptpContext(ctx_id_), bytes,
                             std::move(payload));
 }
@@ -126,8 +101,7 @@ sim::Task<msg::Message>
 Comm::recv(int src, int tag) const
 {
     int g = src == msg::kAnySource ? src : globalRank(src);
-    if (auto *h = mach_->commHook())
-        h->onRecv(globalRank(rank_), g, tag, false);
+    report({.kind = machine::CallKind::Recv, .peer = g, .tag = tag});
     return transport().recv(g, tag, ptpContext(ctx_id_));
 }
 
@@ -135,8 +109,8 @@ msg::Request
 Comm::isend(int dst, int tag, Bytes bytes, msg::PayloadPtr payload) const
 {
     int g = globalRank(dst);
-    if (auto *h = mach_->commHook())
-        h->onSend(globalRank(rank_), g, tag, bytes, true);
+    report({.kind = machine::CallKind::Isend, .peer = g, .tag = tag,
+            .bytes = bytes});
     return transport().isend(g, tag, ptpContext(ctx_id_), bytes,
                              std::move(payload));
 }
@@ -145,16 +119,14 @@ msg::Request
 Comm::irecv(int src, int tag) const
 {
     int g = src == msg::kAnySource ? src : globalRank(src);
-    if (auto *h = mach_->commHook())
-        h->onRecv(globalRank(rank_), g, tag, true);
+    report({.kind = machine::CallKind::Irecv, .peer = g, .tag = tag});
     return transport().irecv(g, tag, ptpContext(ctx_id_));
 }
 
 sim::Task<msg::Message>
 Comm::wait(msg::Request req) const
 {
-    if (auto *h = mach_->commHook())
-        h->onWait(globalRank(rank_));
+    report({.kind = machine::CallKind::Wait});
     return transport().wait(std::move(req));
 }
 
@@ -164,9 +136,9 @@ Comm::sendrecv(int dst, int send_tag, Bytes bytes, int src, int recv_tag,
 {
     int gdst = globalRank(dst);
     int gsrc = globalRank(src);
-    if (auto *h = mach_->commHook())
-        h->onSendrecv(globalRank(rank_), gdst, send_tag, bytes, gsrc,
-                      recv_tag);
+    report({.kind = machine::CallKind::Sendrecv, .peer = gdst,
+            .peer2 = gsrc, .tag = send_tag, .tag2 = recv_tag,
+            .bytes = bytes});
     return transport().sendrecv(gdst, send_tag, bytes, gsrc, recv_tag,
                                 ptpContext(ctx_id_), std::move(payload));
 }
@@ -174,24 +146,11 @@ Comm::sendrecv(int dst, int send_tag, Bytes bytes, int src, int recv_tag,
 sim::Task<void>
 Comm::compute(Time t) const
 {
-    if (auto *h = mach_->commHook())
-        h->onCompute(globalRank(rank_), t);
-    msg::Transport &tp = transport();
-    Time start = mach_->sim().now();
-    co_await tp.busy(t);
-    if (tp.trace() && tp.trace()->enabled())
-        tp.trace()->record(sim::Span{globalRank(rank_),
-                                     sim::SpanKind::Compute, start,
-                                     mach_->sim().now(), 0, -1, {}});
-}
-
-void
-Comm::hookCollective(Coll op, Bytes m, int root, Algo algo,
-                     const std::vector<Bytes> *counts) const
-{
-    if (auto *h = mach_->commHook())
-        h->onCollective(globalRank(rank_), op, m, root, algo, counts,
-                        group_.get());
+    report({.kind = machine::CallKind::Compute, .duration = t});
+    const Time start = mach_->sim().now();
+    co_await transport().busy(t);
+    if (probe_)
+        probe_->compute(globalRank(rank_), start, mach_->sim().now());
 }
 
 CollCtx
@@ -213,171 +172,129 @@ Comm::makeCtx(Coll op, Algo &algo, Bytes m, Combiner combiner)
                                ctx.costs.recv_overhead_override};
     ctx.reduce_bw = cfg.reduce_bandwidth_mbs;
     ctx.combiner = std::move(combiner);
-    if (auto *mm = mach_->metrics())
-        ctx.om = &mm->coll[static_cast<std::size_t>(op)];
+    ctx.op = op;
+    ctx.probe = probe_;
     return ctx;
 }
 
+template <typename T, typename... Args>
+sim::Task<T>
+Comm::collective(Coll op, Bytes m, int root, Algo algo,
+                 const std::vector<Bytes> *counts, Combiner combiner,
+                 sim::Task<T> (*impl)(CollCtx, Algo, Args...),
+                 std::type_identity_t<Args>... args)
+{
+    report({.kind = machine::CallKind::Coll, .bytes = m, .op = op,
+            .algo = algo, .root = root, .counts = counts,
+            .group = group_.get()});
+    // gatherv/scatterv's only algorithm is Linear; Default (and Auto)
+    // mean that, not the machine's (possibly tree-shaped) choice for
+    // the base op.
+    if (counts && (algo == Algo::Default || algo == Algo::Auto))
+        algo = Algo::Linear;
+    CollCtx ctx = makeCtx(op, algo, m, std::move(combiner));
+    const Time start = mach_->sim().now();
+    if constexpr (std::is_void_v<T>) {
+        co_await impl(std::move(ctx), algo, std::move(args)...);
+        if (probe_)
+            probe_->collEnd(globalRank(rank_), op, start,
+                            mach_->sim().now());
+    } else {
+        T out = co_await impl(std::move(ctx), algo, std::move(args)...);
+        if (probe_)
+            probe_->collEnd(globalRank(rank_), op, start,
+                            mach_->sim().now());
+        co_return out;
+    }
+}
+
 // ---- per-operation cores ----------------------------------------------
-// The single place each collective assembles its context and calls
-// its Impl; the public size-only and *Data forms both forward here.
+// The public size-only and *Data forms both forward here.
 
 sim::Task<msg::PayloadPtr>
 Comm::bcastCore(Bytes m, int root, Algo algo, msg::PayloadPtr data)
 {
-    hookCollective(Coll::Bcast, m, root, algo);
-    CollCtx ctx = makeCtx(Coll::Bcast, algo, m, {});
-    stats::CollOpMetrics *om = ctx.om;
-    const Time t0 = mach_->sim().now();
-    msg::PayloadPtr out = co_await bcastImpl(std::move(ctx), algo, m, root, std::move(data));
-    if (om)
-        finishColl(mach_, globalRank(rank_), om, t0);
-    co_return out;
+    return collective(Coll::Bcast, m, root, algo, nullptr, {}, bcastImpl,
+                      m, root, std::move(data));
 }
 
 sim::Task<msg::PayloadPtr>
 Comm::gatherCore(Bytes m, int root, Algo algo, msg::PayloadPtr mine)
 {
-    hookCollective(Coll::Gather, m, root, algo);
-    CollCtx ctx = makeCtx(Coll::Gather, algo, m, {});
-    stats::CollOpMetrics *om = ctx.om;
-    const Time t0 = mach_->sim().now();
-    msg::PayloadPtr out = co_await gatherImpl(std::move(ctx), algo, m, root, std::move(mine));
-    if (om)
-        finishColl(mach_, globalRank(rank_), om, t0);
-    co_return out;
+    return collective(Coll::Gather, m, root, algo, nullptr, {},
+                      gatherImpl, m, root, std::move(mine));
 }
 
 sim::Task<msg::PayloadPtr>
 Comm::scatterCore(Bytes m, int root, Algo algo, msg::PayloadPtr all)
 {
-    hookCollective(Coll::Scatter, m, root, algo);
-    CollCtx ctx = makeCtx(Coll::Scatter, algo, m, {});
-    stats::CollOpMetrics *om = ctx.om;
-    const Time t0 = mach_->sim().now();
-    msg::PayloadPtr out = co_await scatterImpl(std::move(ctx), algo, m, root, std::move(all));
-    if (om)
-        finishColl(mach_, globalRank(rank_), om, t0);
-    co_return out;
+    return collective(Coll::Scatter, m, root, algo, nullptr, {},
+                      scatterImpl, m, root, std::move(all));
 }
 
 sim::Task<msg::PayloadPtr>
-Comm::gathervCore(std::vector<Bytes> counts, int root, Algo algo,
+Comm::gathervCore(const std::vector<Bytes> &counts, int root, Algo algo,
                   msg::PayloadPtr mine)
 {
-    hookCollective(Coll::Gather, 0, root, algo, &counts);
-    // gatherv's only algorithm is Linear; Default (and Auto) mean
-    // that, not the machine's (possibly tree-shaped) gather choice.
-    if (algo == Algo::Default || algo == Algo::Auto)
-        algo = Algo::Linear;
-    CollCtx ctx = makeCtx(Coll::Gather, algo, 0, {});
-    stats::CollOpMetrics *om = ctx.om;
-    const Time t0 = mach_->sim().now();
-    msg::PayloadPtr out = co_await gathervImpl(std::move(ctx), algo, counts, root,
-                                   std::move(mine));
-    if (om)
-        finishColl(mach_, globalRank(rank_), om, t0);
-    co_return out;
+    return collective(Coll::Gather, 0, root, algo, &counts, {},
+                      gathervImpl, counts, root, std::move(mine));
 }
 
 sim::Task<msg::PayloadPtr>
-Comm::scattervCore(std::vector<Bytes> counts, int root, Algo algo,
+Comm::scattervCore(const std::vector<Bytes> &counts, int root, Algo algo,
                    msg::PayloadPtr all)
 {
-    hookCollective(Coll::Scatter, 0, root, algo, &counts);
-    if (algo == Algo::Default || algo == Algo::Auto)
-        algo = Algo::Linear;
-    CollCtx ctx = makeCtx(Coll::Scatter, algo, 0, {});
-    stats::CollOpMetrics *om = ctx.om;
-    const Time t0 = mach_->sim().now();
-    msg::PayloadPtr out = co_await scattervImpl(std::move(ctx), algo, counts, root,
-                                    std::move(all));
-    if (om)
-        finishColl(mach_, globalRank(rank_), om, t0);
-    co_return out;
+    return collective(Coll::Scatter, 0, root, algo, &counts, {},
+                      scattervImpl, counts, root, std::move(all));
 }
 
 sim::Task<msg::PayloadPtr>
 Comm::allgatherCore(Bytes m, Algo algo, msg::PayloadPtr mine)
 {
-    hookCollective(Coll::Allgather, m, -1, algo);
-    CollCtx ctx = makeCtx(Coll::Allgather, algo, m, {});
-    stats::CollOpMetrics *om = ctx.om;
-    const Time t0 = mach_->sim().now();
-    msg::PayloadPtr out = co_await allgatherImpl(std::move(ctx), algo, m, std::move(mine));
-    if (om)
-        finishColl(mach_, globalRank(rank_), om, t0);
-    co_return out;
+    return collective(Coll::Allgather, m, -1, algo, nullptr, {},
+                      allgatherImpl, m, std::move(mine));
 }
 
 sim::Task<msg::PayloadPtr>
 Comm::alltoallCore(Bytes m, Algo algo, msg::PayloadPtr mine)
 {
-    hookCollective(Coll::Alltoall, m, -1, algo);
-    CollCtx ctx = makeCtx(Coll::Alltoall, algo, m, {});
-    stats::CollOpMetrics *om = ctx.om;
-    const Time t0 = mach_->sim().now();
-    msg::PayloadPtr out = co_await alltoallImpl(std::move(ctx), algo, m, std::move(mine));
-    if (om)
-        finishColl(mach_, globalRank(rank_), om, t0);
-    co_return out;
+    return collective(Coll::Alltoall, m, -1, algo, nullptr, {},
+                      alltoallImpl, m, std::move(mine));
 }
 
 sim::Task<msg::PayloadPtr>
 Comm::reduceCore(Bytes m, int root, Algo algo, Combiner combiner,
                  msg::PayloadPtr mine)
 {
-    hookCollective(Coll::Reduce, m, root, algo);
-    CollCtx ctx = makeCtx(Coll::Reduce, algo, m, std::move(combiner));
-    stats::CollOpMetrics *om = ctx.om;
-    const Time t0 = mach_->sim().now();
-    msg::PayloadPtr out = co_await reduceImpl(std::move(ctx), algo, m, root, std::move(mine));
-    if (om)
-        finishColl(mach_, globalRank(rank_), om, t0);
-    co_return out;
+    return collective(Coll::Reduce, m, root, algo, nullptr,
+                      std::move(combiner), reduceImpl, m, root,
+                      std::move(mine));
 }
 
 sim::Task<msg::PayloadPtr>
 Comm::allreduceCore(Bytes m, Algo algo, Combiner combiner,
                     msg::PayloadPtr mine)
 {
-    hookCollective(Coll::Allreduce, m, -1, algo);
-    CollCtx ctx = makeCtx(Coll::Allreduce, algo, m, std::move(combiner));
-    stats::CollOpMetrics *om = ctx.om;
-    const Time t0 = mach_->sim().now();
-    msg::PayloadPtr out = co_await allreduceImpl(std::move(ctx), algo, m, std::move(mine));
-    if (om)
-        finishColl(mach_, globalRank(rank_), om, t0);
-    co_return out;
+    return collective(Coll::Allreduce, m, -1, algo, nullptr,
+                      std::move(combiner), allreduceImpl, m,
+                      std::move(mine));
 }
 
 sim::Task<msg::PayloadPtr>
 Comm::reduceScatterCore(Bytes m, Algo algo, Combiner combiner,
                         msg::PayloadPtr mine)
 {
-    hookCollective(Coll::ReduceScatter, m, -1, algo);
-    CollCtx ctx = makeCtx(Coll::ReduceScatter, algo, m,
-                          std::move(combiner));
-    stats::CollOpMetrics *om = ctx.om;
-    const Time t0 = mach_->sim().now();
-    msg::PayloadPtr out = co_await reduceScatterImpl(std::move(ctx), algo, m, std::move(mine));
-    if (om)
-        finishColl(mach_, globalRank(rank_), om, t0);
-    co_return out;
+    return collective(Coll::ReduceScatter, m, -1, algo, nullptr,
+                      std::move(combiner), reduceScatterImpl, m,
+                      std::move(mine));
 }
 
 sim::Task<msg::PayloadPtr>
 Comm::scanCore(Bytes m, Algo algo, Combiner combiner,
                msg::PayloadPtr mine)
 {
-    hookCollective(Coll::Scan, m, -1, algo);
-    CollCtx ctx = makeCtx(Coll::Scan, algo, m, std::move(combiner));
-    stats::CollOpMetrics *om = ctx.om;
-    const Time t0 = mach_->sim().now();
-    msg::PayloadPtr out = co_await scanImpl(std::move(ctx), algo, m, std::move(mine));
-    if (om)
-        finishColl(mach_, globalRank(rank_), om, t0);
-    co_return out;
+    return collective(Coll::Scan, m, -1, algo, nullptr,
+                      std::move(combiner), scanImpl, m, std::move(mine));
 }
 
 // ---- size-only front-ends ---------------------------------------------
@@ -385,13 +302,8 @@ Comm::scanCore(Bytes m, Algo algo, Combiner combiner,
 sim::Task<void>
 Comm::barrier(Algo algo)
 {
-    hookCollective(Coll::Barrier, 0, -1, algo);
-    CollCtx ctx = makeCtx(Coll::Barrier, algo, 0, {});
-    stats::CollOpMetrics *om = ctx.om;
-    const Time t0 = mach_->sim().now();
-    co_await barrierImpl(ctx, algo);
-    if (om)
-        finishColl(mach_, globalRank(rank_), om, t0);
+    return collective(Coll::Barrier, 0, -1, algo, nullptr, {},
+                      barrierImpl);
 }
 
 sim::Task<void>

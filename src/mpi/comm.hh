@@ -29,6 +29,7 @@
 #define CCSIM_MPI_COMM_HH
 
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "machine/machine.hh"
@@ -284,26 +285,46 @@ class Comm
      *  assemble the per-call context. */
     CollCtx makeCtx(Coll op, Algo &algo, Bytes m, Combiner combiner);
 
-    /** Report a collective to the machine's CommHook (if any) with
-     *  its arguments as requested, before algorithm resolution. */
-    void hookCollective(Coll op, Bytes m, int root, Algo algo,
-                        const std::vector<Bytes> *counts = nullptr) const;
+    /** Report call @p c, as requested, to the probe (if anyone
+     *  listens); fills in the calling global rank. */
+    void
+    report(machine::Call c) const
+    {
+        if (probe_) {
+            c.node = globalRank(rank_);
+            probe_->call(c);
+        }
+    }
 
-    // One Core per collective: context assembly + Impl dispatch.
-    // Both public forms (size-only, *Data) land here, so a null and a
-    // real payload take byte-identical simulated time.
+    /**
+     * The one collective entry: report the call as requested, resolve
+     * the algorithm, build the context (allocating the next tag), run
+     * @p impl with @p args, and report the collective's end.
+     * @p counts is non-null for gatherv/scatterv (@p m is then 0),
+     * whose only algorithm is Linear.
+     */
+    template <typename T, typename... Args>
+    sim::Task<T> collective(Coll op, Bytes m, int root, Algo algo,
+                            const std::vector<Bytes> *counts,
+                            Combiner combiner,
+                            sim::Task<T> (*impl)(CollCtx, Algo, Args...),
+                            std::type_identity_t<Args>... args);
+
+    // One Core per collective, each a call of collective().  Both
+    // public forms (size-only, *Data) land here, so a null and a real
+    // payload take byte-identical simulated time.
     sim::Task<msg::PayloadPtr> bcastCore(Bytes m, int root, Algo algo,
                                          msg::PayloadPtr data);
     sim::Task<msg::PayloadPtr> gatherCore(Bytes m, int root, Algo algo,
                                           msg::PayloadPtr mine);
     sim::Task<msg::PayloadPtr> scatterCore(Bytes m, int root, Algo algo,
                                            msg::PayloadPtr all);
-    sim::Task<msg::PayloadPtr> gathervCore(std::vector<Bytes> counts,
-                                           int root, Algo algo,
-                                           msg::PayloadPtr mine);
-    sim::Task<msg::PayloadPtr> scattervCore(std::vector<Bytes> counts,
-                                            int root, Algo algo,
-                                            msg::PayloadPtr all);
+    sim::Task<msg::PayloadPtr>
+    gathervCore(const std::vector<Bytes> &counts, int root, Algo algo,
+                msg::PayloadPtr mine);
+    sim::Task<msg::PayloadPtr>
+    scattervCore(const std::vector<Bytes> &counts, int root, Algo algo,
+                 msg::PayloadPtr all);
     sim::Task<msg::PayloadPtr> allgatherCore(Bytes m, Algo algo,
                                              msg::PayloadPtr mine);
     sim::Task<msg::PayloadPtr> alltoallCore(Bytes m, Algo algo,
@@ -342,6 +363,7 @@ class Comm
     }
 
     machine::Machine *mach_;
+    machine::Probe *probe_; //!< the machine's, taken at construction
     int rank_;
     int size_;
     std::shared_ptr<const std::vector<int>> group_; // null = world

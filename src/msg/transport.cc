@@ -4,6 +4,7 @@
 #include <cmath>
 #include <new>
 
+#include "stats/probe.hh"
 #include "util/logging.hh"
 
 namespace ccsim::msg {
@@ -21,10 +22,9 @@ scaleTime(Time t, double f)
 
 Transport::Transport(sim::Simulator &sim, net::Network &net, Fabric &fabric,
                      int node, const TransportParams &params,
-                     sim::Trace *trace, fault::FaultInjector *fi,
-                     stats::TransportMetrics *tm)
+                     fault::FaultInjector *fi)
     : sim_(sim), net_(net), fabric_(fabric), node_(node),
-      params_(params), trace_(trace), fi_(fi), tm_(tm),
+      params_(params), fi_(fi),
       lossy_(fi != nullptr && fi->spec().lossPossible())
 {
     if (params_.send_overhead < 0 || params_.recv_overhead < 0 ||
@@ -178,6 +178,20 @@ Transport::reliableDeliver(int dst, Bytes bytes, Time when,
     }
 }
 
+void
+Transport::sendDone(int dst, Bytes bytes, stats::SendPath path, Time start)
+{
+    if (probe_)
+        probe_->send(node_, dst, bytes, path, start, sim_.now());
+}
+
+void
+Transport::recvDone(const Message &m, Time start)
+{
+    if (probe_)
+        probe_->recv(node_, m.src, m.bytes, start, sim_.now());
+}
+
 sim::Task<void>
 Transport::send(int dst, int tag, int context, Bytes bytes,
                 PayloadPtr payload, CostOverride ov)
@@ -192,42 +206,31 @@ Transport::send(int dst, int tag, int context, Bytes bytes,
         panic("Transport::send: payload size %zu != declared %lld",
               payload->size(), static_cast<long long>(bytes));
 
-    ++sends_;
-    bytes_sent_ += bytes;
-    const Time span_start = sim_.now();
-
+    const Time start = sim_.now();
     Time copy = transferTime(bytes, params_.copy_bandwidth_mbs);
-
-    if (tm_)
-        tm_->msg_bytes.add(static_cast<double>(bytes));
 
     if (dst == node_) {
         // Buffered local delivery: full copy on the sending side,
         // nothing touches the network.
-        if (tm_)
-            tm_->self_sends.add();
         co_await busy(o_send + copy);
         Message m{node_, dst, tag, context, bytes, std::move(payload),
                   sim_.now(), 0};
         deliverEager(std::move(m));
-        traceSpan(sim::SpanKind::Send, span_start, bytes, dst);
+        sendDone(dst, bytes, stats::SendPath::Self, start);
         co_return;
     }
 
     Transport *peer = &fabric_.node(dst);
 
     if (bytes <= params_.eager_threshold) {
-        if (tm_)
-            tm_->eager_sends.add();
         co_await busy(o_send);
         // The injection copy runs on the coprocessor/DMA timeline;
         // the main CPU is held only for its (1 - overlap) share.
         Time copy_start = std::max(sim_.now(), copro_free_);
         Time inject_done = copy_start + copy;
         copro_free_ = inject_done;
-        if (tm_)
-            tm_->inject_backlog_us.observe(
-                toMicros(inject_done - sim_.now()));
+        if (probe_)
+            probe_->injectBacklog(inject_done - sim_.now());
         Message m{node_, dst, tag, context, bytes, std::move(payload),
                   0, 0};
         transmitWire(dst, bytes, inject_done,
@@ -241,13 +244,11 @@ Transport::send(int dst, int tag, int context, Bytes bytes,
                      });
         co_await busy(
             scaleTime(copy, 1.0 - params_.coprocessor_overlap));
-        traceSpan(sim::SpanKind::Send, span_start, bytes, dst);
+        sendDone(dst, bytes, stats::SendPath::Eager, start);
         co_return;
     }
 
     // Rendezvous: RTS -> CTS -> DATA.
-    if (tm_)
-        tm_->rdv_sends.add();
     co_await busy(o_send + params_.rendezvous_overhead);
     HandshakePtr hs = hs_pool_.make(sim_);
     Rts rts{node_, tag, context, bytes, payload, hs, 0};
@@ -271,8 +272,6 @@ Transport::send(int dst, int tag, int context, Bytes bytes,
     if (use_blt) {
         // Block-transfer engine: descriptor setup instead of a
         // memory copy; the engine streams straight from user memory.
-        if (tm_)
-            tm_->blt_sends.add();
         co_await busy(params_.blt_setup);
         hs->msg = std::move(m);
         transmitWire(dst, bytes, sim_.now(), fire_data);
@@ -280,15 +279,16 @@ Transport::send(int dst, int tag, int context, Bytes bytes,
         Time copy_start = std::max(sim_.now(), copro_free_);
         Time inject_done = copy_start + copy;
         copro_free_ = inject_done;
-        if (tm_)
-            tm_->inject_backlog_us.observe(
-                toMicros(inject_done - sim_.now()));
+        if (probe_)
+            probe_->injectBacklog(inject_done - sim_.now());
         hs->msg = std::move(m);
         transmitWire(dst, bytes, inject_done, fire_data);
         co_await busy(
             scaleTime(copy, 1.0 - params_.coprocessor_overlap));
     }
-    traceSpan(sim::SpanKind::Send, span_start, bytes, dst);
+    sendDone(dst, bytes,
+             use_blt ? stats::SendPath::Blt : stats::SendPath::Rendezvous,
+             start);
 }
 
 sim::Task<Message>
@@ -298,7 +298,7 @@ Transport::recv(int src, int tag, int context, CostOverride ov)
         ov.recv >= 0 ? ov.recv : params_.recv_overhead;
     if (src != kAnySource && (src < 0 || src >= fabric_.size()))
         panic("Transport::recv: source %d out of range", src);
-    const Time span_start = sim_.now();
+    const Time start = sim_.now();
 
     // Earliest matching arrival across the eager and RTS queues.
     auto eit = unexpected_.end();
@@ -331,17 +331,14 @@ Transport::recv(int src, int tag, int context, CostOverride ov)
         unexpected_.erase(eit);
         co_await busy(o_recv +
                       transferTime(m.bytes, params_.copy_bandwidth_mbs));
-        ++recvs_;
-        if (tm_)
-            tm_->recvs.add();
-        traceSpan(sim::SpanKind::Recv, span_start, m.bytes, m.src);
+        recvDone(m, start);
         co_return m;
     }
     if (have_rts) {
         Rts rts = std::move(*rit);
         pending_rts_.erase(rit);
         Message m = co_await recvRendezvous(std::move(rts), ov);
-        traceSpan(sim::SpanKind::Recv, span_start, m.bytes, m.src);
+        recvDone(m, start);
         co_return m;
     }
 
@@ -353,26 +350,23 @@ Transport::recv(int src, int tag, int context, CostOverride ov)
     co_await sim::suspendWith([&](std::coroutine_handle<> h) {
         pr.handle = h;
         pending_recvs_.push_back(&pr);
-        if (tm_)
-            tm_->pending_recv_hw.observe(
-                static_cast<double>(pending_recvs_.size()));
+        if (probe_)
+            probe_->queueDepth(stats::MatchQueue::PendingRecv,
+                               pending_recvs_.size());
     });
 
     if (pr.eager) {
         Message m = std::move(*pr.eager);
         co_await busy(o_recv +
                       transferTime(m.bytes, params_.copy_bandwidth_mbs));
-        ++recvs_;
-        if (tm_)
-            tm_->recvs.add();
-        traceSpan(sim::SpanKind::Recv, span_start, m.bytes, m.src);
+        recvDone(m, start);
         co_return m;
     }
     if (!pr.rts)
         panic("Transport::recv: woken with nothing delivered");
     {
         Message m = co_await recvRendezvous(std::move(*pr.rts), ov);
-        traceSpan(sim::SpanKind::Recv, span_start, m.bytes, m.src);
+        recvDone(m, start);
         co_return m;
     }
 }
@@ -390,9 +384,6 @@ Transport::recvRendezvous(Rts rts, CostOverride ov)
     co_await rts.hs->data.wait();
     // Direct deposit into the user buffer: completion cost only.
     co_await busy(o_recv);
-    ++recvs_;
-    if (tm_)
-        tm_->recvs.add();
     co_return std::move(rts.hs->msg);
 }
 
@@ -412,9 +403,9 @@ Transport::deliverEager(Message m)
         }
     }
     unexpected_.push_back(std::move(m));
-    if (tm_)
-        tm_->unexpected_hw.observe(
-            static_cast<double>(unexpected_.size()));
+    if (probe_)
+        probe_->queueDepth(stats::MatchQueue::Unexpected,
+                           unexpected_.size());
 }
 
 void
@@ -433,9 +424,9 @@ Transport::deliverRts(Rts rts)
         }
     }
     pending_rts_.push_back(std::move(rts));
-    if (tm_)
-        tm_->pending_rts_hw.observe(
-            static_cast<double>(pending_rts_.size()));
+    if (probe_)
+        probe_->queueDepth(stats::MatchQueue::PendingRts,
+                           pending_rts_.size());
 }
 
 sim::Task<void>
@@ -508,8 +499,7 @@ Transport::sendrecv(int dst, int send_tag, Bytes bytes, int src,
 }
 
 Fabric::Fabric(sim::Simulator &sim, net::Network &net, int n,
-               const TransportParams &params, sim::Trace *trace,
-               fault::FaultInjector *fi, stats::TransportMetrics *tm)
+               const TransportParams &params, fault::FaultInjector *fi)
 {
     if (n < 1)
         fatal("Fabric: need at least one node, got %d", n);
@@ -522,8 +512,7 @@ Fabric::Fabric(sim::Simulator &sim, net::Network &net, int n,
     for (int i = 0; i < n; ++i) {
         // Transport's constructor only fatal()s (no throw), so a
         // partial slab never needs unwinding.
-        new (slab_ + i)
-            Transport(sim, net, *this, i, params, trace, fi, tm);
+        new (slab_ + i) Transport(sim, net, *this, i, params, fi);
         n_ = i + 1;
     }
 }
@@ -533,6 +522,13 @@ Fabric::~Fabric()
     for (int i = n_; i-- > 0;)
         slab_[i].~Transport();
     ::operator delete(slab_, std::align_val_t{alignof(Transport)});
+}
+
+void
+Fabric::setProbe(stats::Probe *probe)
+{
+    for (int i = 0; i < n_; ++i)
+        slab_[i].probe_ = probe;
 }
 
 Transport &

@@ -46,9 +46,12 @@
 #include "sim/pool.hh"
 #include "sim/simulator.hh"
 #include "sim/task.hh"
-#include "sim/trace.hh"
-#include "stats/metrics.hh"
 #include "util/units.hh"
+
+namespace ccsim::stats {
+class Probe;
+enum class SendPath;
+}
 
 namespace ccsim::msg {
 
@@ -133,14 +136,10 @@ class Transport
     /** @p fi (optional) injects faults: software overheads are
      *  scaled by the node's straggler factor, and when the fault
      *  spec makes message loss possible every wire payload runs the
-     *  acknowledged timeout/retransmit protocol (see transmitWire).
-     *  @p tm (optional) is the machine-wide transport metrics group;
-     *  null means no collection and no overhead. */
+     *  acknowledged timeout/retransmit protocol (see transmitWire). */
     Transport(sim::Simulator &sim, net::Network &net, Fabric &fabric,
               int node, const TransportParams &params,
-              sim::Trace *trace = nullptr,
-              fault::FaultInjector *fi = nullptr,
-              stats::TransportMetrics *tm = nullptr);
+              fault::FaultInjector *fi = nullptr);
 
     Transport(const Transport &) = delete;
     Transport &operator=(const Transport &) = delete;
@@ -196,18 +195,6 @@ class Transport
      * can charge reduction arithmetic and per-call entry costs.
      */
     sim::Task<void> busy(Time cost);
-
-    /** Messages sent (including self-sends). */
-    std::uint64_t sendsStarted() const { return sends_; }
-
-    /** Messages received (matched and completed). */
-    std::uint64_t recvsCompleted() const { return recvs_; }
-
-    /** Payload bytes sent. */
-    Bytes bytesSent() const { return bytes_sent_; }
-
-    /** Trace sink (may be null / disabled). */
-    sim::Trace *trace() const { return trace_; }
 
   private:
     friend class Fabric;
@@ -311,23 +298,19 @@ class Transport
     sim::Task<void> runRecv(sim::PoolPtr<ReqState> st, int src,
                             int tag, int context, CostOverride ov);
 
-    /** Record a span if tracing is enabled. */
-    void
-    traceSpan(sim::SpanKind kind, Time start, Bytes bytes, int peer)
-    {
-        if (trace_ && trace_->enabled())
-            trace_->record(sim::Span{node_, kind, start, sim_.now(),
-                                     bytes, peer, {}});
-    }
+    /** Report a completed send to the probe (if anyone listens). */
+    void sendDone(int dst, Bytes bytes, stats::SendPath path, Time start);
+
+    /** Report a completed receive of @p m to the probe. */
+    void recvDone(const Message &m, Time start);
 
     sim::Simulator &sim_;
     net::Network &net_;
     Fabric &fabric_;
     int node_;
     TransportParams params_;
-    sim::Trace *trace_ = nullptr;
     fault::FaultInjector *fi_ = nullptr;
-    stats::TransportMetrics *tm_ = nullptr;
+    stats::Probe *probe_ = nullptr; //!< null: nobody listens
     bool lossy_ = false; //!< fi_ present and message loss possible
 
     Time cpu_free_ = 0;   // node CPU timeline
@@ -346,10 +329,6 @@ class Transport
     /** Slot pools for the per-operation completion objects. */
     sim::Pool<ReqState> req_pool_;
     sim::Pool<Handshake> hs_pool_;
-
-    std::uint64_t sends_ = 0;
-    std::uint64_t recvs_ = 0;
-    Bytes bytes_sent_ = 0;
 
   public:
     /** Completion-slot pool counters (for metrics assembly). */
@@ -370,13 +349,10 @@ class Fabric
 {
   public:
     /** Build @p n transports sharing one network and parameter set;
-     *  @p trace (optional) receives activity spans from every node;
-     *  @p fi (optional) threads fault injection into every endpoint;
-     *  @p tm (optional) collects transport metrics across all nodes. */
+     *  @p fi (optional) threads fault injection into every endpoint. */
     Fabric(sim::Simulator &sim, net::Network &net, int n,
-           const TransportParams &params, sim::Trace *trace = nullptr,
-           fault::FaultInjector *fi = nullptr,
-           stats::TransportMetrics *tm = nullptr);
+           const TransportParams &params,
+           fault::FaultInjector *fi = nullptr);
 
     ~Fabric();
 
@@ -388,6 +364,10 @@ class Fabric
 
     /** Number of endpoints. */
     int size() const { return n_; }
+
+    /** Report every endpoint's sends, receives and queue depths to
+     *  @p probe (null: nobody listens; the default). */
+    void setProbe(stats::Probe *probe);
 
   private:
     /** Endpoints live in one contiguous slab (placement-new): a

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "stats/probe.hh"
 #include "util/logging.hh"
 
 namespace ccsim::net {
@@ -122,24 +123,19 @@ Network::transfer(int src, int dst, Bytes bytes, Time now)
         if (params_.contention)
             link_free_.slot(i) = start + ser;
         link_busy_.slot(i) += ser;
-        if (counters_)
-            counters_->bytes.slot(i) += bytes;
+        if (probe_)
+            probe_->linkBytes(i, bytes);
     });
 
     ++messages_;
     total_bytes_ += bytes;
     total_link_busy_ += ser * static_cast<Time>(path_len);
 
-    if (counters_ && constraining >= 0) {
-        // The wait from arrival to grant, charged to the link whose
-        // occupancy set the start time — "who is the bottleneck",
-        // the paper's contention question.
-        const Time stall = start - now;
-        counters_->stall.slot(static_cast<std::size_t>(constraining)) +=
-            stall;
-        counters_->total_stall += stall;
-        ++counters_->stalled_transfers;
-    }
+    // The wait from arrival to grant, charged to the link whose
+    // occupancy set the start time.
+    if (probe_ && constraining >= 0)
+        probe_->linkStall(static_cast<std::size_t>(constraining),
+                          start - now);
 
     return start + hops_delay + ser;
 }
@@ -179,52 +175,6 @@ Network::utilization(Time horizon) const
     return u;
 }
 
-Network::Utilization
-Network::exactUtilization(Time horizon) const
-{
-    Utilization u;
-    if (horizon <= 0)
-        return u;
-    double sum = 0.0;
-    link_busy_.forEach([&](std::size_t i, Time acc) {
-        Time busy = std::min(acc, horizon);
-        if (busy <= 0)
-            return;
-        ++u.links_used;
-        double frac = static_cast<double>(busy) /
-                      static_cast<double>(horizon);
-        sum += frac;
-        if (frac > u.max) {
-            u.max = frac;
-            u.hottest = static_cast<LinkId>(i);
-        }
-    });
-    if (link_busy_.size() > 0)
-        u.mean = sum / static_cast<double>(link_busy_.size());
-    return u;
-}
-
-void
-Network::enableCounters()
-{
-    if (counters_)
-        return;
-    counters_ = std::make_unique<LinkCounters>();
-    counters_->bytes.reset(topo_->numLinks());
-    counters_->stall.reset(topo_->numLinks());
-}
-
-void
-Network::resetCounters()
-{
-    if (!counters_)
-        return;
-    counters_->bytes.clear();
-    counters_->stall.clear();
-    counters_->total_stall = 0;
-    counters_->stalled_transfers = 0;
-}
-
 void
 Network::reset()
 {
@@ -235,7 +185,6 @@ Network::reset()
     messages_ = 0;
     total_bytes_ = 0;
     total_link_busy_ = 0;
-    resetCounters();
 }
 
 } // namespace ccsim::net

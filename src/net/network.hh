@@ -46,6 +46,10 @@
 #include "util/lazy_array.hh"
 #include "util/units.hh"
 
+namespace ccsim::stats {
+class Probe;
+}
+
 namespace ccsim::net {
 
 /** Physical-layer parameters of an interconnect. */
@@ -119,7 +123,8 @@ class Network
     Time totalLinkBusy() const { return total_link_busy_; }
 
     /** Forget all link occupancy and stats (fresh measurement run).
-     *  O(links touched), not O(total links). */
+     *  O(links touched), not O(total links).  An attached probe keeps
+     *  its own state. */
     void reset();
 
     /** Route walks performed (one per transfer; the streaming
@@ -159,9 +164,6 @@ class Network
         return link_busy_.get(static_cast<std::size_t>(l));
     }
 
-    /** Exact busy fractions over @p horizon, from linkBusy(). */
-    Utilization exactUtilization(Time horizon) const;
-
     /**
      * Visit fn(LinkId, Time busy) for every link whose occupancy page
      * has been touched, in ascending id order — the O(links touched)
@@ -177,29 +179,11 @@ class Network
     }
 
     /**
-     * Optional per-link traffic/contention counters for the metrics
-     * layer.  Off by default: transfer() pays nothing for them until
-     * enableCounters() is called (machine::Machine does so when built
-     * with collect_metrics).  Observation only — enabling them never
-     * changes any transfer time.
+     * Report per-link payload bytes and grant stalls to @p probe
+     * (null: nobody listens; the default).  Observation only —
+     * attaching a probe never changes any transfer time.
      */
-    struct LinkCounters
-    {
-        LazyArray<Bytes> bytes; //!< payload bytes carried per link
-        LazyArray<Time> stall;  //!< wait time charged to each link
-        Time total_stall = 0;   //!< sum of per-transfer waits
-        std::uint64_t stalled_transfers = 0; //!< transfers that waited
-    };
-
-    /** Start collecting LinkCounters (idempotent). */
-    void enableCounters();
-
-    /** The counters, or nullptr when collection is off. */
-    const LinkCounters *counters() const { return counters_.get(); }
-
-    /** Zero the LinkCounters without touching occupancy state (the
-     *  metrics-reset path; simulated behaviour is unaffected). */
-    void resetCounters();
+    void setProbe(stats::Probe *probe) { probe_ = probe; }
 
     /**
      * Per-link serialisation slowdown hook (>= 1.0).  When set, each
@@ -226,7 +210,7 @@ class Network
     LazyArray<Time> link_free_;
     LazyArray<Time> link_busy_;
     LinkSlowdownHook slowdown_hook_;
-    std::unique_ptr<LinkCounters> counters_;
+    stats::Probe *probe_ = nullptr;
 
     std::uint64_t route_walks_ = 0;
     std::uint64_t route_hops_ = 0;

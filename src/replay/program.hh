@@ -17,22 +17,14 @@
 #include <vector>
 
 #include "machine/collective_types.hh"
+#include "machine/probe.hh"
 #include "util/units.hh"
 
 namespace ccsim::replay {
 
-/** What one trace line asks a rank to do. */
-enum class ActionKind
-{
-    Compute,  //!< occupy the CPU for a duration
-    Send,     //!< blocking send
-    Isend,    //!< nonblocking send (FIFO wait queue)
-    Recv,     //!< blocking receive
-    Irecv,    //!< nonblocking receive (FIFO wait queue)
-    Wait,     //!< wait for the oldest outstanding request
-    Sendrecv, //!< combined exchange
-    Coll,     //!< any collective (op says which)
-};
+/** What one trace line asks a rank to do: one mpi::Comm call, so
+ *  the kinds are the ones the machine probe reports. */
+using ActionKind = machine::CallKind;
 
 /** Printable action keyword ("compute", "isend", or the collective
  *  key for ActionKind::Coll). */

@@ -24,7 +24,7 @@ Recorder::attach(machine::Machine &m)
     if (m.size() != prog_.np)
         fatal("Recorder for %d ranks attached to a %d-node machine",
               prog_.np, m.size());
-    m.setCommHook(this);
+    m.attachListener(*this);
 }
 
 Program
@@ -57,87 +57,36 @@ std::vector<Action> &
 Recorder::rankList(int node)
 {
     if (node < 0 || node >= prog_.np)
-        panic("Recorder: hook fired for rank %d of %d", node,
+        panic("Recorder: call reported for rank %d of %d", node,
               prog_.np);
     return prog_.ranks[static_cast<std::size_t>(node)];
 }
 
 void
-Recorder::onCompute(int node, Time t)
+Recorder::onCall(const machine::Call &c)
 {
     Action a;
-    a.kind = ActionKind::Compute;
-    a.duration = t;
-    rankList(node).push_back(std::move(a));
-}
-
-void
-Recorder::onSend(int node, int dst, int tag, Bytes bytes,
-                 bool nonblocking)
-{
-    Action a;
-    a.kind = nonblocking ? ActionKind::Isend : ActionKind::Send;
-    a.peer = dst;
-    a.tag = tag;
-    a.bytes = bytes;
-    rankList(node).push_back(std::move(a));
-}
-
-void
-Recorder::onRecv(int node, int src, int tag, bool nonblocking)
-{
-    Action a;
-    a.kind = nonblocking ? ActionKind::Irecv : ActionKind::Recv;
-    a.peer = src;
-    a.tag = tag;
-    rankList(node).push_back(std::move(a));
-}
-
-void
-Recorder::onWait(int node)
-{
-    Action a;
-    a.kind = ActionKind::Wait;
-    rankList(node).push_back(std::move(a));
-}
-
-void
-Recorder::onSendrecv(int node, int dst, int send_tag, Bytes bytes,
-                     int src, int recv_tag)
-{
-    Action a;
-    a.kind = ActionKind::Sendrecv;
-    a.peer = dst;
-    a.peer2 = src;
-    a.tag = send_tag;
-    a.tag2 = recv_tag;
-    a.bytes = bytes;
-    rankList(node).push_back(std::move(a));
-}
-
-void
-Recorder::onCollective(int node, machine::Coll op, Bytes m, int root,
-                       machine::Algo algo,
-                       const std::vector<Bytes> *counts,
-                       const std::vector<int> *group)
-{
-    Action a;
-    a.kind = ActionKind::Coll;
-    a.op = op;
-    a.bytes = m;
-    a.root = root < 0 ? 0 : root;
-    a.algo = algo;
-    if (counts) {
+    a.kind = c.kind;
+    a.duration = c.duration;
+    a.peer = c.peer;
+    a.peer2 = c.peer2;
+    a.tag = c.tag;
+    a.tag2 = c.tag2;
+    a.bytes = c.bytes;
+    a.op = c.op;
+    a.algo = c.algo;
+    a.root = c.root < 0 ? 0 : c.root;
+    if (c.counts) {
         a.vector_variant = true;
-        a.counts = *counts;
+        a.counts = *c.counts;
     }
-    if (group)
-        a.group = *group;
-    rankList(node).push_back(std::move(a));
+    if (c.group)
+        a.group = *c.group;
+    rankList(c.node).push_back(std::move(a));
 }
 
 void
-Recorder::onMetricsReset()
+Recorder::onReset()
 {
     for (auto &actions : prog_.ranks)
         actions.clear();

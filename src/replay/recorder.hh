@@ -1,6 +1,6 @@
 /**
  * @file
- * Recorder: a machine::CommHook that turns any live run into a
+ * Recorder: a machine::CallListener that turns any live run into a
  * replayable Program.
  *
  * Attach it before spawning rank programs:
@@ -8,14 +8,15 @@
  * @code
  *     machine::Machine m(cfg, p);
  *     replay::Recorder rec(p);
- *     m.setCommHook(&rec);
+ *     rec.attach(m);
  *     m.spawnAll(...);
  *     m.run();
  *     rec.writeFile("app.trace");
  * @endcode
  *
- * The hook fires with each call's arguments *as requested* (before
- * algorithm resolution), so recorded traces are machine-portable:
+ * The machine's probe reports each call with its arguments *as
+ * requested* (before algorithm resolution), so recorded traces are
+ * machine-portable:
  * Algo::Default stays "default" and re-resolves against whichever
  * machine replays the trace.  Replaying a recording on the machine it
  * was taken from reproduces the original simulated times
@@ -29,7 +30,7 @@
 #include <iosfwd>
 #include <string>
 
-#include "machine/comm_hook.hh"
+#include "machine/probe.hh"
 #include "replay/program.hh"
 
 namespace ccsim::machine {
@@ -39,13 +40,13 @@ class Machine;
 namespace ccsim::replay {
 
 /** Captures mpi::Comm calls into a Program. */
-class Recorder : public machine::CommHook
+class Recorder : public machine::CallListener
 {
   public:
     /** Record a run of @p np ranks. */
     explicit Recorder(int np);
 
-    /** Convenience: machine.setCommHook(this).  The recorder must
+    /** Convenience: machine.attachListener(*this).  The recorder must
      *  outlive the machine's run. */
     void attach(machine::Machine &m);
 
@@ -61,24 +62,15 @@ class Recorder : public machine::CommHook
     /** write() to a file (fatal on I/O failure). */
     void writeFile(const std::string &path) const;
 
-    // -- CommHook --------------------------------------------------------
+    // -- CallListener ----------------------------------------------------
 
-    void onCompute(int node, Time t) override;
-    void onSend(int node, int dst, int tag, Bytes bytes,
-                bool nonblocking) override;
-    void onRecv(int node, int src, int tag, bool nonblocking) override;
-    void onWait(int node) override;
-    void onSendrecv(int node, int dst, int send_tag, Bytes bytes,
-                    int src, int recv_tag) override;
-    void onCollective(int node, machine::Coll op, Bytes m, int root,
-                      machine::Algo algo,
-                      const std::vector<Bytes> *counts,
-                      const std::vector<int> *group) override;
+    /** Append @p call to its rank's action list. */
+    void onCall(const machine::Call &call) override;
 
     /** Point boundary (replay sweeps): drop the actions recorded so
      *  far so each point's recording starts fresh and repeated points
      *  are byte-identical.  np and source are kept. */
-    void onMetricsReset() override;
+    void onReset() override;
 
   private:
     std::vector<Action> &rankList(int node);

@@ -5,6 +5,7 @@
 #include <deque>
 #include <map>
 
+#include "harness/measure.hh"
 #include "machine/machine.hh"
 #include "mpi/comm.hh"
 #include "replay/trace_parser.hh"
@@ -26,56 +27,17 @@ scaleBytes(Bytes b, double scale)
         std::llround(static_cast<double>(b) * scale));
 }
 
-/** Issue one collective action on @p comm. */
+/** Issue one gatherv/scatterv action on @p comm. */
 sim::Task<void>
-runCollective(mpi::Comm &comm, const Action &a, double scale)
+runVectorCollective(mpi::Comm &comm, const Action &a, double scale)
 {
-    if (a.vector_variant) {
-        std::vector<Bytes> counts = a.counts;
-        for (Bytes &c : counts)
-            c = scaleBytes(c, scale);
-        if (a.op == Coll::Gather)
-            co_await comm.gatherv(counts, a.root, a.algo);
-        else
-            co_await comm.scatterv(counts, a.root, a.algo);
-        co_return;
-    }
-
-    Bytes m = scaleBytes(a.bytes, scale);
-    switch (a.op) {
-      case Coll::Barrier:
-        co_await comm.barrier(a.algo);
-        break;
-      case Coll::Bcast:
-        co_await comm.bcast(m, a.root, a.algo);
-        break;
-      case Coll::Gather:
-        co_await comm.gather(m, a.root, a.algo);
-        break;
-      case Coll::Scatter:
-        co_await comm.scatter(m, a.root, a.algo);
-        break;
-      case Coll::Allgather:
-        co_await comm.allgather(m, a.algo);
-        break;
-      case Coll::Alltoall:
-        co_await comm.alltoall(m, a.algo);
-        break;
-      case Coll::Reduce:
-        co_await comm.reduce(m, a.root, a.algo);
-        break;
-      case Coll::Allreduce:
-        co_await comm.allreduce(m, a.algo);
-        break;
-      case Coll::ReduceScatter:
-        co_await comm.reduceScatter(m, a.algo);
-        break;
-      case Coll::Scan:
-        co_await comm.scan(m, a.algo);
-        break;
-      default:
-        panic("replay: bad collective %d", static_cast<int>(a.op));
-    }
+    std::vector<Bytes> counts = a.counts;
+    for (Bytes &c : counts)
+        c = scaleBytes(c, scale);
+    if (a.op == Coll::Gather)
+        co_await comm.gatherv(counts, a.root, a.algo);
+    else
+        co_await comm.scatterv(counts, a.root, a.algo);
 }
 
 /**
@@ -88,16 +50,16 @@ runCollective(mpi::Comm &comm, const Action &a, double scale)
  */
 sim::Task<void>
 runRank(machine::Machine &mach, const Program &prog, int rank,
-        double scale, std::vector<Time> &completion)
+        double scale, sim::Trace *trace, std::vector<Time> &completion)
 {
     mpi::Comm world(mach, rank);
     std::map<std::vector<int>, mpi::Comm> subgroups;
     std::deque<msg::Request> pending;
-    sim::Trace &trace = mach.trace();
 
     for (const Action &a : prog.ranks[static_cast<std::size_t>(rank)]) {
-        trace.setPhase(rank, actionKeyword(a.kind, a.op,
-                                           a.vector_variant));
+        if (trace)
+            trace->setPhase(rank, actionKeyword(a.kind, a.op,
+                                                a.vector_variant));
         switch (a.kind) {
           case ActionKind::Compute:
             co_await world.compute(a.duration);
@@ -141,12 +103,18 @@ runRank(machine::Machine &mach, const Program &prog, int rank,
                              .first;
                 comm = &it->second;
             }
-            co_await runCollective(*comm, a, scale);
+            if (a.vector_variant)
+                co_await runVectorCollective(*comm, a, scale);
+            else
+                co_await harness::runCollectiveOnce(
+                    *comm, a.op, scaleBytes(a.bytes, scale), a.algo,
+                    a.root);
             break;
           }
         }
     }
-    trace.setPhase(rank, "");
+    if (trace)
+        trace->setPhase(rank, "");
     completion[static_cast<std::size_t>(rank)] = mach.sim().now();
 }
 
@@ -174,30 +142,30 @@ Replayer::run(const machine::MachineConfig &cfg, const Program &prog,
     machine::MachineConfig run_cfg = cfg;
     run_cfg.collect_metrics = cfg.collect_metrics || opt.metrics;
     machine::Machine mach(run_cfg, prog.np);
-    if (opt.hook)
-        mach.setCommHook(opt.hook);
-    if (opt.collect_trace)
-        mach.trace().enable(true);
-
-    // Point boundary: zero any metric state and tell the CommHook to
-    // drop per-point accumulation.  A hook reused across sweep points
-    // (e.g.\ a Recorder) would otherwise carry the previous point's
-    // state into this one, so repeated points would not be
-    // byte-identical.
-    mach.resetMetrics();
-
     ReplayResult res;
     res.machine = cfg.name;
     res.np = prog.np;
     res.scale = opt.scale;
     res.completion.assign(static_cast<std::size_t>(prog.np), 0);
+    if (opt.listener)
+        mach.attachListener(*opt.listener);
+    if (opt.collect_trace)
+        mach.attachTrace(res.trace);
 
+    // Point boundary: zero any metric state and tell the listener to
+    // drop per-point accumulation.  A listener reused across sweep
+    // points (e.g.\ a Recorder) would otherwise carry the previous
+    // point's state into this one, so repeated points would not be
+    // byte-identical.
+    if (machine::Probe *probe = mach.probe())
+        probe->reset();
+
+    sim::Trace *trace = opt.collect_trace ? &res.trace : nullptr;
     for (int r = 0; r < prog.np; ++r)
         mach.sim().spawn(
-            runRank(mach, prog, r, opt.scale, res.completion));
+            runRank(mach, prog, r, opt.scale, trace, res.completion));
     mach.run();
 
-    res.trace = mach.trace();
     res.faults = mach.faultReport();
     res.metrics = mach.metricsSnapshot();
     return res;

@@ -25,13 +25,10 @@
 #include "fault/fault_injector.hh"
 #include "harness/sweep.hh"
 #include "machine/machine_config.hh"
+#include "machine/probe.hh"
 #include "replay/program.hh"
 #include "sim/trace.hh"
 #include "stats/snapshot.hh"
-
-namespace ccsim::machine {
-class CommHook;
-}
 
 namespace ccsim::replay {
 
@@ -57,15 +54,16 @@ struct ReplayOptions
     bool metrics = false;
 
     /**
-     * Observer installed on the run's Machine (e.g.\ a Recorder), or
-     * null.  Not owned; must outlive the run.  The replayer drives
-     * CommHook::onMetricsReset() at the start of every point, so a
-     * hook reused across sweep points drops its per-point state and
-     * repeated points stay byte-identical.  A hook shared by several
-     * points of a replaySweep() requires --jobs 1 (points would
-     * otherwise race on it).
+     * Call listener attached to the run's Machine (e.g.\ a
+     * Recorder), or null.  Not owned; must outlive the run.  The
+     * replayer resets the machine's probe at the start of every
+     * point, which calls CallListener::onReset(), so a listener
+     * reused across sweep points drops its per-point state and
+     * repeated points stay byte-identical.  A listener shared by
+     * several points of a replaySweep() requires --jobs 1 (points
+     * would otherwise race on it).
      */
-    machine::CommHook *hook = nullptr;
+    machine::CallListener *listener = nullptr;
 };
 
 /** Outcome of one replay run. */

@@ -22,8 +22,6 @@ spanKindName(SpanKind k)
 void
 Trace::record(const Span &s)
 {
-    if (!enabled_)
-        return;
     if (s.end < s.start)
         panic("Trace::record: span ends (%lld) before it starts (%lld)",
               static_cast<long long>(s.end),
@@ -43,15 +41,13 @@ Trace::record(const Span &s)
 void
 Trace::recordCounter(Time when, const std::string &name, double value)
 {
-    if (!enabled_)
-        return;
     counters_.push_back(CounterSample{when, name, value});
 }
 
 void
 Trace::setPhase(int rank, std::string label)
 {
-    if (!enabled_ || rank < 0)
+    if (rank < 0)
         return;
     if (static_cast<std::size_t>(rank) >= phase_.size())
         phase_.resize(static_cast<std::size_t>(rank) + 1);

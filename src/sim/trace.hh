@@ -2,16 +2,17 @@
  * @file
  * Execution tracing: per-rank activity spans for timeline analysis.
  *
- * When enabled on a Machine, the transport records one span per
- * software activity (send issue, receive completion, CPU busy time)
- * with start/end simulated times, byte counts, and peers.  Traces
- * export to the Chrome trace-event JSON format (load in
- * chrome://tracing or Perfetto to see the ladder diagrams of a
- * collective) or to CSV, and summarize into per-rank compute /
- * communication totals — the sort of breakdown Fig. 4 of the paper
- * presents as stacked bars.
+ * A Trace attached to a Machine (Machine::attachTrace) is one
+ * consumer of the machine's probe: it records one span per software
+ * activity (send issue, receive completion, CPU busy time) with
+ * start/end simulated times, byte counts, and peers.  Traces export
+ * to the Chrome trace-event JSON format (load in chrome://tracing or
+ * Perfetto to see the ladder diagrams of a collective) or to CSV, and
+ * summarize into per-rank compute / communication totals — the sort
+ * of breakdown Fig. 4 of the paper presents as stacked bars.
  *
- * Tracing is off by default and costs nothing when disabled.
+ * A Trace always records; a machine without one attached pays
+ * nothing for tracing.
  */
 
 #ifndef CCSIM_SIM_TRACE_HH
@@ -74,21 +75,15 @@ struct RankSummary
 class Trace
 {
   public:
-    /** Turn recording on/off (off by default). */
-    void enable(bool on) { enabled_ = on; }
-
-    /** True while recording. */
-    bool enabled() const { return enabled_; }
-
-    /** Record a span (no-op while disabled).  Spans with an empty
-     *  label inherit the recording rank's current phase label. */
+    /** Record a span.  Spans with an empty label inherit the
+     *  recording rank's current phase label. */
     void record(const Span &s);
 
     /**
      * Set the phase label stamped onto subsequent spans of @p rank
      * (the replay engine labels each action — "alltoall", "halo
      * exchange" — so timelines read at collective granularity in
-     * Perfetto).  An empty @p label clears it.  No-op while disabled.
+     * Perfetto).  An empty @p label clears it.
      */
     void setPhase(int rank, std::string label);
 
@@ -96,10 +91,10 @@ class Trace
     const std::vector<Span> &spans() const { return spans_; }
 
     /**
-     * Sample a named counter at simulated time @p when (no-op while
-     * disabled).  The metrics layer samples machine-wide totals at
-     * collective boundaries, so timelines show e.g.\ network bytes
-     * and stall time climbing alongside the activity spans.
+     * Sample a named counter at simulated time @p when.  The machine
+     * probe samples network totals at collective boundaries when
+     * metrics are on too, so timelines show e.g.\ network bytes and
+     * stall time climbing alongside the activity spans.
      */
     void recordCounter(Time when, const std::string &name, double value);
 
@@ -131,7 +126,6 @@ class Trace
     std::map<int, RankSummary> summarize() const;
 
   private:
-    bool enabled_ = false;
     std::vector<Span> spans_;
     std::vector<CounterSample> counters_;
     std::vector<std::string> phase_; //!< per-rank current label

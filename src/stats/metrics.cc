@@ -88,35 +88,6 @@ Histogram::reset()
     *this = Histogram();
 }
 
-Counter &
-Registry::counter(const std::string &name)
-{
-    return counters_[name];
-}
-
-Gauge &
-Registry::gauge(const std::string &name)
-{
-    return gauges_[name];
-}
-
-Histogram &
-Registry::histogram(const std::string &name)
-{
-    return histograms_[name];
-}
-
-void
-Registry::reset()
-{
-    for (auto &[name, c] : counters_)
-        c.reset();
-    for (auto &[name, g] : gauges_)
-        g.reset();
-    for (auto &[name, h] : histograms_)
-        h.reset();
-}
-
 void
 TransportMetrics::reset()
 {
@@ -142,12 +113,12 @@ CollOpMetrics::reset()
 }
 
 void
-MachineMetrics::reset()
+LinkMetrics::reset()
 {
-    registry.reset();
-    transport.reset();
-    for (auto &c : coll)
-        c.reset();
+    bytes.clear();
+    stall.clear();
+    total_stall = 0;
+    stalled_transfers = 0;
 }
 
 } // namespace ccsim::stats

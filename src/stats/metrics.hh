@@ -1,15 +1,14 @@
 /**
  * @file
  * The metrics layer: counters, high-water gauges, and weighted
- * log2-bucketed histograms, plus the named Registry and the
- * per-subsystem metric groups the simulation hot paths write into.
+ * log2-bucketed histograms, grouped per subsystem into the plain
+ * structs the probe (stats/probe.hh) updates in place.
  *
  * Design rules (docs/METRICS.md states the guarantees):
  *
- *  - ZERO COST WHEN DISABLED: subsystems hold a pointer to their
- *    metric group that is null unless the owning Machine was built
- *    with MachineConfig::collect_metrics; every hot-path update is
- *    behind one `if (metrics_)` test of that pointer.
+ *  - ZERO COST WHEN DISABLED: the groups live inside the machine's
+ *    probe, which exists only when something listens; each hot-path
+ *    site is one `if (probe_)` test of a null pointer.
  *  - OBSERVATION ONLY: no metric update ever charges simulated time
  *    or perturbs event order, so simulated results are byte-identical
  *    with metrics on or off.
@@ -18,18 +17,17 @@
  *    snapshot is identical at any sweep --jobs level.
  *
  * The primitives are deliberately plain structs updated by direct
- * field access (no name lookup on the hot path); the string-keyed
- * Registry exists for extensions and for assembling the final
- * MetricsSnapshot (see stats/snapshot.hh).
+ * field access (no name lookup on the hot path); names are attached
+ * only when a MetricsSnapshot is assembled (see stats/snapshot.hh).
  */
 
 #ifndef CCSIM_STATS_METRICS_HH
 #define CCSIM_STATS_METRICS_HH
 
 #include <cstdint>
-#include <map>
-#include <string>
-#include <vector>
+
+#include "util/lazy_array.hh"
+#include "util/units.hh"
 
 namespace ccsim::stats {
 
@@ -124,38 +122,6 @@ class Histogram
 };
 
 /**
- * Name-keyed metric registry.  Lookup is amortized by caching the
- * returned reference (references stay valid for the registry's
- * lifetime; std::map nodes never move).  Iteration order is the name
- * order, so snapshots built from a registry are deterministic.
- */
-class Registry
-{
-  public:
-    Counter &counter(const std::string &name);
-    Gauge &gauge(const std::string &name);
-    Histogram &histogram(const std::string &name);
-
-    const std::map<std::string, Counter> &counters() const
-    {
-        return counters_;
-    }
-    const std::map<std::string, Gauge> &gauges() const { return gauges_; }
-    const std::map<std::string, Histogram> &histograms() const
-    {
-        return histograms_;
-    }
-
-    /** Zero every registered metric (registrations are kept). */
-    void reset();
-
-  private:
-    std::map<std::string, Counter> counters_;
-    std::map<std::string, Gauge> gauges_;
-    std::map<std::string, Histogram> histograms_;
-};
-
-/**
  * What the messaging layer records: protocol mix, wire payload
  * distribution, and the queue depths the paper's NIC/software story
  * turns on (a gather root's unexpected-message queue, the RTS queue
@@ -185,7 +151,7 @@ struct TransportMetrics
  * Per-collective-operation activity recorded by the mpi layer: call
  * and algorithm-stage counts, messages issued from inside the
  * operation, and the distribution of per-call completion times.
- * Indexed by machine::Coll (the machine layer owns the naming).
+ * The machine probe keeps one per machine::Coll.
  */
 struct CollOpMetrics
 {
@@ -197,15 +163,19 @@ struct CollOpMetrics
     void reset();
 };
 
-/** Everything one Machine collects; null when metrics are off. */
-struct MachineMetrics
+/**
+ * What the network records: payload bytes per link, and the grant
+ * stall of every transfer that waited, charged to the link whose
+ * occupancy set its start — "who is the bottleneck", the paper's
+ * contention question.  Lazily paged, so the tables cost O(links
+ * touched) even on million-link fabrics.
+ */
+struct LinkMetrics
 {
-    /** @p num_ops sizes the per-collective table (machine::kNumColl). */
-    explicit MachineMetrics(int num_ops) : coll(num_ops ? num_ops : 1) {}
-
-    Registry registry; //!< extension point for ad-hoc metrics
-    TransportMetrics transport;
-    std::vector<CollOpMetrics> coll; //!< indexed by machine::Coll
+    LazyArray<Bytes> bytes; //!< payload bytes carried per link
+    LazyArray<Time> stall;  //!< wait time charged to each link
+    Time total_stall = 0;   //!< sum of per-transfer waits
+    std::uint64_t stalled_transfers = 0; //!< transfers that waited
 
     void reset();
 };

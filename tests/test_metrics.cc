@@ -5,7 +5,7 @@
  * snapshot merge semantics and byte-stable serialization, the
  * metrics-never-perturb-simulated-time guarantee, --jobs
  * determinism of per-point snapshots, the per-point metrics reset
- * of replay hooks, typed error exit codes, and cli::Options.
+ * of replay call listeners, typed error exit codes, and cli::Options.
  */
 
 #include <sstream>
@@ -263,7 +263,7 @@ TEST(MetricsEndToEnd, SweepJobsDeterminism)
     }
 }
 
-// ---- replay: per-point reset of snapshots and hooks -------------------
+// ---- replay: per-point reset of snapshots and listeners ---------------
 
 replay::Program
 tinyProgram()
@@ -277,8 +277,8 @@ tinyProgram()
     return replay::TraceParser::parse(is, "tiny.trace");
 }
 
-/** Repeated sweep points are byte-identical: machine metrics and the
- *  attached hook are both reset at every point boundary. */
+/** Repeated sweep points are byte-identical: the probe's point reset
+ *  zeroes the machine metrics and resets the attached listener. */
 TEST(MetricsEndToEnd, ReplayRepeatedPointsIdentical)
 {
     replay::Program prog = tinyProgram();
@@ -287,9 +287,9 @@ TEST(MetricsEndToEnd, ReplayRepeatedPointsIdentical)
     replay::ReplayPoint pt;
     pt.cfg = machine::t3dConfig();
     pt.options.metrics = true;
-    pt.options.hook = &rec;
+    pt.options.listener = &rec;
 
-    // A shared hook requires --jobs 1 (documented contract).
+    // A shared listener requires --jobs 1 (documented contract).
     harness::SweepRunner runner(1);
     auto results = replaySweep(prog, {pt, pt, pt}, runner);
     ASSERT_EQ(results.size(), 3u);
@@ -315,13 +315,16 @@ TEST(MetricsEndToEnd, ReplayRepeatedPointsIdentical)
             << r;
 }
 
-/** onMetricsReset drops recorded actions but keeps the rank count. */
+/** The point-reset event drops recorded actions but keeps the rank
+ *  count. */
 TEST(Recorder, MetricsResetClearsActions)
 {
     replay::Recorder rec(2);
-    rec.onSend(0, 1, 7, 128, false);
-    rec.onRecv(1, 0, 7, false);
-    rec.onMetricsReset();
+    rec.onCall({.kind = machine::CallKind::Send, .node = 0, .peer = 1,
+                .tag = 7, .bytes = 128});
+    rec.onCall({.kind = machine::CallKind::Recv, .node = 1, .peer = 0,
+                .tag = 7});
+    rec.onReset();
     std::ostringstream os;
     rec.write(os);
     std::istringstream is(os.str());

@@ -14,17 +14,9 @@ namespace {
 
 using namespace time_literals;
 
-TEST(Trace, DisabledRecordsNothing)
-{
-    Trace t;
-    t.record(Span{0, SpanKind::Send, 0, 10, 4, 1, {}});
-    EXPECT_TRUE(t.spans().empty());
-}
-
 TEST(Trace, RecordsWhenEnabled)
 {
     Trace t;
-    t.enable(true);
     t.record(Span{3, SpanKind::Recv, 5 * US, 9 * US, 128, 1, {}});
     ASSERT_EQ(t.spans().size(), 1u);
     EXPECT_EQ(t.spans()[0].rank, 3);
@@ -37,7 +29,6 @@ TEST(Trace, RejectsBackwardsSpan)
 {
     throwOnError(true);
     Trace t;
-    t.enable(true);
     EXPECT_THROW(t.record(Span{0, SpanKind::Compute, 10, 5, 0, -1, {}}),
                  PanicError);
     throwOnError(false);
@@ -46,7 +37,6 @@ TEST(Trace, RejectsBackwardsSpan)
 TEST(Trace, SummarizeAccumulatesPerRankAndKind)
 {
     Trace t;
-    t.enable(true);
     t.record(Span{0, SpanKind::Compute, 0, 10 * US, 0, -1, {}});
     t.record(Span{0, SpanKind::Send, 10 * US, 15 * US, 64, 1, {}});
     t.record(Span{1, SpanKind::Recv, 0, 30 * US, 64, 0, {}});
@@ -61,7 +51,6 @@ TEST(Trace, SummarizeAccumulatesPerRankAndKind)
 TEST(Trace, ChromeJsonAndCsvShapes)
 {
     Trace t;
-    t.enable(true);
     t.record(Span{2, SpanKind::Send, 1 * US, 3 * US, 16, 5, {}});
     std::ostringstream json;
     t.writeChromeJson(json);
@@ -82,7 +71,6 @@ TEST(Trace, ChromeJsonAndCsvShapes)
 TEST(Trace, PhaseLabelsStampSubsequentSpans)
 {
     Trace t;
-    t.enable(true);
     t.setPhase(0, "halo exchange");
     t.record(Span{0, SpanKind::Send, 0, 1 * US, 8, 1, {}});
     t.setPhase(0, ""); // clear
@@ -117,19 +105,11 @@ TEST(Trace, PhaseLabelsStampSubsequentSpans)
     EXPECT_EQ(t.spans()[0].label, "");
 }
 
-TEST(Trace, SetPhaseIsNoopWhileDisabled)
-{
-    Trace t;
-    t.setPhase(0, "ignored");
-    t.enable(true);
-    t.record(Span{0, SpanKind::Send, 0, 1, 8, 1, {}});
-    EXPECT_EQ(t.spans()[0].label, "");
-}
-
 TEST(Trace, MachineIntegrationCapturesTransportActivity)
 {
     machine::Machine m(machine::t3dConfig(), 4);
-    m.trace().enable(true);
+    Trace trace;
+    m.attachTrace(trace);
     auto prog = [&](int rank) -> sim::Task<void> {
         mpi::Comm comm(m, rank);
         co_await comm.compute(10 * US);
@@ -144,7 +124,7 @@ TEST(Trace, MachineIntegrationCapturesTransportActivity)
 
     bool saw_send = false, saw_recv = false;
     int computes = 0;
-    for (const Span &s : m.trace().spans()) {
+    for (const Span &s : trace.spans()) {
         if (s.kind == SpanKind::Send) {
             saw_send = true;
             EXPECT_EQ(s.rank, 0);
@@ -167,7 +147,8 @@ TEST(Trace, MachineIntegrationCapturesTransportActivity)
 TEST(Trace, CollectiveProducesManySpans)
 {
     machine::Machine m(machine::sp2Config(), 8);
-    m.trace().enable(true);
+    Trace trace;
+    m.attachTrace(trace);
     auto prog = [&](int rank) -> sim::Task<void> {
         mpi::Comm comm(m, rank);
         co_await comm.alltoall(1024);
@@ -176,7 +157,7 @@ TEST(Trace, CollectiveProducesManySpans)
         m.sim().spawn(prog(r));
     m.run();
     // Pairwise alltoall on 8 ranks: 7 rounds x 8 ranks of sendrecv.
-    auto sum = m.trace().summarize();
+    auto sum = trace.summarize();
     EXPECT_EQ(sum.size(), 8u);
     for (auto &[rank, rs] : sum) {
         EXPECT_GE(rs.spans, 14) << rank; // >= 7 sends + 7 recvs
@@ -184,6 +165,8 @@ TEST(Trace, CollectiveProducesManySpans)
     }
 }
 
+/** A machine with no trace (and nothing else) attached has no probe:
+ *  every layer's observation pointer stays null. */
 TEST(Trace, DisabledByDefaultOnMachines)
 {
     machine::Machine m(machine::t3dConfig(), 2);
@@ -194,7 +177,7 @@ TEST(Trace, DisabledByDefaultOnMachines)
     for (int r = 0; r < 2; ++r)
         m.sim().spawn(prog(r));
     m.run();
-    EXPECT_TRUE(m.trace().spans().empty());
+    EXPECT_EQ(m.probe(), nullptr);
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 #include "net/fully_connected.hh"
 #include "net/network.hh"
 #include "sim/simulator.hh"
+#include "stats/probe.hh"
 #include "util/logging.hh"
 
 namespace ccsim::msg {
@@ -394,12 +395,16 @@ TEST_F(TransportTest, StatsCountTraffic)
         co_await fabric_->node(1).recv(0, 1, 0);
         co_await fabric_->node(1).recv(0, 1, 0);
     };
+    stats::Probe probe(network_->topology().numLinks(), true);
+    fabric_->setProbe(&probe);
     sim().spawn(sender());
     sim().spawn(receiver());
     sim().run();
-    EXPECT_EQ(fabric_->node(0).sendsStarted(), 2u);
-    EXPECT_EQ(fabric_->node(0).bytesSent(), 300);
-    EXPECT_EQ(fabric_->node(1).recvsCompleted(), 2u);
+    // Both payloads are eager: two sends, 300 bytes, two receives.
+    EXPECT_EQ(probe.transport.msg_bytes.count(), 2u);
+    EXPECT_EQ(probe.transport.eager_sends.value(), 2u);
+    EXPECT_EQ(probe.transport.msg_bytes.weightedSum(), 300.0);
+    EXPECT_EQ(probe.transport.recvs.value(), 2u);
 }
 
 TEST_F(TransportTest, MismatchedPayloadSizePanics)

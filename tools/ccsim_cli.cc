@@ -213,11 +213,12 @@ dumpCollectiveTrace(const machine::MachineConfig &cfg, int p,
                     const std::string &path)
 {
     machine::Machine mach(cfg, p);
-    mach.trace().enable(true);
+    sim::Trace trace;
+    mach.attachTrace(trace);
     auto program = [&](int rank) -> sim::Task<void> {
         mpi::Comm comm(mach, rank);
         co_await comm.barrier();
-        mach.trace().setPhase(rank, machine::collKey(op));
+        trace.setPhase(rank, machine::collKey(op));
         co_await harness::runCollectiveOnce(comm, op, m, algo);
     };
     for (int r = 0; r < p; ++r)
@@ -227,9 +228,9 @@ dumpCollectiveTrace(const machine::MachineConfig &cfg, int p,
     std::ofstream f(path);
     if (!f)
         fatal("cannot write trace file '%s'", path.c_str());
-    mach.trace().writeChromeJson(f);
+    trace.writeChromeJson(f);
     std::fprintf(stderr, "wrote Chrome trace to %s (%zu spans)\n",
-                 path.c_str(), mach.trace().spans().size());
+                 path.c_str(), trace.spans().size());
 }
 
 /** --trace-out for pingpong: one traced m-byte round trip. */
@@ -238,10 +239,11 @@ dumpPingPongTrace(const machine::MachineConfig &cfg, Bytes m,
                   const std::string &path)
 {
     machine::Machine mach(cfg, 2);
-    mach.trace().enable(true);
+    sim::Trace trace;
+    mach.attachTrace(trace);
     auto program = [&](int rank) -> sim::Task<void> {
         mpi::Comm comm(mach, rank);
-        mach.trace().setPhase(rank, "pingpong");
+        trace.setPhase(rank, "pingpong");
         if (rank == 0) {
             co_await comm.send(1, 0, m);
             co_await comm.recv(1, 1);
@@ -257,9 +259,9 @@ dumpPingPongTrace(const machine::MachineConfig &cfg, Bytes m,
     std::ofstream f(path);
     if (!f)
         fatal("cannot write trace file '%s'", path.c_str());
-    mach.trace().writeChromeJson(f);
+    trace.writeChromeJson(f);
     std::fprintf(stderr, "wrote Chrome trace to %s (%zu spans)\n",
-                 path.c_str(), mach.trace().spans().size());
+                 path.c_str(), trace.spans().size());
 }
 
 /** Right-aligned numeric cell used by the sweep table. */
