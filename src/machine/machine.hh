@@ -120,13 +120,16 @@ class Machine
 
     ConfigHandle config_;
     int size_;
-    sim::Simulator sim_;
     std::unique_ptr<net::Network> network_;
     std::unique_ptr<fault::FaultInjector> fault_;
     std::unique_ptr<Probe> probe_;
     std::unique_ptr<msg::Fabric> fabric_;
     std::unique_ptr<HardwareBarrier> hw_barrier_;
     std::map<std::vector<int>, int> context_registry_;
+    /** Declared last so it is destroyed first: the frames a failed or
+     *  deadlocked run leaves, and its pending events, still hold
+     *  request slots pooled by the fabric's transports. */
+    sim::Simulator sim_;
 };
 
 } // namespace ccsim::machine

@@ -519,6 +519,13 @@ Fabric::Fabric(sim::Simulator &sim, net::Network &net, int n,
 
 Fabric::~Fabric()
 {
+    // An RTS nobody received holds a handshake pooled by its sender,
+    // so every match queue is emptied before any endpoint's pools go.
+    for (int i = 0; i < n_; ++i) {
+        slab_[i].unexpected_.clear();
+        slab_[i].pending_rts_.clear();
+        slab_[i].pending_recvs_.clear();
+    }
     for (int i = n_; i-- > 0;)
         slab_[i].~Transport();
     ::operator delete(slab_, std::align_val_t{alignof(Transport)});

@@ -44,17 +44,38 @@ Trigger::Awaiter::await_suspend(std::coroutine_handle<> h)
         trigger_.spill_.push_back(h);
 }
 
+Simulator::~Simulator()
+{
+    for (const Live &r : live_)
+        r.handle.destroy();
+}
+
 void
 Simulator::spawn(Task<void> task)
 {
     if (!task.valid())
         panic("Simulator::spawn: empty task");
-    auto handle = task.handle();
-    roots_.push_back(Root{std::move(task)});
-    ++tasks_spawned_;
+    auto handle = std::exchange(task.handle_, nullptr);
+    handle.promise().sim = this;
+    handle.promise().slot = live_.size();
+    live_.push_back(Live{handle, tasks_spawned_++});
     // Start the lazily-created coroutine; it runs until its first
     // blocking point.
     handle.resume();
+}
+
+void
+detail::finishRoot(PromiseBase &root) noexcept
+{
+    Simulator &s = *root.sim;
+    const std::uint64_t index = s.live_[root.slot].index;
+    if (root.exception && (!s.failure_ || index < s.failure_index_)) {
+        s.failure_ = std::move(root.exception);
+        s.failure_index_ = index;
+    }
+    s.live_[root.slot] = s.live_.back();
+    s.live_[root.slot].handle.promise().slot = root.slot;
+    s.live_.pop_back();
 }
 
 void
@@ -70,28 +91,12 @@ Simulator::run()
     // Surface the first task failure before diagnosing deadlock: a
     // dead rank usually strands its peers, and the root cause is the
     // exception, not the resulting starvation.
-    for (auto &r : roots_) {
-        auto &p = r.task.handle().promise();
-        if (p.exception)
-            std::rethrow_exception(p.exception);
-    }
+    if (failure_)
+        std::rethrow_exception(failure_);
 
-    std::size_t stuck = pendingTasks();
-    if (stuck > 0)
+    if (!live_.empty())
         panic("Simulator::run: deadlock, %zu task(s) blocked with an "
-              "empty event queue", stuck);
-
-    roots_.clear();
-}
-
-std::size_t
-Simulator::pendingTasks() const
-{
-    std::size_t n = 0;
-    for (const auto &r : roots_)
-        if (!r.task.done())
-            ++n;
-    return n;
+              "empty event queue", live_.size());
 }
 
 } // namespace ccsim::sim

@@ -11,10 +11,11 @@
  * @endcode
  *
  * Spawned tasks run until they block; "blocking" means parking the
- * coroutine handle and scheduling its resumption from an event.  If
- * the queue drains while spawned tasks are still incomplete, the run
- * is deadlocked (e.g. a receive nobody will ever match) and run()
- * panics.
+ * coroutine handle and scheduling its resumption from an event.  A
+ * spawned task's frame is freed the moment it finishes; the simulator
+ * tracks only the unfinished ones.  If the queue drains while spawned
+ * tasks are still incomplete, the run is deadlocked (e.g. a receive
+ * nobody will ever match) and run() panics.
  */
 
 #ifndef CCSIM_SIM_SIMULATOR_HH
@@ -134,6 +135,10 @@ class Simulator
   public:
     Simulator() = default;
 
+    /** Frees the frames of tasks a failed or deadlocked run left
+     *  unfinished. */
+    ~Simulator();
+
     Simulator(const Simulator &) = delete;
     Simulator &operator=(const Simulator &) = delete;
 
@@ -180,18 +185,21 @@ class Simulator
     /**
      * Root a task into the simulator.  The task starts running at the
      * current time (it executes until its first block immediately).
+     * The simulator takes over the frame and frees it as soon as the
+     * task finishes.
      */
     void spawn(Task<void> task);
 
     /**
-     * Run until the event queue drains.  Panics on deadlock (tasks
-     * still pending with an empty queue) and rethrows the first
-     * exception escaping any spawned task.
+     * Run until the event queue drains.  Rethrows the exception that
+     * escaped the earliest-spawned failed task (it stays recorded, so
+     * a later run() rethrows it again); otherwise panics on deadlock
+     * (tasks still pending with an empty queue).
      */
     void run();
 
     /** Number of spawned tasks that have not yet completed. */
-    std::size_t pendingTasks() const;
+    std::size_t pendingTasks() const { return live_.size(); }
 
     /** Total events executed. */
     std::uint64_t eventsFired() const { return queue_.fired(); }
@@ -206,14 +214,23 @@ class Simulator
     void setEventLimit(std::uint64_t limit) { event_limit_ = limit; }
 
   private:
-    struct Root
+    friend void detail::finishRoot(detail::PromiseBase &root) noexcept;
+
+    /** An unfinished root and its spawn index. */
+    struct Live
     {
-        Task<void> task;
+        std::coroutine_handle<Task<void>::promise_type> handle;
+        std::uint64_t index;
     };
 
     EventQueue queue_;
-    std::vector<Root> roots_;
-    std::exception_ptr pending_exception_;
+    /** Unfinished roots in no particular order: a finished root's
+     *  entry is swapped with the last one and popped. */
+    std::vector<Live> live_;
+    /** Exception of the earliest-spawned failed root, and its spawn
+     *  index. */
+    std::exception_ptr failure_;
+    std::uint64_t failure_index_ = 0;
     std::uint64_t event_limit_ = 0;
     std::uint64_t tasks_spawned_ = 0;
 };

@@ -7,7 +7,10 @@
  * symmetric transfer, and when the child finishes its final awaiter
  * transfers control straight back to the awaiting parent.  Exceptions
  * thrown inside a task are captured and rethrown from the parent's
- * co_await.  Tasks are move-only and own their coroutine frame.
+ * co_await.  Tasks are move-only and own their coroutine frame until
+ * Simulator::spawn takes it over: a spawned root has no parent, and
+ * its final awaiter hands any exception to the simulator and frees
+ * the frame the moment the root finishes.
  *
  * Rank programs block by co_awaiting primitives (delays, message
  * arrivals, barrier releases) that park the coroutine handle and
@@ -29,10 +32,19 @@
 
 namespace ccsim::sim {
 
+class Simulator;
+
 template <typename T>
 class Task;
 
 namespace detail {
+
+struct PromiseBase;
+
+/** Report a finished root to its simulator: keep its exception if it
+ *  is the earliest-spawned failure, and drop the root from the
+ *  unfinished list (defined in simulator.cc). */
+void finishRoot(PromiseBase &root) noexcept;
 
 /** State shared by Task promises independent of the result type. */
 struct PromiseBase
@@ -60,18 +72,32 @@ struct PromiseBase
 
     std::coroutine_handle<> continuation;
     std::exception_ptr exception;
+    /** Set by Simulator::spawn on a root: the simulator tracking it,
+     *  and the root's index in that simulator's unfinished list. */
+    Simulator *sim = nullptr;
+    std::size_t slot = 0;
 
     struct FinalAwaiter
     {
-        bool await_ready() const noexcept { return false; }
+        PromiseBase &promise;
 
-        template <typename Promise>
-        std::coroutine_handle<>
-        await_suspend(std::coroutine_handle<Promise> h) const noexcept
+        /** A finished root does not suspend: once the simulator has
+         *  its result, control runs off the end and the frame (with
+         *  the parameters it still holds) is freed. */
+        bool
+        await_ready() const noexcept
         {
-            auto &p = h.promise();
-            if (p.continuation)
-                return p.continuation;
+            if (!promise.sim)
+                return false;
+            finishRoot(promise);
+            return true;
+        }
+
+        std::coroutine_handle<>
+        await_suspend(std::coroutine_handle<>) const noexcept
+        {
+            if (promise.continuation)
+                return promise.continuation;
             return std::noop_coroutine();
         }
 
@@ -79,7 +105,7 @@ struct PromiseBase
     };
 
     std::suspend_always initial_suspend() const noexcept { return {}; }
-    FinalAwaiter final_suspend() const noexcept { return {}; }
+    FinalAwaiter final_suspend() noexcept { return {*this}; }
 
     void unhandled_exception() { exception = std::current_exception(); }
 };

@@ -4,7 +4,8 @@
  * did-you-mean diagnostics), per-policy byte-identity across --jobs
  * levels and metrics on/off, the degrade policy's no-throw
  * guarantee, ensemble aggregation, record->replay identity under
- * degrade, and fault-conditioned tuning determinism.
+ * degrade, fault-conditioned tuning determinism, and a clean
+ * teardown after a run that fails.
  */
 
 #include <sstream>
@@ -203,6 +204,21 @@ TEST_F(ResilienceTest, FailFastStillFailsOnABlackHole)
                                             machine::Coll::Alltoall,
                                             4096),
                  fault::FaultError);
+}
+
+TEST_F(ResilienceTest, DeadlockedRendezvousTearsDownCleanly)
+{
+    // Rank 1's 64 KiB send goes rendezvous, and its RTS waits at
+    // rank 0 for a receive that never comes.  Tearing the machine
+    // down must return the handshake slot rank 1 pooled before that
+    // pool is destroyed (the sanitizer build checks it).
+    machine::Machine mach(machine::sp2Config(), 2);
+    auto sender = [&]() -> sim::Task<void> {
+        co_await mach.node(1).send(0, 0, 0, 64 * KiB);
+    };
+    mach.sim().spawn(sender());
+    EXPECT_THROW(mach.run(), PanicError);
+    EXPECT_EQ(mach.sim().pendingTasks(), 1u);
 }
 
 // ---- ensembles ----------------------------------------------------

@@ -1,5 +1,7 @@
 /** @file Unit tests for the Simulator event loop and awaitables. */
 
+#include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -163,9 +165,60 @@ TEST(Simulator, DeadlockDetected)
     auto prog = [&]() -> Task<void> {
         co_await never.wait();
     };
+    auto finisher = [&]() -> Task<void> {
+        co_await s.delay(1 * US);
+    };
+    s.spawn(prog());
+    s.spawn(finisher());
     s.spawn(prog());
     EXPECT_THROW(s.run(), PanicError);
+    // Only the two stranded roots count; the finished one is gone.
+    EXPECT_EQ(s.pendingTasks(), 2u);
     throwOnError(false);
+}
+
+TEST(Simulator, FinishedRootIsFreedDuringTheRun)
+{
+    Simulator s;
+    auto sentinel = std::make_shared<int>(0);
+    auto holder = [&](std::shared_ptr<int> keep) -> Task<void> {
+        co_await s.delay(1 * US);
+        (void)keep;
+    };
+    long uses = 0;
+    std::size_t pending = 0;
+    auto observer = [&]() -> Task<void> {
+        co_await s.delay(2 * US);
+        uses = sentinel.use_count();
+        pending = s.pendingTasks();
+    };
+    s.spawn(holder(sentinel));
+    s.spawn(observer());
+    s.run();
+    // The holder's frame, and the parameter copy in it, went when the
+    // holder finished at 1 us, not when run() returned.
+    EXPECT_EQ(uses, 1);
+    EXPECT_EQ(pending, 1u);
+}
+
+TEST(Simulator, EarliestSpawnedFailureIsRethrown)
+{
+    Simulator s;
+    auto fail = [&](Time at, const char *what) -> Task<void> {
+        co_await s.delay(at);
+        throw std::runtime_error(what);
+    };
+    s.spawn(fail(5 * US, "A"));
+    s.spawn(fail(1 * US, "B")); // fails first, but was spawned second
+    for (int attempt = 0; attempt < 2; ++attempt) {
+        try {
+            s.run();
+            ADD_FAILURE() << "run() did not rethrow";
+        } catch (const std::runtime_error &e) {
+            // The failure stays recorded: a second run() rethrows it.
+            EXPECT_STREQ(e.what(), "A") << "attempt " << attempt;
+        }
+    }
 }
 
 TEST(Simulator, EventLimitGuards)

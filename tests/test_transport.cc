@@ -374,6 +374,34 @@ TEST_F(TransportTest, RequestTestReflectsCompletion)
     sim().run();
 }
 
+TEST_F(TransportTest, CompletedRequestsReturnTheirSlots)
+{
+    // A request's state slot goes back to its pool as soon as the
+    // operation completes and its Request is dropped, so sequential
+    // rounds keep reusing the same slot.
+    constexpr int kRounds = 100;
+    auto sender = [&]() -> Task<void> {
+        for (int i = 0; i < kRounds; ++i) {
+            Request r = fabric_->node(0).isend(1, 3, 0, 64);
+            co_await fabric_->node(0).wait(r);
+        }
+    };
+    auto receiver = [&]() -> Task<void> {
+        for (int i = 0; i < kRounds; ++i) {
+            Request r = fabric_->node(1).irecv(0, 3, 0);
+            co_await fabric_->node(1).wait(r);
+        }
+    };
+    sim().spawn(sender());
+    sim().spawn(receiver());
+    sim().run();
+    for (int n : {0, 1}) {
+        sim::PoolCounters c = fabric_->node(n).poolCounters();
+        EXPECT_LE(c.allocs, 2u) << "node " << n;
+        EXPECT_GE(c.reuses, 98u) << "node " << n;
+    }
+}
+
 TEST_F(TransportTest, UnmatchedRecvDeadlocks)
 {
     throwOnError(true);
