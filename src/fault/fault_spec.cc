@@ -1,6 +1,5 @@
 #include "fault/fault_spec.hh"
 
-#include <stdexcept>
 #include <vector>
 
 #include "util/cli.hh"
@@ -105,34 +104,23 @@ mixSeed(std::uint64_t seed, std::uint64_t salt)
 
 namespace {
 
-double
-parseDoubleArg(const std::string &key, const std::string &value)
+[[noreturn]] void
+unknownFlag(const std::string &key)
 {
-    try {
-        std::size_t pos = 0;
-        double d = std::stod(value, &pos);
-        if (pos != value.size())
-            throw std::invalid_argument("trailing");
-        return d;
-    } catch (const std::exception &) {
-        fatal("--faults: bad numeric value '%s' for '%s'",
-              value.c_str(), key.c_str());
-    }
-}
-
-long long
-parseIntArg(const std::string &key, const std::string &value)
-{
-    try {
-        std::size_t pos = 0;
-        long long v = std::stoll(value, &pos);
-        if (pos != value.size())
-            throw std::invalid_argument("trailing");
-        return v;
-    } catch (const std::exception &) {
-        fatal("--faults: bad integer value '%s' for '%s'",
-              value.c_str(), key.c_str());
-    }
+    std::vector<std::string> flags;
+    std::string keys;
+    const FaultSpec any;
+    forEachField(any, [&](const Field &f, const auto &) {
+        keys += (keys.empty() ? "" : ", ") + std::string(f.flag);
+        flags.emplace_back(f.flag);
+    });
+    std::string hint = cli::closestMatch(key, flags);
+    if (!hint.empty())
+        fatal("--faults: unknown key '%s' (did you mean '%s'? valid "
+              "keys: %s)",
+              key.c_str(), hint.c_str(), keys.c_str());
+    fatal("--faults: unknown key '%s' (valid keys: %s)", key.c_str(),
+          keys.c_str());
 }
 
 } // namespace
@@ -157,67 +145,19 @@ parseFaultSpec(const std::string &text)
         std::string key = item.substr(0, eq);
         std::string value = item.substr(eq + 1);
 
-        if (key == "seed")
-            spec.seed =
-                static_cast<std::uint64_t>(parseIntArg(key, value));
-        else if (key == "degrade")
-            spec.link_degrade_rate = parseDoubleArg(key, value);
-        else if (key == "degrade_factor")
-            spec.link_degrade_factor = parseDoubleArg(key, value);
-        else if (key == "blackhole")
-            spec.link_blackhole_rate = parseDoubleArg(key, value);
-        else if (key == "straggler")
-            spec.straggler_rate = parseDoubleArg(key, value);
-        else if (key == "straggler_factor")
-            spec.straggler_factor = parseDoubleArg(key, value);
-        else if (key == "drop")
-            spec.msg_drop_rate = parseDoubleArg(key, value);
-        else if (key == "delay")
-            spec.msg_delay_rate = parseDoubleArg(key, value);
-        else if (key == "delay_us")
-            spec.msg_delay = microseconds(parseDoubleArg(key, value));
-        else if (key == "window_start_us")
-            spec.window_start =
-                microseconds(parseDoubleArg(key, value));
-        else if (key == "window_us")
-            spec.window_duration =
-                microseconds(parseDoubleArg(key, value));
-        else if (key == "retries")
-            spec.retry_budget =
-                static_cast<int>(parseIntArg(key, value));
-        else if (key == "timeout_us")
-            spec.retry_timeout =
-                microseconds(parseDoubleArg(key, value));
-        else if (key == "backoff")
-            spec.retry_backoff = parseDoubleArg(key, value);
-        else if (key == "policy")
-            spec.policy = policyFromName(value);
-        else if (key == "escalations")
-            spec.escalation_budget =
-                static_cast<int>(parseIntArg(key, value));
-        else {
-            static const std::vector<std::string> kKeys = {
-                "seed",          "degrade",   "degrade_factor",
-                "blackhole",     "straggler", "straggler_factor",
-                "drop",          "delay",     "delay_us",
-                "window_start_us", "window_us", "retries",
-                "timeout_us",    "backoff",   "policy",
-                "escalations",
-            };
-            std::string keys;
-            for (const std::string &k : kKeys) {
-                if (!keys.empty())
-                    keys += ", ";
-                keys += k;
-            }
-            std::string hint = cli::closestMatch(key, kKeys);
-            if (!hint.empty())
-                fatal("--faults: unknown key '%s' (did you mean "
-                      "'%s'? valid keys: %s)",
-                      key.c_str(), hint.c_str(), keys.c_str());
-            fatal("--faults: unknown key '%s' (valid keys: %s)",
-                  key.c_str(), keys.c_str());
-        }
+        bool found = false;
+        forEachField(spec, [&](const Field &f, auto &v) {
+            if (found || f.flag != key)
+                return;
+            found = true;
+            if constexpr (std::is_same_v<decltype(v), RecoveryPolicy &>)
+                v = policyFromName(value);
+            else if (const char *kind = readField(value, v, f.unit))
+                fatal("--faults: bad %s value '%s' for '%s'", kind,
+                      value.c_str(), key.c_str());
+        });
+        if (!found)
+            unknownFlag(key);
     }
     spec.validate();
     return spec;

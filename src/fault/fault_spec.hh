@@ -46,9 +46,12 @@
 #ifndef CCSIM_FAULT_FAULT_SPEC_HH
 #define CCSIM_FAULT_FAULT_SPEC_HH
 
+#include <concepts>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
+#include "util/field.hh"
 #include "util/units.hh"
 
 namespace ccsim::fault {
@@ -153,17 +156,49 @@ struct FaultSpec
 std::uint64_t mixSeed(std::uint64_t seed, std::uint64_t salt);
 
 /**
- * Parse the CLI's `--faults` argument: comma-separated key=value
- * pairs over short names, e.g.
+ * The one list of FaultSpec's persisted fields: calls
+ * `f(Field{key, flag, unit}, storage)` for each, in `--faults` key
+ * order.  @p S is FaultSpec to set the fields, or const FaultSpec to
+ * read them.  Config files spell each field `fault.<key>`
+ * (machine::forEachField) and the `--faults` argument `<flag>`.
+ */
+template <class S, class F>
+    requires std::same_as<std::remove_const_t<S>, FaultSpec>
+void
+forEachField(S &s, F &&f)
+{
+    auto field = [&f](std::string_view key, std::string_view flag,
+                      auto &v, Unit unit = Unit::Plain) {
+        f(Field{{}, key, flag, unit, false}, v);
+    };
+    constexpr Unit us = Unit::Micros;
+    field("seed", "seed", s.seed);
+    field("link_degrade_rate", "degrade", s.link_degrade_rate);
+    field("link_degrade_factor", "degrade_factor", s.link_degrade_factor);
+    field("link_blackhole_rate", "blackhole", s.link_blackhole_rate);
+    field("straggler_rate", "straggler", s.straggler_rate);
+    field("straggler_factor", "straggler_factor", s.straggler_factor);
+    field("msg_drop_rate", "drop", s.msg_drop_rate);
+    field("msg_delay_rate", "delay", s.msg_delay_rate);
+    field("msg_delay_us", "delay_us", s.msg_delay, us);
+    field("window_start_us", "window_start_us", s.window_start, us);
+    field("window_duration_us", "window_us", s.window_duration, us);
+    field("retry_budget", "retries", s.retry_budget);
+    field("retry_timeout_us", "timeout_us", s.retry_timeout, us);
+    field("retry_backoff", "backoff", s.retry_backoff);
+    field("policy", "policy", s.policy);
+    field("escalation_budget", "escalations", s.escalation_budget);
+}
+
+/**
+ * Parse the CLI's `--faults` argument: comma-separated `<flag>=value`
+ * pairs over forEachField()'s short names, e.g.
  *
  *     --faults "straggler=0.05,straggler_factor=3,drop=0.01,seed=7"
  *
- * Keys: seed, degrade, degrade_factor, blackhole, straggler,
- * straggler_factor, drop, delay, delay_us, window_start_us,
- * window_us, retries, timeout_us, backoff, policy (fail_fast |
- * retry_escalate | degrade), escalations.  fatal() on unknown keys
- * or malformed values (listing the valid keys, with a did-you-mean
- * suggestion); the result is validate()d.
+ * `policy` takes fail_fast | retry_escalate | degrade.  fatal() on
+ * unknown keys or malformed values (listing the valid keys, with a
+ * did-you-mean suggestion); the result is validate()d.
  */
 FaultSpec parseFaultSpec(const std::string &text);
 

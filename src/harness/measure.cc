@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <charconv>
+#include <concepts>
 #include <cstdint>
 #include <mutex>
 #include <string_view>
@@ -25,15 +26,15 @@ using machine::Coll;
 /**
  * The measureCollective memo cache (Layer 3 of the hot-path work,
  * DESIGN.md §4.11).  Keyed on a canonical serialization of every
- * input that can influence the measured times: the full timing
- * parameter set of the MachineConfig plus the point coordinates and
- * the Section 2 procedure knobs.  The config's *name* is excluded on
- * purpose — two identically-parameterized machines are the same
- * machine — and so are the fault spec and skew seed, because a point
- * is only eligible when faults and skew are off (an experiment
- * confirmed that per-iteration times within a point are NOT
- * invariant — warm-up and pipelining effects differ — so memoization
- * is whole-point only; see DESIGN.md).
+ * input that can influence the measured times: every persisted field
+ * of the MachineConfig (its field walk) plus the point coordinates
+ * and the Section 2 procedure knobs.  The config's *name* is excluded
+ * on purpose — two identically-parameterized machines are the same
+ * machine.  A point is only eligible when faults and skew are off
+ * (the skew seed is outside the key, and a cached value carries no
+ * fault counters); an experiment confirmed that per-iteration times
+ * within a point are NOT invariant — warm-up and pipelining effects
+ * differ — so memoization is whole-point only; see DESIGN.md.
  *
  * Cached values hold just the three reported times: fault counters
  * are zero and the metrics snapshot empty for every eligible point,
@@ -86,8 +87,9 @@ memoEligible(const machine::MachineConfig &cfg,
  *  - strings length-prefixed ("<len>:<bytes>"), so no spec string
  *    can forge a field boundary.
  *
- * Each field is self-delimiting given its position in the fixed field
- * list, so distinct inputs always give distinct keys.
+ * Each field is self-delimiting given the fields before it (the
+ * field walk's fixed order and its presence marks), so distinct
+ * inputs always give distinct keys.
  */
 class KeyWriter
 {
@@ -103,15 +105,15 @@ class KeyWriter
         *at_++ = '|';
     }
 
+    template <std::integral I>
+        requires(!std::same_as<I, bool>)
     void
-    put(std::int64_t v)
+    put(I v)
     {
         room(kMaxDecimal + 1);
         at_ = std::to_chars(at_, at_ + kMaxDecimal, v).ptr;
         *at_++ = '|';
     }
-
-    void put(int v) { put(static_cast<std::int64_t>(v)); }
 
     template <class E>
         requires std::is_enum_v<E>
@@ -189,43 +191,15 @@ memoKey(const machine::MachineConfig &cfg, int p, Coll op, Bytes m,
     // leaves the scratch buffer at its exact size.
     thread_local std::string scratch(1024, '\0');
     KeyWriter key(scratch);
-    key.put(std::string_view(cfg.topologySpec()));
-    key.put(cfg.hierarchy.chip.link_bandwidth_mbs);
-    key.put(cfg.hierarchy.chip.hop_latency);
-    key.put(cfg.hierarchy.node.link_bandwidth_mbs);
-    key.put(cfg.hierarchy.node.hop_latency);
-
-    const net::NetworkParams &n = cfg.network;
-    key.put(n.link_bandwidth_mbs);
-    key.put(n.hop_latency);
-    key.put(n.packet_overhead);
-    key.put(n.contention);
-
-    const msg::TransportParams &t = cfg.transport;
-    key.put(t.send_overhead);
-    key.put(t.recv_overhead);
-    key.put(t.copy_bandwidth_mbs);
-    key.put(t.eager_threshold);
-    key.put(t.rendezvous_overhead);
-    key.put(t.coprocessor_overlap);
-    key.put(t.blt_enabled);
-    key.put(t.blt_threshold);
-    key.put(t.blt_setup);
-
-    key.put(cfg.hardware_barrier);
-    key.put(cfg.hardware_barrier_latency);
-    key.put(cfg.reduce_bandwidth_mbs);
-
-    for (std::size_t i = 0; i < machine::kNumColl; ++i) {
-        key.put(cfg.algorithms[i]);
-        const machine::CollCosts &c = cfg.costs[i];
-        key.put(c.entry);
-        key.put(c.per_stage);
-        key.put(c.per_stage_ns_per_byte);
-        key.put(c.reduce_bandwidth_override_mbs);
-        key.put(c.send_overhead_override);
-        key.put(c.recv_overhead_override);
-    }
+    // Everything a saved document holds, in its order, but the
+    // display name: two identically parameterized machines are the
+    // same machine.  The gates of the blocks a document carries only
+    // where they apply are presence marks, and the overrides it omits
+    // while unset keep their slots, so the key stays injective.
+    machine::forEachField(cfg, [&](const Field &, const auto &v) {
+        if (static_cast<const void *>(&v) != &cfg.name)
+            key.put(v);
+    });
 
     key.put(p);
     key.put(op);

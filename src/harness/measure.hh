@@ -210,7 +210,7 @@ constexpr Bytes kStartupMessageBytes = 4;
  * an older build never alias new ones; persisted key stores (the
  * `ccsim serve` cache file) record it and start cold on a mismatch.
  */
-inline constexpr char kPointKeyVersion[] = "v4";
+inline constexpr char kPointKeyVersion[] = "v5";
 
 /**
  * Canonical cache key of one measurement point — the memo-key
@@ -220,10 +220,12 @@ inline constexpr char kPointKeyVersion[] = "v4";
  * simulation.  Algo::Auto is resolved through cfg.selection before
  * the key is formed, so an auto query shares its key (and cached
  * result) with the same point under the explicit algorithm.  The
- * config's name is deliberately excluded — two identically
- * parameterized machines are the same machine — as are the fault
- * spec, skew seed, and metrics flags, because keyed caching is only
- * sound for points where those are off (memoEligible()).
+ * machine part is every field a saved config document holds
+ * (machine::forEachField), fault block included, except the name:
+ * two identically parameterized machines are the same machine, and
+ * two that differ only in fault state are not.  The skew seed and
+ * metrics flags stay out, because keyed result caching is only
+ * sound for points where those are off (measurePointCacheable()).
  */
 std::string measurePointKey(const machine::MachineConfig &cfg, int p,
                             machine::Coll op, Bytes m,

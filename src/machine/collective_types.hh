@@ -13,6 +13,7 @@
 
 #include <array>
 #include <string>
+#include <string_view>
 
 #include "util/units.hh"
 
@@ -42,6 +43,13 @@ constexpr std::array<Coll, kNumColl> kAllColls = {
     Coll::Scatter,  Coll::Allgather,     Coll::Alltoall,
     Coll::Reduce,   Coll::Allreduce,     Coll::ReduceScatter,
     Coll::Scan,
+};
+
+/** Config-key slug of each collective, in declaration order: the one
+ *  spelling behind collKey() and collFromKey() (config_io.hh). */
+constexpr std::array<std::string_view, kNumColl> kCollKeys = {
+    "barrier",  "bcast",  "gather",    "scatter",        "allgather",
+    "alltoall", "reduce", "allreduce", "reduce_scatter", "scan",
 };
 
 /** The seven operations the paper's Table 3 fits (its naming). */

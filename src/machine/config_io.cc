@@ -32,10 +32,6 @@ configFatal(const char *fmt, ...)
     raiseError(ConfigError(msg));
 }
 
-} // namespace
-
-namespace {
-
 std::string
 trim(const std::string &s)
 {
@@ -48,184 +44,68 @@ trim(const std::string &s)
     return s.substr(b, e - b);
 }
 
-double
-parseDouble(const std::string &key, const std::string &value)
-{
-    try {
-        std::size_t pos = 0;
-        double d = std::stod(value, &pos);
-        if (pos != value.size())
-            throw std::invalid_argument("trailing");
-        return d;
-    } catch (const std::exception &) {
-        configFatal("bad numeric value '%s' for key '%s'",
-              value.c_str(), key.c_str());
-    }
-}
-
-long long
-parseInt(const std::string &key, const std::string &value)
-{
-    try {
-        std::size_t pos = 0;
-        long long v = std::stoll(value, &pos);
-        if (pos != value.size())
-            throw std::invalid_argument("trailing");
-        return v;
-    } catch (const std::exception &) {
-        configFatal("bad integer value '%s' for key '%s'",
-              value.c_str(), key.c_str());
-    }
-}
-
-bool
-parseBool(const std::string &key, const std::string &value)
-{
-    if (value == "true" || value == "1" || value == "yes")
-        return true;
-    if (value == "false" || value == "0" || value == "no")
-        return false;
-    configFatal("bad boolean value '%s' for key '%s'", value.c_str(),
-          key.c_str());
-}
-
-const std::map<std::string, Coll> &
-collKeys()
-{
-    static const std::map<std::string, Coll> keys = {
-        {"barrier", Coll::Barrier},
-        {"bcast", Coll::Bcast},
-        {"gather", Coll::Gather},
-        {"scatter", Coll::Scatter},
-        {"allgather", Coll::Allgather},
-        {"alltoall", Coll::Alltoall},
-        {"reduce", Coll::Reduce},
-        {"allreduce", Coll::Allreduce},
-        {"reduce_scatter", Coll::ReduceScatter},
-        {"scan", Coll::Scan},
-    };
-    return keys;
-}
-
-/** Apply one top-level setting; fatal on unknown keys. */
+/** Set @p v from the value of config line @p key. */
+template <class T>
 void
-applyGlobal(MachineConfig &cfg, const std::string &key,
-            const std::string &value)
+readValue(T &v, Unit unit, const std::string &key,
+          const std::string &value)
 {
-    if (key == "name")
-        cfg.name = value;
-    else if (key == "topology")
-        cfg.topology = value;
-    else if (key == "link_bandwidth_mbs")
-        cfg.network.link_bandwidth_mbs = parseDouble(key, value);
-    else if (key == "hop_latency_ns")
-        cfg.network.hop_latency = nanoseconds(parseDouble(key, value));
-    else if (key == "packet_overhead")
-        cfg.network.packet_overhead = parseInt(key, value);
-    else if (key == "contention")
-        cfg.network.contention = parseBool(key, value);
-    else if (key == "send_overhead_us")
-        cfg.transport.send_overhead =
-            microseconds(parseDouble(key, value));
-    else if (key == "recv_overhead_us")
-        cfg.transport.recv_overhead =
-            microseconds(parseDouble(key, value));
-    else if (key == "copy_bandwidth_mbs")
-        cfg.transport.copy_bandwidth_mbs = parseDouble(key, value);
-    else if (key == "eager_threshold")
-        cfg.transport.eager_threshold = parseInt(key, value);
-    else if (key == "rendezvous_overhead_us")
-        cfg.transport.rendezvous_overhead =
-            microseconds(parseDouble(key, value));
-    else if (key == "coprocessor_overlap")
-        cfg.transport.coprocessor_overlap = parseDouble(key, value);
-    else if (key == "blt_enabled")
-        cfg.transport.blt_enabled = parseBool(key, value);
-    else if (key == "blt_threshold")
-        cfg.transport.blt_threshold = parseInt(key, value);
-    else if (key == "blt_setup_us")
-        cfg.transport.blt_setup = microseconds(parseDouble(key, value));
-    else if (key == "reduce_bandwidth_mbs")
-        cfg.reduce_bandwidth_mbs = parseDouble(key, value);
-    else if (key == "hardware_barrier")
-        cfg.hardware_barrier = parseBool(key, value);
-    else if (key == "hardware_barrier_latency_us")
-        cfg.hardware_barrier_latency =
-            microseconds(parseDouble(key, value));
-    else
-        configFatal("unknown key '%s'", key.c_str());
-}
-
-/** Apply one <op>.<field> setting. */
-void
-applyCollective(MachineConfig &cfg, Coll op, const std::string &field,
-                const std::string &key, const std::string &value)
-{
-    CollCosts &costs = cfg.costsFor(op);
-    if (field == "algorithm") {
-        Algo a = algoFromName(value);
+    if constexpr (std::is_same_v<T, Algo>) {
+        v = algoFromName(value);
         // "auto" is a per-call request resolved through a selection
         // table; a machine's configured choice is what Auto falls
         // back TO, so it must be concrete.
-        if (a == Algo::Auto)
+        if (v == Algo::Auto)
             configFatal("'%s' cannot be 'auto': the machine default "
-                        "is what auto falls back to", key.c_str());
-        cfg.setAlgorithm(op, a);
+                        "is what auto falls back to",
+                        key.c_str());
+    } else if constexpr (std::is_same_v<T, fault::RecoveryPolicy>) {
+        v = fault::policyFromName(value);
+    } else if (const char *kind = readField(value, v, unit)) {
+        configFatal("bad %s value '%s' for key '%s'", kind,
+                    value.c_str(), key.c_str());
     }
-    else if (field == "entry_us")
-        costs.entry = microseconds(parseDouble(key, value));
-    else if (field == "per_stage_us")
-        costs.per_stage = microseconds(parseDouble(key, value));
-    else if (field == "per_stage_ns_per_byte")
-        costs.per_stage_ns_per_byte = parseDouble(key, value);
-    else if (field == "reduce_bandwidth_override_mbs")
-        costs.reduce_bandwidth_override_mbs = parseDouble(key, value);
-    else if (field == "send_overhead_override_us")
-        costs.send_overhead_override =
-            microseconds(parseDouble(key, value));
-    else if (field == "recv_overhead_override_us")
-        costs.recv_overhead_override =
-            microseconds(parseDouble(key, value));
-    else
-        configFatal("unknown collective field '%s'", key.c_str());
 }
 
-/** Apply one fault.<field> setting. */
+/**
+ * Apply config line @p key (line @p lineno) through the reading
+ * field walk; when no field has that key, say which part of it is
+ * unknown.
+ */
 void
-applyFault(MachineConfig &cfg, const std::string &field,
-           const std::string &key, const std::string &value)
+applySetting(MachineConfig &cfg, const std::string &key,
+             const std::string &value, int lineno)
 {
-    fault::FaultSpec &f = cfg.fault;
-    if (field == "seed")
-        f.seed = static_cast<std::uint64_t>(parseInt(key, value));
-    else if (field == "link_degrade_rate")
-        f.link_degrade_rate = parseDouble(key, value);
-    else if (field == "link_degrade_factor")
-        f.link_degrade_factor = parseDouble(key, value);
-    else if (field == "link_blackhole_rate")
-        f.link_blackhole_rate = parseDouble(key, value);
-    else if (field == "window_start_us")
-        f.window_start = microseconds(parseDouble(key, value));
-    else if (field == "window_duration_us")
-        f.window_duration = microseconds(parseDouble(key, value));
-    else if (field == "straggler_rate")
-        f.straggler_rate = parseDouble(key, value);
-    else if (field == "straggler_factor")
-        f.straggler_factor = parseDouble(key, value);
-    else if (field == "msg_drop_rate")
-        f.msg_drop_rate = parseDouble(key, value);
-    else if (field == "msg_delay_rate")
-        f.msg_delay_rate = parseDouble(key, value);
-    else if (field == "msg_delay_us")
-        f.msg_delay = microseconds(parseDouble(key, value));
-    else if (field == "retry_budget")
-        f.retry_budget = static_cast<int>(parseInt(key, value));
-    else if (field == "retry_timeout_us")
-        f.retry_timeout = microseconds(parseDouble(key, value));
-    else if (field == "retry_backoff")
-        f.retry_backoff = parseDouble(key, value);
-    else
-        configFatal("unknown fault field '%s'", key.c_str());
+    const std::size_t dot = key.find('.');
+    const bool scoped = dot != std::string::npos;
+    const std::string_view scope =
+        scoped ? std::string_view(key).substr(0, dot) : "";
+    const std::string_view field =
+        std::string_view(key).substr(scoped ? dot + 1 : 0);
+    bool found = false;
+    bool known_scope = false;
+    forEachField(cfg, [&](const Field &f, auto &v) {
+        // A dotted key names a scoped field, a plain key a top-level
+        // one (".name" is not `name`).
+        if (found || f.scope != scope || f.scope.empty() == scoped)
+            return;
+        known_scope = true;
+        if (f.key == field) {
+            found = true;
+            readValue(v, f.unit, key, value);
+        }
+    });
+    if (found)
+        return;
+    if (!scoped)
+        configFatal("unknown key '%s'", key.c_str());
+    if (collFromKey(scope))
+        configFatal("unknown collective field '%s'", key.c_str());
+    if (!known_scope)
+        configFatal("config line %d: unknown collective '%s'", lineno,
+                    std::string(scope).c_str());
+    configFatal("unknown %s field '%s'", std::string(scope).c_str(),
+                key.c_str());
 }
 
 /**
@@ -247,11 +127,11 @@ struct LegacyTopologyKeys
         if (key == "topology_spec")
             spec = value == "none" ? "" : value;
         else if (key == "switch_radix")
-            radix = static_cast<int>(parseInt(key, value));
+            readValue(radix, Unit::Plain, key, value);
         else if (key == "hierarchy.chips")
-            chips = static_cast<int>(parseInt(key, value));
+            readValue(chips, Unit::Plain, key, value);
         else if (key == "hierarchy.cores")
-            cores = static_cast<int>(parseInt(key, value));
+            readValue(cores, Unit::Plain, key, value);
         else
             return false;
         return true;
@@ -272,33 +152,23 @@ struct LegacyTopologyKeys
     }
 };
 
-/** Apply one hierarchy.<field> setting (multi-core node model). */
-void
-applyHierarchy(MachineConfig &cfg, const std::string &field,
-               const std::string &key, const std::string &value)
-{
-    HierarchySpec &h = cfg.hierarchy;
-    if (field == "chip_bandwidth_mbs")
-        h.chip.link_bandwidth_mbs = parseDouble(key, value);
-    else if (field == "chip_latency_ns")
-        h.chip.hop_latency = nanoseconds(parseDouble(key, value));
-    else if (field == "node_bandwidth_mbs")
-        h.node.link_bandwidth_mbs = parseDouble(key, value);
-    else if (field == "node_latency_ns")
-        h.node.hop_latency = nanoseconds(parseDouble(key, value));
-    else
-        configFatal("unknown hierarchy field '%s'", key.c_str());
-}
-
 } // namespace
 
 std::string
 collKey(Coll op)
 {
-    for (const auto &[key, c] : collKeys())
-        if (c == op)
-            return key;
-    panic("collKey: bad collective %d", static_cast<int>(op));
+    if (op < Coll::Barrier || op >= Coll::NumColl)
+        panic("collKey: bad collective %d", static_cast<int>(op));
+    return std::string(kCollKeys[static_cast<std::size_t>(op)]);
+}
+
+std::optional<Coll>
+collFromKey(std::string_view key)
+{
+    for (Coll op : kAllColls)
+        if (kCollKeys[static_cast<std::size_t>(op)] == key)
+            return op;
+    return std::nullopt;
 }
 
 Algo
@@ -345,97 +215,34 @@ saveConfig(const MachineConfig &cfg, std::ostream &os)
 {
     os.precision(12); // lossless round trip for all calibrations
     os << "# ccsim machine configuration\n";
-    os << "name = " << cfg.name << "\n";
-    os << "topology = " << cfg.topologySpec() << "\n";
-    os << "link_bandwidth_mbs = " << cfg.network.link_bandwidth_mbs
-       << "\n";
-    os << "hop_latency_ns = " << toNanos(cfg.network.hop_latency)
-       << "\n";
-    os << "packet_overhead = " << cfg.network.packet_overhead << "\n";
-    os << "contention = " << (cfg.network.contention ? "true" : "false")
-       << "\n";
-    os << "send_overhead_us = " << toMicros(cfg.transport.send_overhead)
-       << "\n";
-    os << "recv_overhead_us = " << toMicros(cfg.transport.recv_overhead)
-       << "\n";
-    os << "copy_bandwidth_mbs = " << cfg.transport.copy_bandwidth_mbs
-       << "\n";
-    os << "eager_threshold = " << cfg.transport.eager_threshold << "\n";
-    os << "rendezvous_overhead_us = "
-       << toMicros(cfg.transport.rendezvous_overhead) << "\n";
-    os << "coprocessor_overlap = " << cfg.transport.coprocessor_overlap
-       << "\n";
-    os << "blt_enabled = "
-       << (cfg.transport.blt_enabled ? "true" : "false") << "\n";
-    os << "blt_threshold = " << cfg.transport.blt_threshold << "\n";
-    os << "blt_setup_us = " << toMicros(cfg.transport.blt_setup)
-       << "\n";
-    os << "reduce_bandwidth_mbs = " << cfg.reduce_bandwidth_mbs << "\n";
-    os << "hardware_barrier = "
-       << (cfg.hardware_barrier ? "true" : "false") << "\n";
-    os << "hardware_barrier_latency_us = "
-       << toMicros(cfg.hardware_barrier_latency) << "\n";
-
-    // Hierarchy block only for a `hier:` fabric, the one that reads
-    // it, so flat configs round-trip without it.
-    if (cfg.topologySpec().starts_with("hier:")) {
-        const HierarchySpec &h = cfg.hierarchy;
-        os << "\nhierarchy.chip_bandwidth_mbs = "
-           << h.chip.link_bandwidth_mbs << "\n";
-        os << "hierarchy.chip_latency_ns = "
-           << toNanos(h.chip.hop_latency) << "\n";
-        os << "hierarchy.node_bandwidth_mbs = "
-           << h.node.link_bandwidth_mbs << "\n";
-        os << "hierarchy.node_latency_ns = "
-           << toNanos(h.node.hop_latency) << "\n";
-    }
-
-    // Fault block only when active, so pristine configs round-trip
-    // byte-identically to their pre-fault-layer form.
-    if (cfg.fault.enabled()) {
-        const fault::FaultSpec &f = cfg.fault;
-        os << "\nfault.seed = " << f.seed << "\n";
-        os << "fault.link_degrade_rate = " << f.link_degrade_rate
-           << "\n";
-        os << "fault.link_degrade_factor = " << f.link_degrade_factor
-           << "\n";
-        os << "fault.link_blackhole_rate = " << f.link_blackhole_rate
-           << "\n";
-        os << "fault.window_start_us = " << toMicros(f.window_start)
-           << "\n";
-        os << "fault.window_duration_us = "
-           << toMicros(f.window_duration) << "\n";
-        os << "fault.straggler_rate = " << f.straggler_rate << "\n";
-        os << "fault.straggler_factor = " << f.straggler_factor
-           << "\n";
-        os << "fault.msg_drop_rate = " << f.msg_drop_rate << "\n";
-        os << "fault.msg_delay_rate = " << f.msg_delay_rate << "\n";
-        os << "fault.msg_delay_us = " << toMicros(f.msg_delay) << "\n";
-        os << "fault.retry_budget = " << f.retry_budget << "\n";
-        os << "fault.retry_timeout_us = " << toMicros(f.retry_timeout)
-           << "\n";
-        os << "fault.retry_backoff = " << f.retry_backoff << "\n";
-    }
-
-    for (Coll op : kAllColls) {
-        const CollCosts &c = cfg.costsFor(op);
-        std::string k = collKey(op);
-        os << "\n" << k << ".algorithm = "
-           << algoName(cfg.algorithmFor(op)) << "\n";
-        os << k << ".entry_us = " << toMicros(c.entry) << "\n";
-        os << k << ".per_stage_us = " << toMicros(c.per_stage) << "\n";
-        os << k << ".per_stage_ns_per_byte = "
-           << c.per_stage_ns_per_byte << "\n";
-        if (c.reduce_bandwidth_override_mbs > 0)
-            os << k << ".reduce_bandwidth_override_mbs = "
-               << c.reduce_bandwidth_override_mbs << "\n";
-        if (c.send_overhead_override >= 0)
-            os << k << ".send_overhead_override_us = "
-               << toMicros(c.send_overhead_override) << "\n";
-        if (c.recv_overhead_override >= 0)
-            os << k << ".recv_overhead_override_us = "
-               << toMicros(c.recv_overhead_override) << "\n";
-    }
+    std::string_view block; // a blank line opens each block
+    forEachField(cfg, [&](const Field &f, const auto &v) {
+        if (f.omitted)
+            return;
+        if (f.scope != block) {
+            os << "\n";
+            block = f.scope;
+        }
+        if (!f.scope.empty())
+            os << f.scope << ".";
+        os << f.key << " = ";
+        using T = std::decay_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, bool>)
+            os << (v ? "true" : "false");
+        else if constexpr (std::is_same_v<T, Algo>)
+            os << algoName(v);
+        else if constexpr (std::is_same_v<T, fault::RecoveryPolicy>)
+            os << fault::policyName(v);
+        else if constexpr (!std::is_same_v<T, Time>)
+            os << v;
+        else if (f.unit == Unit::Micros)
+            os << toMicros(v);
+        else if (f.unit == Unit::Nanos)
+            os << toNanos(v);
+        else
+            os << v;
+        os << "\n";
+    });
 }
 
 void
@@ -490,26 +297,7 @@ loadConfig(std::istream &is)
         if (legacy.take(key, value))
             continue;
 
-        auto dot = key.find('.');
-        if (dot == std::string::npos) {
-            applyGlobal(cfg, key, value);
-        } else {
-            std::string op_key = key.substr(0, dot);
-            std::string field = key.substr(dot + 1);
-            if (op_key == "fault") {
-                applyFault(cfg, field, key, value);
-                continue;
-            }
-            if (op_key == "hierarchy") {
-                applyHierarchy(cfg, field, key, value);
-                continue;
-            }
-            auto it = collKeys().find(op_key);
-            if (it == collKeys().end())
-                configFatal("config line %d: unknown collective '%s'",
-                      lineno, op_key.c_str());
-            applyCollective(cfg, it->second, field, key, value);
-        }
+        applySetting(cfg, key, value, lineno);
     }
     legacy.fold(cfg.topology);
     try {

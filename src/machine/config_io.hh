@@ -19,9 +19,13 @@
  *     bcast.per_stage_us = 12
  * @endverbatim
  *
- * `topology` is a net::makeTopology spec (docs/TOPOLOGY.md); an
- * unknown family is rejected on load.  `hierarchy.*` keys set the
- * link parameters of a `hier:` fabric's multi-core nodes.
+ * The keys are the ones forEachField() (machine_config.hh) lists:
+ * that walk is the one field list behind saveConfig(), loadConfig()
+ * and the point key.  `topology` is a net::makeTopology spec
+ * (docs/TOPOLOGY.md); an unknown family is rejected on load.
+ * `hierarchy.*` keys set the link parameters of a `hier:` fabric's
+ * multi-core nodes, and `fault.*` keys the FaultSpec
+ * (fault::forEachField; docs/FAULTS.md).
  *
  * Older files named the fabric in several keys, which still load:
  * `topology_spec` (`none` clears it) replaces `topology` outright;
@@ -29,16 +33,21 @@
  * `hierarchy.chips`/`hierarchy.cores` wrap the spec in `hier:CxK/`.
  * They fold into `topology` at the end of the load.
  *
- * saveConfig() emits a complete round-trippable file with one
- * `topology` line; loadConfig() is strict — unknown keys, malformed
- * values, or out-of-range settings raise ConfigError.
+ * saveConfig() emits a complete round-trippable file: one `topology`
+ * line, the `hierarchy.*` block only for a `hier:` fabric, the
+ * `fault.*` block only when faults are enabled, and the
+ * per-collective overrides only when set.  loadConfig() accepts every
+ * block and is strict: unknown keys, malformed values, or
+ * out-of-range settings raise ConfigError.
  */
 
 #ifndef CCSIM_MACHINE_CONFIG_IO_HH
 #define CCSIM_MACHINE_CONFIG_IO_HH
 
 #include <iosfwd>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "machine/machine_config.hh"
 #include "util/error.hh"
@@ -78,6 +87,10 @@ ConfigHandle sharedConfigFile(const std::string &path);
 
 /** Key-name slug of a collective ("alltoall", "reduce_scatter"...). */
 std::string collKey(Coll op);
+
+/** Inverse of collKey(); nullopt for a name that is no collective's
+ *  key (each caller reports that in its own terms). */
+std::optional<Coll> collFromKey(std::string_view key);
 
 /**
  * Inverse of algoName(): the one algorithm-name parser the CLI, the

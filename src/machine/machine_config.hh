@@ -19,8 +19,10 @@
 #define CCSIM_MACHINE_MACHINE_CONFIG_HH
 
 #include <array>
+#include <concepts>
 #include <memory>
 #include <string>
+#include <type_traits>
 
 #include "fault/fault_spec.hh"
 #include "machine/collective_types.hh"
@@ -163,6 +165,106 @@ struct MachineConfig
     /** Sanity-check all fields; fatal() on user error. */
     void validate() const;
 };
+
+/**
+ * The one list of MachineConfig's persisted fields, in document
+ * order: calls `f(Field{scope, key, unit}, storage)` for each
+ * (util/field.hh).  saveConfig(), loadConfig() and the point key
+ * (harness::measurePointKey) are its consumers.
+ *
+ * @p C is MachineConfig to read into it: every block is visited.  A
+ * const MachineConfig is the writing walk, which visits what a saved
+ * document holds:
+ *  - `topology` is topologySpec(), so a per-run override is saved as
+ *    the machine's fabric (reading sets `topology`);
+ *  - the `hierarchy.*` block only for a `hier:` fabric and the
+ *    `fault.*` block only when the faults are enabled, each after a
+ *    gate entry whose value says whether the block follows;
+ *  - the per-collective overrides always, marked `omitted` while
+ *    unset.
+ * `selection`, `collect_metrics` and `topo_spec` are per-run
+ * choices, not machine properties, and are not persisted.
+ */
+template <class C, class F>
+    requires std::same_as<std::remove_const_t<C>, MachineConfig>
+void
+forEachField(C &cfg, F &&f)
+{
+    constexpr bool writing = std::is_const_v<C>;
+    constexpr Unit us = Unit::Micros;
+    constexpr Unit ns = Unit::Nanos;
+    static constexpr std::string_view hier = "hierarchy";
+    static constexpr std::string_view faults = "fault";
+    auto field = [&f](std::string_view scope, std::string_view key,
+                      auto &v, Unit unit = Unit::Plain,
+                      bool omitted = false) {
+        f(Field{scope, key, {}, unit, omitted}, v);
+    };
+    // Enter a gated block: always when reading; when writing, after
+    // telling @p f whether the block applies.
+    auto enter = [&f](std::string_view scope, const bool applies) {
+        if constexpr (writing)
+            f(Field{scope, {}, {}, Unit::Plain, true}, applies);
+        return !writing || applies;
+    };
+
+    field({}, "name", cfg.name);
+    auto &fabric = [&cfg]() -> auto & {
+        if constexpr (writing)
+            return cfg.topologySpec();
+        else
+            return cfg.topology;
+    }();
+    field({}, "topology", fabric);
+    auto &n = cfg.network;
+    field({}, "link_bandwidth_mbs", n.link_bandwidth_mbs);
+    field({}, "hop_latency_ns", n.hop_latency, ns);
+    field({}, "packet_overhead", n.packet_overhead);
+    field({}, "contention", n.contention);
+    auto &t = cfg.transport;
+    field({}, "send_overhead_us", t.send_overhead, us);
+    field({}, "recv_overhead_us", t.recv_overhead, us);
+    field({}, "copy_bandwidth_mbs", t.copy_bandwidth_mbs);
+    field({}, "eager_threshold", t.eager_threshold);
+    field({}, "rendezvous_overhead_us", t.rendezvous_overhead, us);
+    field({}, "coprocessor_overlap", t.coprocessor_overlap);
+    field({}, "blt_enabled", t.blt_enabled);
+    field({}, "blt_threshold", t.blt_threshold);
+    field({}, "blt_setup_us", t.blt_setup, us);
+    field({}, "reduce_bandwidth_mbs", cfg.reduce_bandwidth_mbs);
+    field({}, "hardware_barrier", cfg.hardware_barrier);
+    field({}, "hardware_barrier_latency_us", cfg.hardware_barrier_latency,
+          us);
+
+    if (enter(hier, cfg.topologySpec().starts_with("hier:"))) {
+        auto &h = cfg.hierarchy;
+        field(hier, "chip_bandwidth_mbs", h.chip.link_bandwidth_mbs);
+        field(hier, "chip_latency_ns", h.chip.hop_latency, ns);
+        field(hier, "node_bandwidth_mbs", h.node.link_bandwidth_mbs);
+        field(hier, "node_latency_ns", h.node.hop_latency, ns);
+    }
+    if (enter(faults, cfg.fault.enabled()))
+        fault::forEachField(cfg.fault, [&f](Field fault_field, auto &v) {
+            fault_field.scope = faults;
+            f(fault_field, v);
+        });
+
+    for (std::size_t i = 0; i < kNumColl; ++i) {
+        const std::string_view op = kCollKeys[i];
+        auto &c = cfg.costs[i];
+        field(op, "algorithm", cfg.algorithms[i]);
+        field(op, "entry_us", c.entry, us);
+        field(op, "per_stage_us", c.per_stage, us);
+        field(op, "per_stage_ns_per_byte", c.per_stage_ns_per_byte);
+        field(op, "reduce_bandwidth_override_mbs",
+              c.reduce_bandwidth_override_mbs, Unit::Plain,
+              c.reduce_bandwidth_override_mbs <= 0);
+        field(op, "send_overhead_override_us", c.send_overhead_override,
+              us, c.send_overhead_override < 0);
+        field(op, "recv_overhead_override_us", c.recv_overhead_override,
+              us, c.recv_overhead_override < 0);
+    }
+}
 
 /**
  * IBM SP2 (MHPCC configuration): POWER2 thin nodes on a multistage

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "stats/probe.hh"
 #include "util/logging.hh"
@@ -18,6 +19,15 @@ Network::Network(std::unique_ptr<Topology> topo, const NetworkParams &params)
               params_.link_bandwidth_mbs);
     if (params_.hop_latency < 0 || params_.packet_overhead < 0)
         fatal("Network: negative hop latency or packet overhead");
+    // Routes name links by LinkId, so a fabric with more links than
+    // it can number would walk wrapped-around ids.
+    constexpr auto kMaxLinks =
+        static_cast<std::size_t>(std::numeric_limits<LinkId>::max()) + 1;
+    if (topo_->numLinks() > kMaxLinks)
+        raiseError(ConfigError(strFormat(
+            "topology '%s' has %zu links, more than the %zu a link id "
+            "can number",
+            topo_->name().c_str(), topo_->numLinks(), kMaxLinks)));
     link_free_.reset(topo_->numLinks());
     link_busy_.reset(topo_->numLinks());
     class_params_.assign(

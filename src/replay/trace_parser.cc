@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "machine/config_io.hh"
+#include "util/field.hh"
 #include "util/logging.hh"
 
 namespace ccsim::replay {
@@ -68,15 +69,10 @@ long long
 parseInt(const LineCtx &ctx, const std::string &tok,
          const std::string &what)
 {
-    try {
-        std::size_t pos = 0;
-        long long v = std::stoll(tok, &pos);
-        if (pos != tok.size())
-            throw std::invalid_argument(tok);
-        return v;
-    } catch (const std::exception &) {
+    long long v = 0;
+    if (!parseWhole(tok, v))
         ctx.fail("bad " + what + " '" + tok + "'");
-    }
+    return v;
 }
 
 /** Exact decimal-microsecond parse: digits[.digits{1..6}] -> ps. */

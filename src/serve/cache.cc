@@ -171,9 +171,8 @@ machine::Coll
 collFromKey(const std::string &path, std::size_t line,
             std::string_view key)
 {
-    for (machine::Coll op : machine::kAllColls)
-        if (machine::collKey(op) == key)
-            return op;
+    if (auto op = machine::collFromKey(key))
+        return *op;
     badCacheFile(path, line, "unknown collective");
 }
 

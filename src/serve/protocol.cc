@@ -7,6 +7,7 @@
 
 #include "machine/config_io.hh"
 #include "util/error.hh"
+#include "util/field.hh"
 
 namespace ccsim::serve {
 
@@ -25,24 +26,18 @@ parseInt(std::string_view key, std::string_view value)
     // std::stoll, not std::from_chars: it also takes a leading '+',
     // which the grammar has always accepted.
     const std::string text(value);
-    try {
-        std::size_t pos = 0;
-        long long v = std::stoll(text, &pos);
-        if (pos != text.size())
-            throw std::invalid_argument(text);
-        return v;
-    } catch (const std::exception &) {
+    long long v = 0;
+    if (!parseWhole(text, v))
         badRequest("key '" + std::string(key) +
                    "' wants an integer, got '" + text + "'");
-    }
+    return v;
 }
 
 machine::Coll
 parseOp(std::string_view value)
 {
-    for (machine::Coll op : machine::kAllColls)
-        if (machine::collKey(op) == value)
-            return op;
+    if (auto op = machine::collFromKey(value))
+        return *op;
     badRequest("unknown op '" + std::string(value) + "'");
 }
 

@@ -166,7 +166,10 @@ Server::handlePredict(const Request &req)
     // `ccsim measure` runs, so answers agree byte for byte.
     harness::MeasureOptions opt;
     const bool cacheable = harness::measurePointCacheable(*cfg, opt);
-    std::string key =
+    // The key covers the fault block too, so identical faulty
+    // requests coalesce onto one backfill job and distinct ones never
+    // share one.
+    const std::string key =
         harness::measurePointKey(*cfg, req.p, req.op, req.m, algo, opt);
 
     if (cacheable) {
@@ -180,11 +183,6 @@ Server::handlePredict(const Request &req)
         }
     } else {
         cache_.recordBypass();
-        // The key canonicalization excludes fault/skew state (it only
-        // has to distinguish cacheable points), so two uncacheable
-        // points may collide; uniquify instead of miscoalescing.
-        static std::atomic<std::uint64_t> uniq{0};
-        key += "|uncacheable:" + std::to_string(++uniq);
     }
 
     BackfillJob job;

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "machine/config_io.hh"
+#include "util/field.hh"
 #include "util/logging.hh"
 
 namespace ccsim::tuning {
@@ -52,9 +53,8 @@ ruleLess(const SelectionRule &a, const SelectionRule &b)
 Coll
 collByKey(const std::string &key, int lineno)
 {
-    for (Coll op : machine::kAllColls)
-        if (machine::collKey(op) == key)
-            return op;
+    if (auto op = machine::collFromKey(key))
+        return *op;
     configFatal("selection line %d: unknown collective '%s'", lineno,
                 key.c_str());
 }
@@ -67,17 +67,11 @@ parseBound(const std::string &token, const char *prefix, int lineno)
     if (token.compare(0, pre.size(), pre) != 0)
         configFatal("selection line %d: expected '%s<int>', got '%s'",
                     lineno, prefix, token.c_str());
-    std::string num = token.substr(pre.size());
-    try {
-        std::size_t pos = 0;
-        long long v = std::stoll(num, &pos);
-        if (pos != num.size() || v < 0)
-            throw std::invalid_argument("bad");
-        return v;
-    } catch (const std::exception &) {
+    long long v = 0;
+    if (!parseWhole(token.substr(pre.size()), v) || v < 0)
         configFatal("selection line %d: bad bound '%s'", lineno,
                     token.c_str());
-    }
+    return v;
 }
 
 } // namespace

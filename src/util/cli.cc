@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "util/field.hh"
 #include "util/logging.hh"
 
 namespace ccsim::cli {
@@ -110,16 +111,11 @@ Options::getInt(const std::string &name, long long fallback) const
         declared(name);
         return fallback;
     }
-    try {
-        std::size_t pos = 0;
-        long long v = std::stoll(it->second, &pos);
-        if (pos != it->second.size())
-            throw std::invalid_argument(it->second);
-        return v;
-    } catch (const std::exception &) {
+    long long v = 0;
+    if (!parseWhole(it->second, v))
         fatal("bad integer for --%s: '%s'", name.c_str(),
               it->second.c_str());
-    }
+    return v;
 }
 
 double
@@ -130,16 +126,11 @@ Options::getDouble(const std::string &name, double fallback) const
         declared(name);
         return fallback;
     }
-    try {
-        std::size_t pos = 0;
-        double v = std::stod(it->second, &pos);
-        if (pos != it->second.size())
-            throw std::invalid_argument(it->second);
-        return v;
-    } catch (const std::exception &) {
+    double v = 0;
+    if (!parseWhole(it->second, v))
         fatal("bad number for --%s: '%s'", name.c_str(),
               it->second.c_str());
-    }
+    return v;
 }
 
 std::vector<std::string>

@@ -35,6 +35,32 @@ expectConfigsEqual(const MachineConfig &a, const MachineConfig &b)
     EXPECT_DOUBLE_EQ(a.reduce_bandwidth_mbs, b.reduce_bandwidth_mbs);
     EXPECT_EQ(a.hardware_barrier, b.hardware_barrier);
     EXPECT_EQ(a.hardware_barrier_latency, b.hardware_barrier_latency);
+    const HierarchySpec &ha = a.hierarchy;
+    const HierarchySpec &hb = b.hierarchy;
+    EXPECT_DOUBLE_EQ(ha.chip.link_bandwidth_mbs,
+                     hb.chip.link_bandwidth_mbs);
+    EXPECT_EQ(ha.chip.hop_latency, hb.chip.hop_latency);
+    EXPECT_DOUBLE_EQ(ha.node.link_bandwidth_mbs,
+                     hb.node.link_bandwidth_mbs);
+    EXPECT_EQ(ha.node.hop_latency, hb.node.hop_latency);
+    const fault::FaultSpec &fa = a.fault;
+    const fault::FaultSpec &fb = b.fault;
+    EXPECT_EQ(fa.seed, fb.seed);
+    EXPECT_DOUBLE_EQ(fa.link_degrade_rate, fb.link_degrade_rate);
+    EXPECT_DOUBLE_EQ(fa.link_degrade_factor, fb.link_degrade_factor);
+    EXPECT_DOUBLE_EQ(fa.link_blackhole_rate, fb.link_blackhole_rate);
+    EXPECT_EQ(fa.window_start, fb.window_start);
+    EXPECT_EQ(fa.window_duration, fb.window_duration);
+    EXPECT_DOUBLE_EQ(fa.straggler_rate, fb.straggler_rate);
+    EXPECT_DOUBLE_EQ(fa.straggler_factor, fb.straggler_factor);
+    EXPECT_DOUBLE_EQ(fa.msg_drop_rate, fb.msg_drop_rate);
+    EXPECT_DOUBLE_EQ(fa.msg_delay_rate, fb.msg_delay_rate);
+    EXPECT_EQ(fa.msg_delay, fb.msg_delay);
+    EXPECT_EQ(fa.retry_budget, fb.retry_budget);
+    EXPECT_EQ(fa.retry_timeout, fb.retry_timeout);
+    EXPECT_DOUBLE_EQ(fa.retry_backoff, fb.retry_backoff);
+    EXPECT_EQ(fa.policy, fb.policy);
+    EXPECT_EQ(fa.escalation_budget, fb.escalation_budget);
     for (Coll op : kAllColls) {
         EXPECT_EQ(a.algorithmFor(op), b.algorithmFor(op))
             << collName(op);
@@ -67,6 +93,51 @@ TEST(ConfigIo, AllPresetsRoundTrip)
         MachineConfig loaded = loadConfig(ss);
         expectConfigsEqual(cfg, loaded);
     }
+}
+
+TEST(ConfigIo, EveryFaultAndHierarchyFieldRoundTrips)
+{
+    // Every FaultSpec field and every hierarchy link parameter off
+    // its default, on a fabric that reads the hierarchy block.
+    MachineConfig cfg = sp2Config();
+    cfg.topology = "hier:2x2/fattree";
+    cfg.hierarchy.chip.link_bandwidth_mbs = 6000.0;
+    cfg.hierarchy.chip.hop_latency = nanoseconds(7);
+    cfg.hierarchy.node.link_bandwidth_mbs = 1500.0;
+    cfg.hierarchy.node.hop_latency = nanoseconds(65);
+    fault::FaultSpec &f = cfg.fault;
+    f.seed = 3;
+    f.link_degrade_rate = 0.1;
+    f.link_degrade_factor = 0.25;
+    f.link_blackhole_rate = 0.05;
+    f.window_start = microseconds(20);
+    f.window_duration = microseconds(500);
+    f.straggler_rate = 0.125;
+    f.straggler_factor = 3.0;
+    f.msg_drop_rate = 0.01;
+    f.msg_delay_rate = 0.02;
+    f.msg_delay = microseconds(15);
+    f.retry_budget = 6;
+    f.retry_timeout = microseconds(250);
+    f.retry_backoff = 1.5;
+    f.policy = fault::RecoveryPolicy::Degrade;
+    f.escalation_budget = 3;
+
+    std::stringstream ss;
+    saveConfig(cfg, ss);
+    const std::string doc = ss.str();
+    EXPECT_NE(doc.find("\nfault.policy = degrade\n"), std::string::npos)
+        << doc;
+    EXPECT_NE(doc.find("\nfault.escalation_budget = 3\n"),
+              std::string::npos)
+        << doc;
+    MachineConfig loaded = loadConfig(ss);
+    expectConfigsEqual(cfg, loaded);
+
+    // The document is a fixed point of save -> load -> save.
+    std::ostringstream again;
+    saveConfig(loaded, again);
+    EXPECT_EQ(again.str(), doc);
 }
 
 TEST(ConfigIo, BasePresetWithOverrides)
@@ -131,6 +202,14 @@ TEST(ConfigIo, NameHelpers)
     EXPECT_EQ(algoFromName("binomial"), Algo::Binomial);
     EXPECT_EQ(algoFromName("rabenseifner"), Algo::Rabenseifner);
     EXPECT_EQ(presetByName("T3D").name, "T3D");
+}
+
+TEST(ConfigIo, CollFromKeyInvertsCollKey)
+{
+    for (Coll op : kAllColls)
+        EXPECT_EQ(collFromKey(collKey(op)), op) << collName(op);
+    EXPECT_EQ(collFromKey("broadcast"), std::nullopt); // collName
+    EXPECT_EQ(collFromKey(""), std::nullopt);
 }
 
 TEST(ConfigIo, LegacyTopologyKeysStillLoad)

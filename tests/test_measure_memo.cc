@@ -195,24 +195,32 @@ perturbed(const std::string &key, const std::string &value)
     if (key.size() > 10 &&
         key.compare(key.size() - 10, 10, ".algorithm") == 0)
         return value == "linear" ? "binomial" : "linear";
-    // Every other persisted field is numeric.
+    if (key == "fault.policy")
+        return value == "degrade" ? "fail_fast" : "degrade";
+    // Every other persisted field is numeric.  Fault rates and the
+    // degrade factor must stay inside [0, 1).
+    const double v = std::stod(value);
+    const bool fraction =
+        key.starts_with("fault.") &&
+        (key.ends_with("_rate") || key == "fault.link_degrade_factor");
     std::ostringstream out;
     out.precision(17);
-    out << std::stod(value) + 1;
+    out << (!fraction ? v + 1 : v >= 0.5 ? v / 2 : v + 0.25);
     return out.str();
 }
 
-TEST(MeasureMemo, EveryPersistedFieldChangesTheKey)
+/**
+ * Perturb each `key = value` line of @p cfg's saved document in turn
+ * and check that the point key moves (or, for a display-only line,
+ * stays).  @p mutated counts the lines perturbed.
+ */
+void
+perturbEveryLine(const machine::MachineConfig &cfg, int &mutated)
 {
     // Fields config_io persists that deliberately stay out of the key:
     // two identically parameterized machines are the same machine.
     const std::set<std::string> display_only = {"name"};
 
-    // SP2 on a `hier:` fabric, so the optional hierarchy block is in
-    // the document too.  The fault block is not: a faulty config is
-    // never cacheable, so fault fields need no key bytes.
-    machine::MachineConfig cfg = machine::sp2Config();
-    cfg.topology = "hier:2x2/fattree";
     std::ostringstream doc;
     machine::saveConfig(cfg, doc);
 
@@ -230,7 +238,7 @@ TEST(MeasureMemo, EveryPersistedFieldChangesTheKey)
     const std::string base = pointKey(load());
     ASSERT_EQ(base.rfind(std::string(kPointKeyVersion) + "|", 0), 0u);
 
-    int mutated = 0;
+    mutated = 0;
     for (std::string &line : lines) {
         const std::size_t eq = line.find(" = ");
         if (line.empty() || line[0] == '#' || eq == std::string::npos)
@@ -249,12 +257,27 @@ TEST(MeasureMemo, EveryPersistedFieldChangesTheKey)
         line = original;
         ++mutated;
     }
+}
+
+TEST(MeasureMemo, EveryPersistedFieldChangesTheKey)
+{
+    // SP2 on a `hier:` fabric, so the optional hierarchy block is in
+    // the document too.
+    machine::MachineConfig cfg = machine::sp2Config();
+    cfg.topology = "hier:2x2/fattree";
+    int mutated = 0;
+    perturbEveryLine(cfg, mutated);
     // Globals, the hierarchy block, and the per-collective blocks.
     EXPECT_GT(mutated, 60);
 
+    // A faulty config is never cacheable, but its document adds the
+    // fault block, and every fault line must move the key as well:
+    // the serve fast path's fits and backfill coalescing key on it.
     auto faulty = cfg;
     faulty.fault.msg_drop_rate = 0.01;
     EXPECT_FALSE(measurePointCacheable(faulty, MeasureOptions{}));
+    perturbEveryLine(faulty, mutated);
+    EXPECT_GT(mutated, 60 + 15);
 }
 
 TEST(MeasureMemo, OneMachineOneKey)

@@ -257,6 +257,21 @@ TEST(Network, ConstructionIsLazyAtExtremeScale)
     EXPECT_GT(net.routeHops(), 0u);
 }
 
+TEST(Network, RejectsMoreLinksThanALinkIdCanNumber)
+{
+    // A fully-connected fabric has p^2 links and routes name them by
+    // a 32-bit LinkId: p = 46340 still fits, p = 50000 does not.
+    throwOnError(true);
+    EXPECT_THROW(Network(std::make_unique<FullyConnected>(50000),
+                         simpleParams()),
+                 ConfigError);
+    Network net(std::make_unique<FullyConnected>(46340), simpleParams());
+    EXPECT_EQ(net.topology().numLinks(), std::size_t{46340} * 46340);
+    // The highest-numbered link carries traffic like any other.
+    EXPECT_EQ(net.transfer(46339, 46338, 0, 0), 100 * NS);
+    throwOnError(false);
+}
+
 TEST(Network, LinkClassParamsGateHeterogeneousRoutes)
 {
     // 2 nodes x 1 chip x 2 cores on a fully-connected wire.  The

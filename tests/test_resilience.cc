@@ -133,6 +133,26 @@ expectIdentical(const harness::Measurement &a,
         << what;
 }
 
+TEST_F(ResilienceTest, ASavedDegradeConfigMeasuresLikeItsSource)
+{
+    // The recovery policy is part of the saved machine: a config
+    // file written from a degrade run must not reload as fail_fast
+    // (which would throw on the first black-holed message).
+    machine::MachineConfig cfg = machine::sp2Config();
+    cfg.fault =
+        fault::parseFaultSpec("blackhole=0.05,policy=degrade,seed=3");
+    std::stringstream doc;
+    machine::saveConfig(cfg, doc);
+    const machine::MachineConfig reloaded = machine::loadConfig(doc);
+
+    const auto original = harness::measureCollective(
+        cfg, 16, machine::Coll::Alltoall, 1024);
+    const auto again = harness::measureCollective(
+        reloaded, 16, machine::Coll::Alltoall, 1024);
+    expectIdentical(original, again, "reloaded degrade config");
+    EXPECT_GT(original.degradation.reroutes, 0u);
+}
+
 TEST_F(ResilienceTest, EveryPolicyIsIdenticalAtAnyJobsLevel)
 {
     for (const char *policy :

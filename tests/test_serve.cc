@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fault/fault_spec.hh"
 #include "harness/measure.hh"
 #include "machine/config_io.hh"
 #include "serve/backfill.hh"
@@ -626,6 +627,111 @@ TEST(ServeServer, CacheFileWarmsTheNextStart)
     first.replace(at, std::string("\"tier\":\"exact\"").size(),
                   "\"tier\":\"cache\"");
     EXPECT_EQ(warmed, first);
+}
+
+// ---- fault state keys requests apart ------------------------------
+
+/** Save @p cfg under a per-test name; return the path.  Config files
+ *  are parsed once per path per process, so names must not repeat. */
+std::string
+configFile(const machine::MachineConfig &cfg, const std::string &name)
+{
+    const std::string path = "/tmp/ccsim_serve_" + name + ".cfg";
+    machine::saveConfigFile(cfg, path);
+    return path;
+}
+
+/** T3D with a fixed straggler scenario; seed varies the draw. */
+machine::MachineConfig
+stragglerT3d(int seed)
+{
+    machine::MachineConfig cfg = machine::t3dConfig();
+    cfg.fault = fault::parseFaultSpec(
+        "straggler=0.5,straggler_factor=8,seed=" + std::to_string(seed));
+    return cfg;
+}
+
+/** Ticket number of a pending response. */
+std::uint64_t
+ticketOf(const std::string &pending)
+{
+    EXPECT_EQ(pending.rfind("{\"status\":\"pending\"", 0), 0u)
+        << pending;
+    return std::stoull(pending.substr(pending.rfind(':') + 1));
+}
+
+/** Occupy the single backfill worker so that the submissions after
+ *  it are pending together.  A faulty point never hits the memo
+ *  cache, so it simulates however many tests ran before. */
+void
+busyBackfill(Server &server)
+{
+    const std::string busy = configFile(stragglerT3d(9), "busy");
+    server.handleLine("predict config=" + busy +
+                      " op=alltoall p=32 m=4096 tier=exact wait=ticket");
+}
+
+TEST(ServeServer, CleanAndStragglerFilesGetSeparateFastPathFits)
+{
+    const std::string clean =
+        configFile(machine::t3dConfig(), "fit_clean");
+    const std::string slow = configFile(stragglerT3d(3), "fit_slow");
+    const std::string q = " op=bcast p=16 m=1024 tier=fast";
+
+    Server fresh;
+    const std::string alone = fresh.handleLine("predict config=" +
+                                               clean + q);
+
+    // A straggler query first must not leave its fit behind for the
+    // clean machine.
+    Server server;
+    server.handleLine("predict config=" + slow + q);
+    EXPECT_EQ(server.handleLine("predict config=" + clean + q), alone);
+    EXPECT_EQ(server.fastPath().fits(), 2u);
+}
+
+TEST(ServeServer, IdenticalFaultyTicketsCoalesce)
+{
+    const std::string path =
+        configFile(stragglerT3d(5), "coalesce_same");
+    const std::string q = "predict config=" + path +
+                          " op=alltoall p=8 m=1024 tier=exact "
+                          "wait=ticket";
+    Server server;
+    busyBackfill(server);
+    const std::uint64_t t1 = ticketOf(server.handleLine(q));
+    const std::uint64_t t2 = ticketOf(server.handleLine(q));
+    server.backfill().drain();
+
+    EXPECT_EQ(server.backfill().coalesced(), 1u);
+    const std::string a =
+        server.handleLine("poll ticket=" + std::to_string(t1));
+    EXPECT_NE(a.find("\"tier\":\"exact\""), std::string::npos) << a;
+    EXPECT_EQ(server.handleLine("poll ticket=" + std::to_string(t2)),
+              a);
+}
+
+TEST(ServeServer, FaultSeedsKeepTicketsApart)
+{
+    const std::string seed5 = configFile(stragglerT3d(5), "seed_5");
+    const std::string seed6 = configFile(stragglerT3d(6), "seed_6");
+    const std::string q = " op=alltoall p=8 m=1024 tier=exact "
+                          "wait=ticket";
+    Server server;
+    busyBackfill(server);
+    const std::uint64_t t5 =
+        ticketOf(server.handleLine("predict config=" + seed5 + q));
+    const std::uint64_t t6 =
+        ticketOf(server.handleLine("predict config=" + seed6 + q));
+    server.backfill().drain();
+
+    EXPECT_EQ(server.backfill().coalesced(), 0u);
+    for (std::uint64_t t : {t5, t6}) {
+        const std::string r =
+            server.handleLine("poll ticket=" + std::to_string(t));
+        EXPECT_NE(r.find("\"tier\":\"exact\""), std::string::npos)
+            << r;
+    }
 }
 
 // ---- over TCP ------------------------------------------------------

@@ -180,9 +180,8 @@ machine::Coll
 resolveOp(const cli::Options &o)
 {
     std::string key = o.get("op", "alltoall");
-    for (machine::Coll op : machine::kAllColls)
-        if (machine::collKey(op) == key)
-            return op;
+    if (auto op = machine::collFromKey(key))
+        return *op;
     fatal("unknown --op '%s'", key.c_str());
 }
 
@@ -784,14 +783,10 @@ cmdTune(int argc, char **argv)
     tuning::TuneGrid grid;
     if (o.has("ops")) {
         for (const std::string &key : o.getList("ops")) {
-            bool found = false;
-            for (machine::Coll op : machine::kAllColls)
-                if (machine::collKey(op) == key) {
-                    grid.ops.push_back(op);
-                    found = true;
-                }
-            if (!found)
+            auto op = machine::collFromKey(key);
+            if (!op)
                 fatal("unknown --ops entry '%s'", key.c_str());
+            grid.ops.push_back(*op);
         }
     }
     auto parse_list = [&](const char *name, auto &out) {
