@@ -13,7 +13,7 @@ namespace ccsim::mpi {
 namespace {
 
 sim::Task<msg::PayloadPtr>
-allreduceReduceBcast(CollCtx ctx, Bytes m, msg::PayloadPtr mine)
+allreduceReduceBcast(const CollCtx &ctx, Bytes m, msg::PayloadPtr mine)
 {
     CollCtx sub = ctx;
     sub.costs.entry = 0; // phases share one collective entry
@@ -24,7 +24,7 @@ allreduceReduceBcast(CollCtx ctx, Bytes m, msg::PayloadPtr mine)
 }
 
 sim::Task<msg::PayloadPtr>
-allreduceRecDoubling(CollCtx ctx, Bytes m, msg::PayloadPtr mine)
+allreduceRecDoubling(const CollCtx &ctx, Bytes m, msg::PayloadPtr mine)
 {
     int p = ctx.size;
     int rank = ctx.rank;
@@ -88,7 +88,7 @@ allreduceRecDoubling(CollCtx ctx, Bytes m, msg::PayloadPtr mine)
  * instead of the tree's m log2 p.
  */
 sim::Task<msg::PayloadPtr>
-allreduceRabenseifner(CollCtx ctx, Bytes m, msg::PayloadPtr mine)
+allreduceRabenseifner(const CollCtx &ctx, Bytes m, msg::PayloadPtr mine)
 {
     int p = ctx.size;
     // Chunks must stay element-aligned for the fold; round up to the
@@ -119,7 +119,7 @@ allreduceRabenseifner(CollCtx ctx, Bytes m, msg::PayloadPtr mine)
 } // namespace
 
 sim::Task<msg::PayloadPtr>
-allreduceImpl(CollCtx ctx, machine::Algo algo, Bytes m,
+allreduceImpl(const CollCtx &ctx, machine::Algo algo, Bytes m,
               msg::PayloadPtr mine)
 {
     if (m < 0)

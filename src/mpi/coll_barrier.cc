@@ -14,7 +14,7 @@ namespace {
 
 /** Everyone reports to rank 0, which then releases everyone. */
 sim::Task<void>
-barrierLinear(CollCtx ctx)
+barrierLinear(const CollCtx &ctx)
 {
     int p = ctx.size;
     if (ctx.rank == 0) {
@@ -35,7 +35,7 @@ barrierLinear(CollCtx ctx)
 
 /** Binomial fan-in to rank 0, binomial fan-out release. */
 sim::Task<void>
-barrierTree(CollCtx ctx)
+barrierTree(const CollCtx &ctx)
 {
     int p = ctx.size;
     int r = ctx.rank;
@@ -79,7 +79,7 @@ barrierTree(CollCtx ctx)
  * (rank + 2^k) and waits for (rank - 2^k).  What MPICH used.
  */
 sim::Task<void>
-barrierDissemination(CollCtx ctx)
+barrierDissemination(const CollCtx &ctx)
 {
     for (int k = 1; k < ctx.size; k <<= 1) {
         co_await ctx.stage();
@@ -91,7 +91,7 @@ barrierDissemination(CollCtx ctx)
 
 /** The dedicated barrier network (requires full-machine group). */
 sim::Task<void>
-barrierHardware(CollCtx ctx)
+barrierHardware(const CollCtx &ctx)
 {
     machine::HardwareBarrier *hw = ctx.mach->hwBarrier();
     if (!hw)
@@ -103,7 +103,7 @@ barrierHardware(CollCtx ctx)
 } // namespace
 
 sim::Task<void>
-barrierImpl(CollCtx ctx, machine::Algo algo)
+barrierImpl(const CollCtx &ctx, machine::Algo algo)
 {
     co_await ctx.entry();
     if (ctx.size == 1)

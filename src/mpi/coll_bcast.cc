@@ -15,7 +15,7 @@ namespace ccsim::mpi {
 namespace {
 
 sim::Task<msg::PayloadPtr>
-bcastLinear(CollCtx ctx, Bytes m, int root, msg::PayloadPtr data)
+bcastLinear(const CollCtx &ctx, Bytes m, int root, msg::PayloadPtr data)
 {
     if (ctx.rank == root) {
         for (int i = 0; i < ctx.size; ++i) {
@@ -31,7 +31,7 @@ bcastLinear(CollCtx ctx, Bytes m, int root, msg::PayloadPtr data)
 }
 
 sim::Task<msg::PayloadPtr>
-bcastBinomial(CollCtx ctx, Bytes m, int root, msg::PayloadPtr data)
+bcastBinomial(const CollCtx &ctx, Bytes m, int root, msg::PayloadPtr data)
 {
     int p = ctx.size;
     int r = (ctx.rank - root % p + p) % p;
@@ -64,7 +64,7 @@ bcastBinomial(CollCtx ctx, Bytes m, int root, msg::PayloadPtr data)
  * ~2 m (p-1)/p instead of m log2 p.
  */
 sim::Task<msg::PayloadPtr>
-bcastScatterAllgather(CollCtx ctx, Bytes m, int root,
+bcastScatterAllgather(const CollCtx &ctx, Bytes m, int root,
                       msg::PayloadPtr data)
 {
     int p = ctx.size;
@@ -99,7 +99,7 @@ constexpr Bytes kBcastSegment = 8 * KiB;
  * regime's friend, terrible for short messages.
  */
 sim::Task<msg::PayloadPtr>
-bcastPipelined(CollCtx ctx, Bytes m, int root, msg::PayloadPtr data)
+bcastPipelined(const CollCtx &ctx, Bytes m, int root, msg::PayloadPtr data)
 {
     int p = ctx.size;
     int rel = (ctx.rank - root % p + p) % p;
@@ -138,7 +138,7 @@ bcastPipelined(CollCtx ctx, Bytes m, int root, msg::PayloadPtr data)
 } // namespace
 
 sim::Task<msg::PayloadPtr>
-bcastImpl(CollCtx ctx, machine::Algo algo, Bytes m, int root,
+bcastImpl(const CollCtx &ctx, machine::Algo algo, Bytes m, int root,
           msg::PayloadPtr data)
 {
     if (root < 0 || root >= ctx.size)

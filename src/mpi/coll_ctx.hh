@@ -8,6 +8,11 @@
  * All algorithm code addresses *communicator* ranks; CollCtx
  * translates to global node ids at the transport boundary, so every
  * algorithm works unchanged on sub-communicators.
+ *
+ * The cost helpers (entry, stage, arith) and wait charge or park at
+ * once and return frameless awaiters; co_await them where they are
+ * called.  Algorithms share one context by reference (see
+ * collectives.hh).
  */
 
 #ifndef CCSIM_MPI_COLL_CTX_HH
@@ -60,14 +65,14 @@ struct CollCtx
     }
 
     /** Charge the one-time collective entry cost. */
-    sim::Task<void> entry() const { return tp->busy(costs.entry); }
+    sim::DelayAwaiter entry() const { return tp->busy(costs.entry); }
 
     /**
      * Charge one algorithm stage's software cost; @p bytes is the
      * payload this rank handles in the stage (for the per-byte
      * component of the vendor-MPI calibration).
      */
-    sim::Task<void>
+    sim::DelayAwaiter
     stage(Bytes bytes = 0) const
     {
         if (probe)
@@ -78,7 +83,7 @@ struct CollCtx
     }
 
     /** Charge the arithmetic to combine @p m bytes of operands. */
-    sim::Task<void>
+    sim::DelayAwaiter
     arith(Bytes m) const
     {
         double bw = costs.reduce_bandwidth_override_mbs > 0
@@ -124,7 +129,7 @@ struct CollCtx
     }
 
     /** Wait on a request started through this context. */
-    sim::Task<msg::Message>
+    msg::WaitAwaiter
     wait(msg::Request r) const
     {
         return tp->wait(std::move(r));

@@ -13,7 +13,7 @@ namespace ccsim::mpi {
 namespace {
 
 sim::Task<msg::PayloadPtr>
-reduceLinear(CollCtx ctx, Bytes m, int root, msg::PayloadPtr mine)
+reduceLinear(const CollCtx &ctx, Bytes m, int root, msg::PayloadPtr mine)
 {
     int p = ctx.size;
     if (ctx.rank != root) {
@@ -32,7 +32,7 @@ reduceLinear(CollCtx ctx, Bytes m, int root, msg::PayloadPtr mine)
 }
 
 sim::Task<msg::PayloadPtr>
-reduceBinomial(CollCtx ctx, Bytes m, int root, msg::PayloadPtr mine)
+reduceBinomial(const CollCtx &ctx, Bytes m, int root, msg::PayloadPtr mine)
 {
     int p = ctx.size;
     int r = (ctx.rank - root % p + p) % p;
@@ -62,7 +62,7 @@ reduceBinomial(CollCtx ctx, Bytes m, int root, msg::PayloadPtr mine)
 } // namespace
 
 sim::Task<msg::PayloadPtr>
-reduceImpl(CollCtx ctx, machine::Algo algo, Bytes m, int root,
+reduceImpl(const CollCtx &ctx, machine::Algo algo, Bytes m, int root,
            msg::PayloadPtr mine)
 {
     if (root < 0 || root >= ctx.size)

@@ -14,7 +14,7 @@ namespace ccsim::mpi {
 namespace {
 
 sim::Task<msg::PayloadPtr>
-scatterLinear(CollCtx ctx, Bytes m, int root, msg::PayloadPtr all)
+scatterLinear(const CollCtx &ctx, Bytes m, int root, msg::PayloadPtr all)
 {
     int p = ctx.size;
     if (ctx.rank == root) {
@@ -38,7 +38,7 @@ scatterLinear(CollCtx ctx, Bytes m, int root, msg::PayloadPtr all)
  * peels halves off to its children.
  */
 sim::Task<msg::PayloadPtr>
-scatterBinomial(CollCtx ctx, Bytes m, int root, msg::PayloadPtr all)
+scatterBinomial(const CollCtx &ctx, Bytes m, int root, msg::PayloadPtr all)
 {
     int p = ctx.size;
     int r = (ctx.rank - root % p + p) % p;
@@ -75,7 +75,7 @@ scatterBinomial(CollCtx ctx, Bytes m, int root, msg::PayloadPtr all)
 } // namespace
 
 sim::Task<msg::PayloadPtr>
-scattervImpl(CollCtx ctx, machine::Algo algo,
+scattervImpl(const CollCtx &ctx, machine::Algo algo,
              const std::vector<Bytes> &counts, int root,
              msg::PayloadPtr all)
 {
@@ -122,7 +122,7 @@ scattervImpl(CollCtx ctx, machine::Algo algo,
 }
 
 sim::Task<msg::PayloadPtr>
-scatterImpl(CollCtx ctx, machine::Algo algo, Bytes m, int root,
+scatterImpl(const CollCtx &ctx, machine::Algo algo, Bytes m, int root,
             msg::PayloadPtr all)
 {
     if (root < 0 || root >= ctx.size)

@@ -30,57 +30,67 @@
 
 namespace ccsim::mpi {
 
-sim::Task<void> barrierImpl(CollCtx ctx, machine::Algo algo);
+// Every entry point and algorithm coroutine takes the context by
+// reference: the caller's context (Comm::collective's, or a phase's
+// `sub` copy) lives in the caller's frame, and each call is
+// co_awaited at once, never spawned, so the referent outlives it.
 
-sim::Task<msg::PayloadPtr> bcastImpl(CollCtx ctx, machine::Algo algo,
-                                     Bytes m, int root,
-                                     msg::PayloadPtr data);
+sim::Task<void> barrierImpl(const CollCtx &ctx, machine::Algo algo);
 
-sim::Task<msg::PayloadPtr> gatherImpl(CollCtx ctx, machine::Algo algo,
-                                      Bytes m, int root,
-                                      msg::PayloadPtr mine);
+sim::Task<msg::PayloadPtr> bcastImpl(const CollCtx &ctx,
+                                     machine::Algo algo, Bytes m,
+                                     int root, msg::PayloadPtr data);
 
-sim::Task<msg::PayloadPtr> scatterImpl(CollCtx ctx, machine::Algo algo,
-                                       Bytes m, int root,
-                                       msg::PayloadPtr all);
+sim::Task<msg::PayloadPtr> gatherImpl(const CollCtx &ctx,
+                                      machine::Algo algo, Bytes m,
+                                      int root, msg::PayloadPtr mine);
+
+sim::Task<msg::PayloadPtr> scatterImpl(const CollCtx &ctx,
+                                       machine::Algo algo, Bytes m,
+                                       int root, msg::PayloadPtr all);
 
 /** gatherv: rank i contributes counts[i] bytes; root returns the
  *  concatenation in rank order.  @p algo keeps the signature uniform
  *  with gatherImpl, but only Linear is implemented (the era's MPICH
  *  did the same — trees do not compose with ragged counts); anything
  *  else is fatal(). */
-sim::Task<msg::PayloadPtr> gathervImpl(CollCtx ctx, machine::Algo algo,
+sim::Task<msg::PayloadPtr> gathervImpl(const CollCtx &ctx,
+                                       machine::Algo algo,
                                        const std::vector<Bytes> &counts,
                                        int root, msg::PayloadPtr mine);
 
 /** scatterv: root holds sum(counts) bytes; rank i returns its
  *  counts[i]-byte block.  Linear only, like gathervImpl. */
 sim::Task<msg::PayloadPtr> scattervImpl(
-    CollCtx ctx, machine::Algo algo, const std::vector<Bytes> &counts,
-    int root, msg::PayloadPtr all);
+    const CollCtx &ctx, machine::Algo algo,
+    const std::vector<Bytes> &counts, int root, msg::PayloadPtr all);
 
-sim::Task<msg::PayloadPtr> allgatherImpl(CollCtx ctx, machine::Algo algo,
-                                         Bytes m, msg::PayloadPtr mine);
+sim::Task<msg::PayloadPtr> allgatherImpl(const CollCtx &ctx,
+                                         machine::Algo algo, Bytes m,
+                                         msg::PayloadPtr mine);
 
-sim::Task<msg::PayloadPtr> alltoallImpl(CollCtx ctx, machine::Algo algo,
-                                        Bytes m, msg::PayloadPtr mine);
+sim::Task<msg::PayloadPtr> alltoallImpl(const CollCtx &ctx,
+                                        machine::Algo algo, Bytes m,
+                                        msg::PayloadPtr mine);
 
-sim::Task<msg::PayloadPtr> reduceImpl(CollCtx ctx, machine::Algo algo,
-                                      Bytes m, int root,
-                                      msg::PayloadPtr mine);
+sim::Task<msg::PayloadPtr> reduceImpl(const CollCtx &ctx,
+                                      machine::Algo algo, Bytes m,
+                                      int root, msg::PayloadPtr mine);
 
-sim::Task<msg::PayloadPtr> allreduceImpl(CollCtx ctx, machine::Algo algo,
-                                         Bytes m, msg::PayloadPtr mine);
+sim::Task<msg::PayloadPtr> allreduceImpl(const CollCtx &ctx,
+                                         machine::Algo algo, Bytes m,
+                                         msg::PayloadPtr mine);
 
 /** reduce-scatter: each rank passes p blocks of m bytes; block i of
  *  the elementwise fold lands at rank i. */
-sim::Task<msg::PayloadPtr> reduceScatterImpl(CollCtx ctx,
+sim::Task<msg::PayloadPtr> reduceScatterImpl(const CollCtx &ctx,
                                              machine::Algo algo,
                                              Bytes m,
                                              msg::PayloadPtr mine);
 
-sim::Task<msg::PayloadPtr> scanImpl(CollCtx ctx, machine::Algo algo,
-                                    Bytes m, msg::PayloadPtr mine);
+sim::Task<msg::PayloadPtr> scanImpl(const CollCtx &ctx,
+                                    machine::Algo algo, Bytes m,
+                                    msg::PayloadPtr mine);
 
 } // namespace ccsim::mpi
 

@@ -123,7 +123,7 @@ Comm::irecv(int src, int tag) const
     return transport().irecv(g, tag, ptpContext(ctx_id_));
 }
 
-sim::Task<msg::Message>
+msg::WaitAwaiter
 Comm::wait(msg::Request req) const
 {
     report({.kind = machine::CallKind::Wait});
@@ -181,7 +181,7 @@ template <typename T, typename... Args>
 sim::Task<T>
 Comm::collective(Coll op, Bytes m, int root, Algo algo,
                  const std::vector<Bytes> *counts, Combiner combiner,
-                 sim::Task<T> (*impl)(CollCtx, Algo, Args...),
+                 sim::Task<T> (*impl)(const CollCtx &, Algo, Args...),
                  std::type_identity_t<Args>... args)
 {
     report({.kind = machine::CallKind::Coll, .bytes = m, .op = op,
@@ -195,12 +195,12 @@ Comm::collective(Coll op, Bytes m, int root, Algo algo,
     CollCtx ctx = makeCtx(op, algo, m, std::move(combiner));
     const Time start = mach_->sim().now();
     if constexpr (std::is_void_v<T>) {
-        co_await impl(std::move(ctx), algo, std::move(args)...);
+        co_await impl(ctx, algo, std::move(args)...);
         if (probe_)
             probe_->collEnd(globalRank(rank_), op, start,
                             mach_->sim().now());
     } else {
-        T out = co_await impl(std::move(ctx), algo, std::move(args)...);
+        T out = co_await impl(ctx, algo, std::move(args)...);
         if (probe_)
             probe_->collEnd(globalRank(rank_), op, start,
                             mach_->sim().now());

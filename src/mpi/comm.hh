@@ -82,7 +82,7 @@ class Comm
     msg::Request isend(int dst, int tag, Bytes bytes,
                        msg::PayloadPtr payload = nullptr) const;
     msg::Request irecv(int src, int tag) const;
-    sim::Task<msg::Message> wait(msg::Request req) const;
+    msg::WaitAwaiter wait(msg::Request req) const;
     sim::Task<msg::Message> sendrecv(int dst, int send_tag, Bytes bytes,
                                      int src, int recv_tag,
                                      msg::PayloadPtr payload
@@ -307,7 +307,8 @@ class Comm
     sim::Task<T> collective(Coll op, Bytes m, int root, Algo algo,
                             const std::vector<Bytes> *counts,
                             Combiner combiner,
-                            sim::Task<T> (*impl)(CollCtx, Algo, Args...),
+                            sim::Task<T> (*impl)(const CollCtx &, Algo,
+                                                 Args...),
                             std::type_identity_t<Args>... args);
 
     // One Core per collective, each a call of collective().  Both

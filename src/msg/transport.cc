@@ -40,7 +40,7 @@ Transport::Transport(sim::Simulator &sim, net::Network &net, Fabric &fabric,
               params_.coprocessor_overlap);
 }
 
-sim::Task<void>
+sim::DelayAwaiter
 Transport::busy(Time cost)
 {
     if (cost < 0)
@@ -50,8 +50,7 @@ Transport::busy(Time cost)
     Time start = std::max(sim_.now(), cpu_free_);
     Time end = start + cost;
     cpu_free_ = end;
-    if (end > sim_.now())
-        co_await sim_.delay(end - sim_.now());
+    return sim_.delay(end - sim_.now()); // ready at once when end == now
 }
 
 bool
@@ -472,18 +471,12 @@ Transport::irecv(int src, int tag, int context, CostOverride ov)
     return Request{std::move(st)};
 }
 
-sim::Task<Message>
+WaitAwaiter
 Transport::wait(Request req)
 {
     if (!req.state)
         panic("Transport::wait: empty request");
-    if (!req.state->done.fired())
-        co_await req.state->done.wait();
-    if (req.state->exc)
-        std::rethrow_exception(req.state->exc);
-    if (req.state->msg)
-        co_return std::move(*req.state->msg);
-    co_return Message{};
+    return WaitAwaiter(std::move(req.state));
 }
 
 sim::Task<Message>

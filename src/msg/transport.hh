@@ -36,6 +36,7 @@
 
 #include <coroutine>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -129,6 +130,41 @@ struct Request
     bool test() const { return state && state->done.fired(); }
 };
 
+/**
+ * Awaitable completion of a Request: parks the awaiting coroutine on
+ * the request's trigger (no frame of its own), then rethrows the
+ * request's failure or moves out its message (an empty Message for
+ * sends).  Holds a reference on the state slot until it resumes.
+ */
+class WaitAwaiter
+{
+  public:
+    explicit WaitAwaiter(sim::PoolPtr<ReqState> st) : st_(std::move(st))
+    {
+    }
+
+    bool await_ready() const noexcept { return st_->done.fired(); }
+
+    void
+    await_suspend(std::coroutine_handle<> h)
+    {
+        st_->done.wait().await_suspend(h);
+    }
+
+    Message
+    await_resume() const
+    {
+        if (st_->exc)
+            std::rethrow_exception(st_->exc);
+        if (st_->msg)
+            return std::move(*st_->msg);
+        return Message{};
+    }
+
+  private:
+    sim::PoolPtr<ReqState> st_;
+};
+
 /** One node's messaging endpoint. */
 class Transport
 {
@@ -174,10 +210,10 @@ class Transport
     Request irecv(int src, int tag, int context, CostOverride ov = {});
 
     /**
-     * Wait for a request; returns the message for receives (an empty
-     * Message for sends) and rethrows any failure.
+     * Wait for a request; the co_await yields the message for
+     * receives (an empty Message for sends) and rethrows any failure.
      */
-    sim::Task<Message> wait(Request req);
+    WaitAwaiter wait(Request req);
 
     /**
      * Combined send + receive, both in flight at once (the primitive
@@ -193,8 +229,13 @@ class Transport
      * Occupy this node's CPU for @p cost, serialized after any
      * earlier software activity on the node.  Exposed so collectives
      * can charge reduction arithmetic and per-call entry costs.
+     *
+     * The CPU timeline is charged when busy() is called; the returned
+     * awaiter suspends the caller until the charge ends.  co_await it
+     * at once: every caller does, so the resumption is scheduled at
+     * the same (time, seq) as if the charge ran inside the co_await.
      */
-    sim::Task<void> busy(Time cost);
+    sim::DelayAwaiter busy(Time cost);
 
   private:
     friend class Fabric;

@@ -87,15 +87,18 @@ struct PoolCounters
  * Sizes are rounded up to kGranule-byte classes; blocks above the
  * largest class (or over-aligned frames, which never reach a promise
  * operator new without an align_val_t overload) go straight to the
- * global heap.  Each class keeps at most kMaxPerClass parked blocks
- * so a burst cannot pin memory forever.
+ * global heap.  Every released block is parked, with no per-class
+ * bound: ranks run collectives in lockstep, so a stage can finish
+ * (and re-enter) thousands of same-sized frames at once, and a bound
+ * narrower than that wave sends the surplus through malloc on every
+ * stage.  A class's footprint is therefore its peak occupancy; the
+ * blocks go back to the heap when the owning thread exits.
  */
 class FramePool
 {
   public:
     static constexpr std::size_t kGranule = 64;
     static constexpr std::size_t kClasses = 40; //!< up to 2560 bytes
-    static constexpr std::size_t kMaxPerClass = 512;
 
     FramePool() = default;
     FramePool(const FramePool &) = delete;
@@ -124,7 +127,6 @@ class FramePool
         }
         if (Node *head = free_[c]) {
             free_[c] = head->next;
-            --parked_[c];
             ++counters_.reuses;
             poolUnpoison(reinterpret_cast<char *>(head) + sizeof(Node),
                          bytesFor(c) - sizeof(Node));
@@ -138,14 +140,13 @@ class FramePool
     release(void *p, std::size_t n) noexcept
     {
         std::size_t c = classFor(n);
-        if (c >= kClasses || parked_[c] >= kMaxPerClass) {
+        if (c >= kClasses) {
             ::operator delete(p);
             return;
         }
         Node *node = static_cast<Node *>(p);
         node->next = free_[c];
         free_[c] = node;
-        ++parked_[c];
         // The link word stays readable; everything past it is armed.
         poolPoison(static_cast<char *>(p) + sizeof(Node),
                    bytesFor(c) - sizeof(Node));
@@ -170,7 +171,6 @@ class FramePool
     }
 
     Node *free_[kClasses] = {};
-    std::uint32_t parked_[kClasses] = {};
     PoolCounters counters_;
 };
 

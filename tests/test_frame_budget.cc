@@ -1,0 +1,86 @@
+/**
+ * @file
+ * Frame budget of the hot path: how many operations on the thread's
+ * FramePool (blocks handed out, from the freelist or the heap) the
+ * simulator spends per unit of simulated work.  Coroutine frames
+ * dominate host time at large p, so these bounds keep the frameless
+ * awaiters (Transport::busy, Transport::wait) and the by-reference
+ * collective context from quietly growing frames back.
+ */
+
+#include <cstdint>
+
+#include <gtest/gtest.h>
+
+#include "machine/machine.hh"
+#include "mpi/comm.hh"
+#include "sim/pool.hh"
+
+namespace ccsim::mpi {
+namespace {
+
+using machine::Machine;
+using namespace time_literals;
+
+/** FramePool blocks handed out on this thread so far. */
+std::uint64_t
+poolOps()
+{
+    const sim::PoolCounters &c = sim::framePool().counters();
+    return c.reuses + c.allocs + c.oversize;
+}
+
+/** Charging the CPU suspends through an awaiter, not a frame. */
+TEST(FrameBudget, BusyTakesNoFrame)
+{
+    constexpr int kIters = 1000;
+    Machine m(machine::sp2Config(), 2);
+    msg::Transport &tp = m.node(0);
+    auto program = [&tp]() -> sim::Task<void> {
+        for (int i = 0; i < kIters; ++i)
+            co_await tp.busy(1 * US);
+    };
+
+    const std::uint64_t before = poolOps();
+    m.sim().spawn(program());
+    m.run();
+    EXPECT_LT(poolOps() - before, 100u);
+    EXPECT_EQ(m.sim().now(), kIters * US);
+}
+
+/**
+ * Frame-pool operations of the run itself (the ranks are spawned,
+ * and have reached their first suspension, before the count starts)
+ * per message of a dissemination barrier.  Each message is one
+ * sendrecv: its frame, the send root and its send frame, and the
+ * receive frame; the rest is the event queue's and match queues'
+ * occasional growth.
+ */
+TEST(FrameBudget, DisseminationBarrierPerMessage)
+{
+    constexpr int kP = 64;
+    machine::MachineConfig cfg = machine::sp2Config();
+    cfg.collect_metrics = true;
+    Machine m(cfg, kP);
+    auto rank = [&m](int r) -> sim::Task<void> {
+        Comm comm(m, r);
+        co_await comm.barrier(Algo::Dissemination);
+    };
+    for (int r = 0; r < kP; ++r)
+        m.sim().spawn(rank(r));
+
+    const std::uint64_t before = poolOps();
+    m.run();
+    const std::uint64_t ops = poolOps() - before;
+
+    const std::uint64_t messages =
+        m.metricsSnapshot().counters.at("net.messages");
+    EXPECT_EQ(messages, static_cast<std::uint64_t>(kP) * 6);
+    EXPECT_LE(static_cast<double>(ops) / static_cast<double>(messages),
+              4.5)
+        << ops << " frame-pool operations for " << messages
+        << " messages";
+}
+
+} // namespace
+} // namespace ccsim::mpi
