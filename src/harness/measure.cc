@@ -258,41 +258,8 @@ memoClear()
 sim::Task<void>
 runCollectiveOnce(mpi::Comm &comm, Coll op, Bytes m, Algo algo, int root)
 {
-    switch (op) {
-      case Coll::Barrier:
-        co_await comm.barrier(algo);
-        break;
-      case Coll::Bcast:
-        co_await comm.bcast(m, root, algo);
-        break;
-      case Coll::Gather:
-        co_await comm.gather(m, root, algo);
-        break;
-      case Coll::Scatter:
-        co_await comm.scatter(m, root, algo);
-        break;
-      case Coll::Allgather:
-        co_await comm.allgather(m, algo);
-        break;
-      case Coll::Alltoall:
-        co_await comm.alltoall(m, algo);
-        break;
-      case Coll::Reduce:
-        co_await comm.reduce(m, root, algo);
-        break;
-      case Coll::Allreduce:
-        co_await comm.allreduce(m, algo);
-        break;
-      case Coll::ReduceScatter:
-        co_await comm.reduceScatter(m, algo);
-        break;
-      case Coll::Scan:
-        co_await comm.scan(m, algo);
-        break;
-      default:
-        panic("runCollectiveOnce: bad collective %d",
-              static_cast<int>(op));
-    }
+    return comm.call(mpi::collOp(op), mpi::CollArgs(m, root, nullptr),
+                     algo);
 }
 
 namespace {
@@ -466,6 +433,12 @@ measureCollective(const machine::MachineConfig &cfg, int p, Coll op,
     // same point measured under the explicit algorithm.
     if (algo == Algo::Auto)
         algo = tuning::resolveAlgo(cfg, op, p, m, algo);
+    // An algorithm the operation lacks (from --algo, a selection rule
+    // or the config) is a config error, raised before any machine is
+    // built; so is a configured barrier the procedure cannot run.
+    mpi::requireAlgo(mpi::collOp(op),
+                     tuning::resolveAlgo(cfg, op, p, m, algo));
+    mpi::requireAlgo(mpi::kBarrier, cfg.algorithmFor(Coll::Barrier));
 
     if (!cfg.fault.enabled() || opt.ensemble == 1) {
         Measurement out = measureOnePoint(cfg, p, op, m, algo, opt);

@@ -159,10 +159,9 @@ using CollectiveCall =
     std::function<sim::Task<void>(mpi::Comm &, Bytes)>;
 
 /**
- * Issue a single call of @p op on @p comm (@p root for the rooted
- * operations, ignored by the rest) — the building block of the
- * Section 2 loop, and the one collective dispatch: the CLI's
- * --trace-out path and the replayer issue their calls through it.
+ * Issue a single size-only call of @p op on @p comm (@p root for the
+ * rooted operations, ignored by the rest): the building block of the
+ * Section 2 loop, a plain forward to Comm::call.
  */
 sim::Task<void> runCollectiveOnce(mpi::Comm &comm, machine::Coll op,
                                   Bytes m,

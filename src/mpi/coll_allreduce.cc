@@ -1,37 +1,38 @@
 /**
  * @file
- * Allreduce algorithms: reduce-then-broadcast composition and
+ * Allreduce algorithms: reduce-then-broadcast composition,
  * MPICH-style recursive doubling (with the non-power-of-two fold-in
- * pre/post phases).
+ * pre/post phases), and Rabenseifner's reduce-scatter + allgather.
  */
 
 #include "mpi/collectives.hh"
-#include "util/logging.hh"
 
 namespace ccsim::mpi {
 
 namespace {
 
 sim::Task<msg::PayloadPtr>
-allreduceReduceBcast(const CollCtx &ctx, Bytes m, msg::PayloadPtr mine)
+allreduceReduceBcast(const CollCtx &ctx, CollArgs a)
 {
     CollCtx sub = ctx;
     sub.costs.entry = 0; // phases share one collective entry
-    msg::PayloadPtr total = co_await reduceImpl(
-        sub, machine::Algo::Binomial, m, 0, std::move(mine));
-    co_return co_await bcastImpl(sub, machine::Algo::Binomial, m, 0,
-                                 std::move(total));
+    msg::PayloadPtr total =
+        co_await phase(sub, kReduce, machine::Algo::Binomial,
+                       CollArgs(a.m, 0, std::move(a.data)));
+    co_return co_await phase(sub, kBcast, machine::Algo::Binomial,
+                             CollArgs(a.m, 0, std::move(total)));
 }
 
 sim::Task<msg::PayloadPtr>
-allreduceRecDoubling(const CollCtx &ctx, Bytes m, msg::PayloadPtr mine)
+allreduceRecDoubling(const CollCtx &ctx, CollArgs a)
 {
     int p = ctx.size;
     int rank = ctx.rank;
     int pof2 = 1 << floorLog2(p);
     int rem = p - pof2;
+    Bytes m = a.m;
 
-    msg::PayloadPtr acc = std::move(mine);
+    msg::PayloadPtr acc = std::move(a.data);
 
     // Pre-phase: fold the surplus ranks into their even partners so
     // a power-of-two subset runs the doubling rounds.
@@ -88,62 +89,43 @@ allreduceRecDoubling(const CollCtx &ctx, Bytes m, msg::PayloadPtr mine)
  * instead of the tree's m log2 p.
  */
 sim::Task<msg::PayloadPtr>
-allreduceRabenseifner(const CollCtx &ctx, Bytes m, msg::PayloadPtr mine)
+allreduceRabenseifner(const CollCtx &ctx, CollArgs a)
 {
     int p = ctx.size;
     // Chunks must stay element-aligned for the fold; round up to the
     // largest elementary size (8 bytes).
-    Bytes chunk = ((m + p - 1) / p + 7) / 8 * 8;
+    Bytes chunk = ((a.m + p - 1) / p + 7) / 8 * 8;
 
     // Pad to p equal blocks; the padded tail is sliced away at the
     // end and never contaminates real elements (folds are
     // elementwise).
     msg::PayloadPtr padded;
-    if (mine) {
-        auto buf = std::make_shared<std::vector<std::byte>>(*mine);
+    if (a.data) {
+        auto buf = std::make_shared<std::vector<std::byte>>(*a.data);
         buf->resize(static_cast<size_t>(chunk * p));
         padded = buf;
     }
 
     CollCtx sub = ctx;
     sub.costs.entry = 0;
-    msg::PayloadPtr my_block = co_await reduceScatterImpl(
-        sub, machine::Algo::RecursiveHalving, chunk,
-        std::move(padded));
-    msg::PayloadPtr all = co_await allgatherImpl(
-        sub, machine::Algo::RecursiveDoubling, chunk,
-        std::move(my_block));
-    co_return slicePayload(all, 0, m);
+    msg::PayloadPtr my_block =
+        co_await phase(sub, kReduceScatter, machine::Algo::RecursiveHalving,
+                       CollArgs(chunk, -1, std::move(padded)));
+    msg::PayloadPtr all =
+        co_await phase(sub, kAllgather, machine::Algo::RecursiveDoubling,
+                       CollArgs(chunk, -1, std::move(my_block)));
+    co_return slicePayload(all, 0, a.m);
 }
+
+constexpr AlgoEntry kAlgos[] = {
+    {machine::Algo::ReduceBcast, allreduceReduceBcast},
+    {machine::Algo::RecursiveDoubling, allreduceRecDoubling},
+    {machine::Algo::Rabenseifner, allreduceRabenseifner},
+};
 
 } // namespace
 
-sim::Task<msg::PayloadPtr>
-allreduceImpl(const CollCtx &ctx, machine::Algo algo, Bytes m,
-              msg::PayloadPtr mine)
-{
-    if (m < 0)
-        fatal("allreduce: negative message length");
-    if (mine && static_cast<Bytes>(mine->size()) != m)
-        fatal("allreduce: contribution is %zu bytes, expected %lld",
-              mine->size(), static_cast<long long>(m));
-
-    co_await ctx.entry();
-    if (ctx.size == 1)
-        co_return mine;
-
-    switch (algo) {
-      case machine::Algo::ReduceBcast:
-        co_return co_await allreduceReduceBcast(ctx, m, std::move(mine));
-      case machine::Algo::RecursiveDoubling:
-        co_return co_await allreduceRecDoubling(ctx, m, std::move(mine));
-      case machine::Algo::Rabenseifner:
-        co_return co_await allreduceRabenseifner(ctx, m,
-                                                 std::move(mine));
-      default:
-        fatal("allreduce: unsupported algorithm '%s'",
-              machine::algoName(algo).c_str());
-    }
-}
+constinit const CollOp kAllreduce{machine::Coll::Allreduce, "allreduce",
+                                  false, Payload::M, false, kAlgos};
 
 } // namespace ccsim::mpi

@@ -21,11 +21,11 @@ blockOf(const msg::PayloadPtr &all, int i, Bytes m)
 }
 
 sim::Task<msg::PayloadPtr>
-alltoallLinear(const CollCtx &ctx, Bytes m, msg::PayloadPtr mine)
+alltoallLinear(const CollCtx &ctx, CollArgs a)
 {
     int p = ctx.size;
     std::vector<msg::PayloadPtr> out(static_cast<size_t>(p));
-    out[static_cast<size_t>(ctx.rank)] = blockOf(mine, ctx.rank, m);
+    out[static_cast<size_t>(ctx.rank)] = blockOf(a.data, ctx.rank, a.m);
 
     std::vector<msg::Request> rreqs;
     std::vector<msg::Request> sreqs;
@@ -35,8 +35,8 @@ alltoallLinear(const CollCtx &ctx, Bytes m, msg::PayloadPtr mine)
         rreqs.push_back(ctx.irecv(ctx.relative(ctx.rank, -i)));
     for (int i = 1; i < p; ++i) {
         int dst = ctx.relative(ctx.rank, i);
-        co_await ctx.stage(2 * m);
-        sreqs.push_back(ctx.isend(dst, m, blockOf(mine, dst, m)));
+        co_await ctx.stage(2 * a.m);
+        sreqs.push_back(ctx.isend(dst, a.m, blockOf(a.data, dst, a.m)));
     }
     for (auto &r : rreqs) {
         msg::Message got = co_await ctx.wait(std::move(r));
@@ -51,12 +51,12 @@ alltoallLinear(const CollCtx &ctx, Bytes m, msg::PayloadPtr mine)
 }
 
 sim::Task<msg::PayloadPtr>
-alltoallPairwise(const CollCtx &ctx, Bytes m, msg::PayloadPtr mine)
+alltoallPairwise(const CollCtx &ctx, CollArgs a)
 {
     int p = ctx.size;
     bool pow2 = isPow2(p);
     std::vector<msg::PayloadPtr> out(static_cast<size_t>(p));
-    out[static_cast<size_t>(ctx.rank)] = blockOf(mine, ctx.rank, m);
+    out[static_cast<size_t>(ctx.rank)] = blockOf(a.data, ctx.rank, a.m);
 
     for (int i = 1; i < p; ++i) {
         int to, from;
@@ -66,9 +66,9 @@ alltoallPairwise(const CollCtx &ctx, Bytes m, msg::PayloadPtr mine)
             to = ctx.relative(ctx.rank, i);
             from = ctx.relative(ctx.rank, -i);
         }
-        co_await ctx.stage(2 * m);
-        msg::Message got =
-            co_await ctx.sendrecv(to, m, from, blockOf(mine, to, m));
+        co_await ctx.stage(2 * a.m);
+        msg::Message got = co_await ctx.sendrecv(
+            to, a.m, from, blockOf(a.data, to, a.m));
         out[static_cast<size_t>(from)] = got.payload;
     }
     co_return concatPayloads(out);
@@ -80,16 +80,17 @@ alltoallPairwise(const CollCtx &ctx, Bytes m, msg::PayloadPtr mine)
  * up to log2 p times).
  */
 sim::Task<msg::PayloadPtr>
-alltoallBruck(const CollCtx &ctx, Bytes m, msg::PayloadPtr mine)
+alltoallBruck(const CollCtx &ctx, CollArgs a)
 {
     int p = ctx.size;
+    Bytes m = a.m;
 
     // Phase 1: local rotation so slot i holds the block destined to
     // relative rank i.
     std::vector<msg::PayloadPtr> cur(static_cast<size_t>(p));
     for (int i = 0; i < p; ++i)
         cur[static_cast<size_t>(i)] =
-            blockOf(mine, ctx.relative(ctx.rank, i), m);
+            blockOf(a.data, ctx.relative(ctx.rank, i), m);
 
     // Phase 2: for each bit k, every slot whose index has that bit
     // set advances 2^k ranks forward; refill the slots from behind.
@@ -128,34 +129,15 @@ alltoallBruck(const CollCtx &ctx, Bytes m, msg::PayloadPtr mine)
     co_return concatPayloads(out);
 }
 
+constexpr AlgoEntry kAlgos[] = {
+    {machine::Algo::Linear, alltoallLinear},
+    {machine::Algo::Pairwise, alltoallPairwise},
+    {machine::Algo::Bruck, alltoallBruck},
+};
+
 } // namespace
 
-sim::Task<msg::PayloadPtr>
-alltoallImpl(const CollCtx &ctx, machine::Algo algo, Bytes m,
-             msg::PayloadPtr mine)
-{
-    if (m < 0)
-        fatal("alltoall: negative message length");
-    if (mine && static_cast<Bytes>(mine->size()) !=
-                    m * static_cast<Bytes>(ctx.size))
-        fatal("alltoall: contribution is %zu bytes, expected %lld",
-              mine->size(), static_cast<long long>(m * ctx.size));
-
-    co_await ctx.entry();
-    if (ctx.size == 1)
-        co_return blockOf(mine, 0, m);
-
-    switch (algo) {
-      case machine::Algo::Linear:
-        co_return co_await alltoallLinear(ctx, m, std::move(mine));
-      case machine::Algo::Pairwise:
-        co_return co_await alltoallPairwise(ctx, m, std::move(mine));
-      case machine::Algo::Bruck:
-        co_return co_await alltoallBruck(ctx, m, std::move(mine));
-      default:
-        fatal("alltoall: unsupported algorithm '%s'",
-              machine::algoName(algo).c_str());
-    }
-}
+constinit const CollOp kAlltoall{machine::Coll::Alltoall, "alltoall",
+                                 false, Payload::Blocks, false, kAlgos};
 
 } // namespace ccsim::mpi

@@ -13,8 +13,8 @@ namespace ccsim::mpi {
 namespace {
 
 /** Everyone reports to rank 0, which then releases everyone. */
-sim::Task<void>
-barrierLinear(const CollCtx &ctx)
+sim::Task<msg::PayloadPtr>
+barrierLinear(const CollCtx &ctx, CollArgs)
 {
     int p = ctx.size;
     if (ctx.rank == 0) {
@@ -31,11 +31,12 @@ barrierLinear(const CollCtx &ctx)
         co_await ctx.send(0, 0);
         co_await ctx.recv(0);
     }
+    co_return nullptr;
 }
 
 /** Binomial fan-in to rank 0, binomial fan-out release. */
-sim::Task<void>
-barrierTree(const CollCtx &ctx)
+sim::Task<msg::PayloadPtr>
+barrierTree(const CollCtx &ctx, CollArgs)
 {
     int p = ctx.size;
     int r = ctx.rank;
@@ -72,14 +73,15 @@ barrierTree(const CollCtx &ctx)
         }
         mask >>= 1;
     }
+    co_return nullptr;
 }
 
 /**
  * Dissemination: ceil(log2 p) rounds; in round k every rank signals
  * (rank + 2^k) and waits for (rank - 2^k).  What MPICH used.
  */
-sim::Task<void>
-barrierDissemination(const CollCtx &ctx)
+sim::Task<msg::PayloadPtr>
+barrierDissemination(const CollCtx &ctx, CollArgs)
 {
     for (int k = 1; k < ctx.size; k <<= 1) {
         co_await ctx.stage();
@@ -87,51 +89,34 @@ barrierDissemination(const CollCtx &ctx)
         int from = ctx.relative(ctx.rank, -k);
         co_await ctx.sendrecv(to, 0, from);
     }
+    co_return nullptr;
 }
 
-/** The dedicated barrier network (requires full-machine group). */
-sim::Task<void>
-barrierHardware(const CollCtx &ctx)
+/** The dedicated barrier network.  It spans the whole machine, so a
+ *  sub-communicator falls back to the software barrier. */
+sim::Task<msg::PayloadPtr>
+barrierHardware(const CollCtx &ctx, CollArgs a)
 {
+    if (ctx.size != ctx.mach->size())
+        co_return co_await barrierDissemination(ctx, std::move(a));
     machine::HardwareBarrier *hw = ctx.mach->hwBarrier();
     if (!hw)
         fatal("hardware barrier requested on '%s', which has none",
               ctx.mach->config().name.c_str());
     co_await hw->arrive(ctx.global(ctx.rank));
+    co_return nullptr;
 }
+
+constexpr AlgoEntry kAlgos[] = {
+    {machine::Algo::Linear, barrierLinear},
+    {machine::Algo::Binomial, barrierTree},
+    {machine::Algo::Dissemination, barrierDissemination},
+    {machine::Algo::Hardware, barrierHardware},
+};
 
 } // namespace
 
-sim::Task<void>
-barrierImpl(const CollCtx &ctx, machine::Algo algo)
-{
-    co_await ctx.entry();
-    if (ctx.size == 1)
-        co_return;
-
-    // The hardware tree spans the whole machine; a sub-communicator
-    // must fall back to the software barrier.
-    if (algo == machine::Algo::Hardware &&
-        ctx.size != ctx.mach->size())
-        algo = machine::Algo::Dissemination;
-
-    switch (algo) {
-      case machine::Algo::Linear:
-        co_await barrierLinear(ctx);
-        break;
-      case machine::Algo::Binomial:
-        co_await barrierTree(ctx);
-        break;
-      case machine::Algo::Dissemination:
-        co_await barrierDissemination(ctx);
-        break;
-      case machine::Algo::Hardware:
-        co_await barrierHardware(ctx);
-        break;
-      default:
-        fatal("barrier: unsupported algorithm '%s'",
-              machine::algoName(algo).c_str());
-    }
-}
+constinit const CollOp kBarrier{machine::Coll::Barrier, "barrier", false,
+                                Payload::None, false, kAlgos};
 
 } // namespace ccsim::mpi

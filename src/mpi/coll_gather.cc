@@ -2,7 +2,7 @@
  * @file
  * Gather algorithms: linear fan-in at the root (the era default —
  * the paper's measured O(p) gather latency comes from exactly this)
- * and binomial tree.
+ * and binomial tree; gatherv's linear fan-in.
  */
 
 #include <algorithm>
@@ -20,18 +20,18 @@ namespace {
  * completion — the measured per-node latency slope.
  */
 sim::Task<msg::PayloadPtr>
-gatherLinear(const CollCtx &ctx, Bytes m, int root, msg::PayloadPtr mine)
+gatherLinear(const CollCtx &ctx, CollArgs a)
 {
     int p = ctx.size;
-    if (ctx.rank != root) {
-        co_await ctx.stage(m);
-        co_await ctx.send(root, m, std::move(mine));
+    if (ctx.rank != a.root) {
+        co_await ctx.stage(a.m);
+        co_await ctx.send(a.root, a.m, std::move(a.data));
         co_return nullptr;
     }
 
     std::vector<msg::PayloadPtr> blocks(static_cast<size_t>(p));
-    blocks[static_cast<size_t>(root)] = std::move(mine);
-    bool carrying = blocks[static_cast<size_t>(root)] != nullptr;
+    blocks[static_cast<size_t>(a.root)] = std::move(a.data);
+    bool carrying = blocks[static_cast<size_t>(a.root)] != nullptr;
 
     // Post every receive up front (as MPICH does): rendezvous
     // handshakes then overlap, and the root becomes wire-limited
@@ -41,7 +41,7 @@ gatherLinear(const CollCtx &ctx, Bytes m, int root, msg::PayloadPtr mine)
     for (int i = 1; i < p; ++i)
         reqs.push_back(ctx.irecv(msg::kAnySource));
     for (auto &r : reqs) {
-        co_await ctx.stage(m);
+        co_await ctx.stage(a.m);
         msg::Message got = co_await ctx.wait(std::move(r));
         int from = ctx.commRankOf(got.src);
         if (from < 0)
@@ -58,13 +58,13 @@ gatherLinear(const CollCtx &ctx, Bytes m, int root, msg::PayloadPtr mine)
  * final rotation when root != 0.
  */
 sim::Task<msg::PayloadPtr>
-gatherBinomial(const CollCtx &ctx, Bytes m, int root, msg::PayloadPtr mine)
+gatherBinomial(const CollCtx &ctx, CollArgs a)
 {
     int p = ctx.size;
-    int r = (ctx.rank - root % p + p) % p;
-    auto abs = [&](int rel) { return (rel + root) % p; };
+    int r = (ctx.rank - a.root % p + p) % p;
+    auto abs = [&](int rel) { return (rel + a.root) % p; };
 
-    msg::PayloadPtr acc = std::move(mine); // covers rel [r, r + cnt)
+    msg::PayloadPtr acc = std::move(a.data); // covers rel [r, r + cnt)
     int cnt = 1;
 
     int mask = 1;
@@ -73,61 +73,44 @@ gatherBinomial(const CollCtx &ctx, Bytes m, int root, msg::PayloadPtr mine)
             int src = r | mask;
             if (src < p) {
                 int blk = std::min(mask, p - src);
-                co_await ctx.stage(m * static_cast<Bytes>(blk));
+                co_await ctx.stage(a.m * static_cast<Bytes>(blk));
                 msg::Message got = co_await ctx.recv(abs(src));
                 acc = concatPayload(acc, got.payload);
                 cnt += blk;
             }
         } else {
-            co_await ctx.stage(m * static_cast<Bytes>(cnt));
+            co_await ctx.stage(a.m * static_cast<Bytes>(cnt));
             co_await ctx.send(abs(r - mask),
-                              m * static_cast<Bytes>(cnt), acc);
+                              a.m * static_cast<Bytes>(cnt), acc);
             co_return nullptr;
         }
         mask <<= 1;
     }
-    co_return rotateBlocksToAbsolute(acc, p, m, root);
+    co_return rotateBlocksToAbsolute(acc, p, a.m, a.root);
 }
 
-} // namespace
-
+/**
+ * gatherv: rank i sends its counts[i] bytes straight to the root.
+ * Linear only, as in the era's MPICH: trees do not compose with
+ * ragged counts.
+ */
 sim::Task<msg::PayloadPtr>
-gathervImpl(const CollCtx &ctx, machine::Algo algo,
-            const std::vector<Bytes> &counts, int root,
-            msg::PayloadPtr mine)
+gathervLinear(const CollCtx &ctx, CollArgs a)
 {
     int p = ctx.size;
-    if (algo != machine::Algo::Linear)
-        fatal("gatherv: only the linear algorithm is implemented, "
-              "got %s", machine::algoName(algo).c_str());
-    if (root < 0 || root >= p)
-        fatal("gatherv: root %d outside communicator of %d", root, p);
-    if (static_cast<int>(counts.size()) != p)
-        fatal("gatherv: %zu counts for %d ranks", counts.size(), p);
-    for (Bytes c : counts)
-        if (c < 0)
-            fatal("gatherv: negative count");
-    Bytes my_count = counts[static_cast<size_t>(ctx.rank)];
-    if (mine && static_cast<Bytes>(mine->size()) != my_count)
-        fatal("gatherv: contribution is %zu bytes, expected %lld",
-              mine->size(), static_cast<long long>(my_count));
-
-    co_await ctx.entry();
-    if (p == 1)
-        co_return mine;
-
-    if (ctx.rank != root) {
+    if (ctx.rank != a.root) {
+        Bytes my_count = (*a.counts)[static_cast<size_t>(ctx.rank)];
         co_await ctx.stage(my_count);
-        co_await ctx.send(root, my_count, std::move(mine));
+        co_await ctx.send(a.root, my_count, std::move(a.data));
         co_return nullptr;
     }
 
     std::vector<msg::PayloadPtr> blocks(static_cast<size_t>(p));
-    blocks[static_cast<size_t>(root)] = std::move(mine);
-    bool carrying = blocks[static_cast<size_t>(root)] != nullptr;
+    blocks[static_cast<size_t>(a.root)] = std::move(a.data);
+    bool carrying = blocks[static_cast<size_t>(a.root)] != nullptr;
     std::vector<msg::Request> reqs;
     for (int i = 0; i < p; ++i)
-        if (i != root)
+        if (i != a.root)
             reqs.push_back(ctx.irecv(msg::kAnySource));
     for (auto &r : reqs) {
         msg::Message got = co_await ctx.wait(std::move(r));
@@ -141,32 +124,20 @@ gathervImpl(const CollCtx &ctx, machine::Algo algo,
     co_return carrying ? concatPayloads(blocks) : nullptr;
 }
 
-sim::Task<msg::PayloadPtr>
-gatherImpl(const CollCtx &ctx, machine::Algo algo, Bytes m, int root,
-           msg::PayloadPtr mine)
-{
-    if (root < 0 || root >= ctx.size)
-        fatal("gather: root %d outside communicator of %d", root,
-              ctx.size);
-    if (m < 0)
-        fatal("gather: negative message length");
-    if (mine && static_cast<Bytes>(mine->size()) != m)
-        fatal("gather: contribution is %zu bytes, expected %lld",
-              mine->size(), static_cast<long long>(m));
+constexpr AlgoEntry kAlgos[] = {
+    {machine::Algo::Linear, gatherLinear},
+    {machine::Algo::Binomial, gatherBinomial},
+};
 
-    co_await ctx.entry();
-    if (ctx.size == 1)
-        co_return mine;
+constexpr AlgoEntry kVectorAlgos[] = {
+    {machine::Algo::Linear, gathervLinear},
+};
 
-    switch (algo) {
-      case machine::Algo::Linear:
-        co_return co_await gatherLinear(ctx, m, root, std::move(mine));
-      case machine::Algo::Binomial:
-        co_return co_await gatherBinomial(ctx, m, root, std::move(mine));
-      default:
-        fatal("gather: unsupported algorithm '%s'",
-              machine::algoName(algo).c_str());
-    }
-}
+} // namespace
+
+constinit const CollOp kGather{machine::Coll::Gather, "gather", true,
+                               Payload::M, false, kAlgos};
+constinit const CollOp kGatherv{machine::Coll::Gather, "gatherv", true,
+                                Payload::Counts, false, kVectorAlgos};
 
 } // namespace ccsim::mpi

@@ -5,36 +5,35 @@
  */
 
 #include "mpi/collectives.hh"
-#include "util/logging.hh"
 
 namespace ccsim::mpi {
 
 namespace {
 
 sim::Task<msg::PayloadPtr>
-scanLinear(const CollCtx &ctx, Bytes m, msg::PayloadPtr mine)
+scanLinear(const CollCtx &ctx, CollArgs a)
 {
-    msg::PayloadPtr acc = std::move(mine);
     if (ctx.rank > 0) {
-        co_await ctx.stage(m);
+        co_await ctx.stage(a.m);
         msg::Message got = co_await ctx.recv(ctx.rank - 1);
-        co_await ctx.arith(m);
-        acc = ctx.fold(got.payload, acc); // earlier ranks on the left
+        co_await ctx.arith(a.m);
+        a.data = ctx.fold(got.payload, a.data); // earlier ranks left
     }
     if (ctx.rank < ctx.size - 1) {
-        co_await ctx.stage(m);
-        co_await ctx.send(ctx.rank + 1, m, acc);
+        co_await ctx.stage(a.m);
+        co_await ctx.send(ctx.rank + 1, a.m, a.data);
     }
-    co_return acc;
+    co_return a.data;
 }
 
 sim::Task<msg::PayloadPtr>
-scanRecDoubling(const CollCtx &ctx, Bytes m, msg::PayloadPtr mine)
+scanRecDoubling(const CollCtx &ctx, CollArgs a)
 {
     // scan: fold over [segment start, rank]; total: fold over my
     // whole current segment [rank - k + 1, rank] (what gets sent).
-    msg::PayloadPtr scan = mine;
-    msg::PayloadPtr total = std::move(mine);
+    Bytes m = a.m;
+    msg::PayloadPtr scan = a.data;
+    msg::PayloadPtr total = std::move(a.data);
 
     for (int k = 1; k < ctx.size; k <<= 1) {
         int up = ctx.rank + k;
@@ -59,31 +58,14 @@ scanRecDoubling(const CollCtx &ctx, Bytes m, msg::PayloadPtr mine)
     co_return scan;
 }
 
+constexpr AlgoEntry kAlgos[] = {
+    {machine::Algo::Linear, scanLinear},
+    {machine::Algo::RecursiveDoubling, scanRecDoubling},
+};
+
 } // namespace
 
-sim::Task<msg::PayloadPtr>
-scanImpl(const CollCtx &ctx, machine::Algo algo, Bytes m,
-         msg::PayloadPtr mine)
-{
-    if (m < 0)
-        fatal("scan: negative message length");
-    if (mine && static_cast<Bytes>(mine->size()) != m)
-        fatal("scan: contribution is %zu bytes, expected %lld",
-              mine->size(), static_cast<long long>(m));
-
-    co_await ctx.entry();
-    if (ctx.size == 1)
-        co_return mine;
-
-    switch (algo) {
-      case machine::Algo::Linear:
-        co_return co_await scanLinear(ctx, m, std::move(mine));
-      case machine::Algo::RecursiveDoubling:
-        co_return co_await scanRecDoubling(ctx, m, std::move(mine));
-      default:
-        fatal("scan: unsupported algorithm '%s'",
-              machine::algoName(algo).c_str());
-    }
-}
+constinit const CollOp kScan{machine::Coll::Scan, "scan", false,
+                             Payload::M, false, kAlgos};
 
 } // namespace ccsim::mpi

@@ -1,6 +1,7 @@
 #include "mpi/comm.hh"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "tuning/selection_table.hh"
 #include "util/logging.hh"
@@ -154,10 +155,14 @@ Comm::compute(Time t) const
 }
 
 CollCtx
-Comm::makeCtx(Coll op, Algo &algo, Bytes m, Combiner combiner)
+Comm::makeCtx(const CollOp &row, Algo &algo, Bytes m, Combiner combiner)
 {
     const machine::MachineConfig &cfg = mach_->config();
-    algo = tuning::resolveAlgo(cfg, op, size_, m, algo);
+    if (row.payload == Payload::Counts &&
+        (algo == Algo::Default || algo == Algo::Auto))
+        algo = row.algos.front().algo;
+    else
+        algo = tuning::resolveAlgo(cfg, row.op, size_, m, algo);
 
     CollCtx ctx;
     ctx.mach = mach_;
@@ -167,209 +172,119 @@ Comm::makeCtx(Coll op, Algo &algo, Bytes m, Combiner combiner)
     ctx.group = group_;
     ctx.context = collContext(ctx_id_);
     ctx.tag = coll_seq_++;
-    ctx.costs = cfg.costsFor(op);
+    ctx.costs = cfg.costsFor(row.op);
     ctx.ov = msg::CostOverride{ctx.costs.send_overhead_override,
                                ctx.costs.recv_overhead_override};
     ctx.reduce_bw = cfg.reduce_bandwidth_mbs;
     ctx.combiner = std::move(combiner);
-    ctx.op = op;
+    ctx.op = row.op;
     ctx.probe = probe_;
     return ctx;
 }
 
-template <typename T, typename... Args>
+template <typename T>
 sim::Task<T>
-Comm::collective(Coll op, Bytes m, int root, Algo algo,
-                 const std::vector<Bytes> *counts, Combiner combiner,
-                 sim::Task<T> (*impl)(const CollCtx &, Algo, Args...),
-                 std::type_identity_t<Args>... args)
+Comm::call(const CollOp &row, CollArgs args, Algo algo, Combiner combiner)
 {
-    report({.kind = machine::CallKind::Coll, .bytes = m, .op = op,
-            .algo = algo, .root = root, .counts = counts,
+    if (row.payload == Payload::None)
+        args.m = 0; // a barrier has no message length
+    report({.kind = machine::CallKind::Coll, .bytes = args.m,
+            .op = row.op, .algo = algo,
+            .root = row.rooted ? args.root : -1, .counts = args.counts,
             .group = group_.get()});
-    // gatherv/scatterv's only algorithm is Linear; Default (and Auto)
-    // mean that, not the machine's (possibly tree-shaped) choice for
-    // the base op.
-    if (counts && (algo == Algo::Default || algo == Algo::Auto))
-        algo = Algo::Linear;
-    CollCtx ctx = makeCtx(op, algo, m, std::move(combiner));
+    const CollCtx ctx = makeCtx(row, algo, args.m, std::move(combiner));
+    const AlgoFn run = checkCall(row, ctx, algo, args);
     const Time start = mach_->sim().now();
-    if constexpr (std::is_void_v<T>) {
-        co_await impl(ctx, algo, std::move(args)...);
-        if (probe_)
-            probe_->collEnd(globalRank(rank_), op, start,
-                            mach_->sim().now());
-    } else {
-        T out = co_await impl(ctx, algo, std::move(args)...);
-        if (probe_)
-            probe_->collEnd(globalRank(rank_), op, start,
-                            mach_->sim().now());
+    co_await ctx.entry();
+    msg::PayloadPtr out;
+    if (ctx.size == 1)
+        out = std::move(args.data); // alone, my payload is the result
+    else
+        out = co_await run(ctx, std::move(args));
+    if (probe_)
+        probe_->collEnd(globalRank(rank_), row.op, start,
+                        mach_->sim().now());
+    if constexpr (!std::is_void_v<T>)
         co_return out;
-    }
 }
 
-// ---- per-operation cores ----------------------------------------------
-// The public size-only and *Data forms both forward here.
-
-sim::Task<msg::PayloadPtr>
-Comm::bcastCore(Bytes m, int root, Algo algo, msg::PayloadPtr data)
-{
-    return collective(Coll::Bcast, m, root, algo, nullptr, {}, bcastImpl,
-                      m, root, std::move(data));
-}
-
-sim::Task<msg::PayloadPtr>
-Comm::gatherCore(Bytes m, int root, Algo algo, msg::PayloadPtr mine)
-{
-    return collective(Coll::Gather, m, root, algo, nullptr, {},
-                      gatherImpl, m, root, std::move(mine));
-}
-
-sim::Task<msg::PayloadPtr>
-Comm::scatterCore(Bytes m, int root, Algo algo, msg::PayloadPtr all)
-{
-    return collective(Coll::Scatter, m, root, algo, nullptr, {},
-                      scatterImpl, m, root, std::move(all));
-}
-
-sim::Task<msg::PayloadPtr>
-Comm::gathervCore(const std::vector<Bytes> &counts, int root, Algo algo,
-                  msg::PayloadPtr mine)
-{
-    return collective(Coll::Gather, 0, root, algo, &counts, {},
-                      gathervImpl, counts, root, std::move(mine));
-}
-
-sim::Task<msg::PayloadPtr>
-Comm::scattervCore(const std::vector<Bytes> &counts, int root, Algo algo,
-                   msg::PayloadPtr all)
-{
-    return collective(Coll::Scatter, 0, root, algo, &counts, {},
-                      scattervImpl, counts, root, std::move(all));
-}
-
-sim::Task<msg::PayloadPtr>
-Comm::allgatherCore(Bytes m, Algo algo, msg::PayloadPtr mine)
-{
-    return collective(Coll::Allgather, m, -1, algo, nullptr, {},
-                      allgatherImpl, m, std::move(mine));
-}
-
-sim::Task<msg::PayloadPtr>
-Comm::alltoallCore(Bytes m, Algo algo, msg::PayloadPtr mine)
-{
-    return collective(Coll::Alltoall, m, -1, algo, nullptr, {},
-                      alltoallImpl, m, std::move(mine));
-}
-
-sim::Task<msg::PayloadPtr>
-Comm::reduceCore(Bytes m, int root, Algo algo, Combiner combiner,
-                 msg::PayloadPtr mine)
-{
-    return collective(Coll::Reduce, m, root, algo, nullptr,
-                      std::move(combiner), reduceImpl, m, root,
-                      std::move(mine));
-}
-
-sim::Task<msg::PayloadPtr>
-Comm::allreduceCore(Bytes m, Algo algo, Combiner combiner,
-                    msg::PayloadPtr mine)
-{
-    return collective(Coll::Allreduce, m, -1, algo, nullptr,
-                      std::move(combiner), allreduceImpl, m,
-                      std::move(mine));
-}
-
-sim::Task<msg::PayloadPtr>
-Comm::reduceScatterCore(Bytes m, Algo algo, Combiner combiner,
-                        msg::PayloadPtr mine)
-{
-    return collective(Coll::ReduceScatter, m, -1, algo, nullptr,
-                      std::move(combiner), reduceScatterImpl, m,
-                      std::move(mine));
-}
-
-sim::Task<msg::PayloadPtr>
-Comm::scanCore(Bytes m, Algo algo, Combiner combiner,
-               msg::PayloadPtr mine)
-{
-    return collective(Coll::Scan, m, -1, algo, nullptr,
-                      std::move(combiner), scanImpl, m, std::move(mine));
-}
+template sim::Task<void> Comm::call<void>(const CollOp &, CollArgs, Algo,
+                                          Combiner);
+template sim::Task<msg::PayloadPtr>
+Comm::call<msg::PayloadPtr>(const CollOp &, CollArgs, Algo, Combiner);
 
 // ---- size-only front-ends ---------------------------------------------
 
 sim::Task<void>
 Comm::barrier(Algo algo)
 {
-    return collective(Coll::Barrier, 0, -1, algo, nullptr, {},
-                      barrierImpl);
+    return call(kBarrier, CollArgs(0, -1, nullptr), algo);
 }
 
 sim::Task<void>
 Comm::bcast(Bytes m, int root, Algo algo)
 {
-    co_await bcastCore(m, root, algo, nullptr);
+    return call(kBcast, CollArgs(m, root, nullptr), algo);
 }
 
 sim::Task<void>
 Comm::gather(Bytes m, int root, Algo algo)
 {
-    co_await gatherCore(m, root, algo, nullptr);
+    return call(kGather, CollArgs(m, root, nullptr), algo);
 }
 
 sim::Task<void>
 Comm::scatter(Bytes m, int root, Algo algo)
 {
-    co_await scatterCore(m, root, algo, nullptr);
+    return call(kScatter, CollArgs(m, root, nullptr), algo);
 }
 
 sim::Task<void>
 Comm::allgather(Bytes m, Algo algo)
 {
-    co_await allgatherCore(m, algo, nullptr);
+    return call(kAllgather, CollArgs(m, -1, nullptr), algo);
 }
 
 sim::Task<void>
 Comm::gatherv(const std::vector<Bytes> &counts, int root, Algo algo)
 {
-    co_await gathervCore(counts, root, algo, nullptr);
+    return call(kGatherv, CollArgs(0, root, nullptr, &counts), algo);
 }
 
 sim::Task<void>
 Comm::scatterv(const std::vector<Bytes> &counts, int root, Algo algo)
 {
-    co_await scattervCore(counts, root, algo, nullptr);
+    return call(kScatterv, CollArgs(0, root, nullptr, &counts), algo);
 }
 
 sim::Task<void>
 Comm::alltoall(Bytes m, Algo algo)
 {
-    co_await alltoallCore(m, algo, nullptr);
+    return call(kAlltoall, CollArgs(m, -1, nullptr), algo);
 }
 
 sim::Task<void>
 Comm::reduce(Bytes m, int root, Algo algo)
 {
-    co_await reduceCore(m, root, algo, {}, nullptr);
+    return call(kReduce, CollArgs(m, root, nullptr), algo);
 }
 
 sim::Task<void>
 Comm::allreduce(Bytes m, Algo algo)
 {
-    co_await allreduceCore(m, algo, {}, nullptr);
+    return call(kAllreduce, CollArgs(m, -1, nullptr), algo);
 }
 
 sim::Task<void>
 Comm::reduceScatter(Bytes m, Algo algo)
 {
-    co_await reduceScatterCore(m, algo, {}, nullptr);
+    return call(kReduceScatter, CollArgs(m, -1, nullptr), algo);
 }
 
 sim::Task<void>
 Comm::scan(Bytes m, Algo algo)
 {
-    co_await scanCore(m, algo, {}, nullptr);
+    return call(kScan, CollArgs(m, -1, nullptr), algo);
 }
 
 } // namespace ccsim::mpi

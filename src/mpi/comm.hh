@@ -29,7 +29,6 @@
 #define CCSIM_MPI_COMM_HH
 
 #include <memory>
-#include <type_traits>
 #include <vector>
 
 #include "machine/machine.hh"
@@ -95,9 +94,10 @@ class Comm
     // m is the paper's "message length": bytes exchanged per node
     // pair (per-operand bytes for reduce/scan).
 
-    // Every size-only method is its *Data sibling with a null
-    // payload: both forward to one private *Core per operation, so
-    // timing and tag allocation cannot diverge between the two forms.
+    // Every size-only method and its *Data sibling are one call() of
+    // the operation's row (collectives.hh), the size-only form with a
+    // null payload, so timing and tag allocation cannot diverge
+    // between the two forms.
 
     // The default argument is Algo::Auto: resolved through the
     // machine's selection table when one is attached (see
@@ -124,6 +124,20 @@ class Comm
     sim::Task<void> reduceScatter(Bytes m, Algo algo = Algo::Auto);
     sim::Task<void> scan(Bytes m, Algo algo = Algo::Auto);
 
+    /**
+     * The one collective entry, for any row of the table: report the
+     * call as requested, resolve @p algo (Auto through the machine's
+     * selection table, Default to its configured choice; gatherv and
+     * scatterv have no configured choice and take their row's first
+     * algorithm), check the call against the row, charge the entry
+     * cost, run the algorithm and report the end.  T is void for a
+     * size-only call, else msg::PayloadPtr: the algorithm's result.
+     * @p combiner folds reduction payloads; empty in size-only mode.
+     */
+    template <typename T = void>
+    sim::Task<T> call(const CollOp &row, CollArgs args,
+                      Algo algo = Algo::Auto, Combiner combiner = {});
+
     // ---- collectives, data-carrying ------------------------------------
 
     /** Broadcast root's vector; every rank returns it.  All ranks
@@ -133,11 +147,10 @@ class Comm
     sim::Task<std::vector<T>>
     bcastData(std::vector<T> v, int root = 0, Algo algo = Algo::Auto)
     {
-        Bytes m = byteSize(v);
         msg::PayloadPtr data =
             rank_ == root ? msg::makePayload(v) : nullptr;
-        msg::PayloadPtr out =
-            co_await bcastCore(m, root, algo, std::move(data));
+        msg::PayloadPtr out = co_await call<msg::PayloadPtr>(
+            kBcast, CollArgs(byteSize(v), root, std::move(data)), algo);
         co_return msg::payloadAs<T>(out);
     }
 
@@ -148,8 +161,9 @@ class Comm
     gatherData(const std::vector<T> &mine, int root = 0,
                Algo algo = Algo::Auto)
     {
-        msg::PayloadPtr out = co_await gatherCore(
-            byteSize(mine), root, algo, msg::makePayload(mine));
+        msg::PayloadPtr out = co_await call<msg::PayloadPtr>(
+            kGather, CollArgs(byteSize(mine), root, msg::makePayload(mine)),
+            algo);
         co_return msg::payloadAs<T>(out);
     }
 
@@ -164,8 +178,8 @@ class Comm
                   static_cast<Bytes>(sizeof(T));
         msg::PayloadPtr data =
             rank_ == root ? msg::makePayload(all) : nullptr;
-        msg::PayloadPtr out =
-            co_await scatterCore(m, root, algo, std::move(data));
+        msg::PayloadPtr out = co_await call<msg::PayloadPtr>(
+            kScatter, CollArgs(m, root, std::move(data)), algo);
         co_return msg::payloadAs<T>(out);
     }
 
@@ -177,9 +191,10 @@ class Comm
                 const std::vector<int> &counts, int root = 0,
                 Algo algo = Algo::Auto)
     {
-        msg::PayloadPtr out = co_await gathervCore(
-            toByteCounts<T>(counts), root, algo,
-            msg::makePayload(mine));
+        const std::vector<Bytes> bytes = toByteCounts<T>(counts);
+        msg::PayloadPtr out = co_await call<msg::PayloadPtr>(
+            kGatherv, CollArgs(0, root, msg::makePayload(mine), &bytes),
+            algo);
         co_return msg::payloadAs<T>(out);
     }
 
@@ -191,10 +206,11 @@ class Comm
                  const std::vector<int> &counts, int root = 0,
                  Algo algo = Algo::Auto)
     {
+        const std::vector<Bytes> bytes = toByteCounts<T>(counts);
         msg::PayloadPtr data =
             rank_ == root ? msg::makePayload(all) : nullptr;
-        msg::PayloadPtr out = co_await scattervCore(
-            toByteCounts<T>(counts), root, algo, std::move(data));
+        msg::PayloadPtr out = co_await call<msg::PayloadPtr>(
+            kScatterv, CollArgs(0, root, std::move(data), &bytes), algo);
         co_return msg::payloadAs<T>(out);
     }
 
@@ -203,8 +219,9 @@ class Comm
     sim::Task<std::vector<T>>
     allgatherData(const std::vector<T> &mine, Algo algo = Algo::Auto)
     {
-        msg::PayloadPtr out = co_await allgatherCore(
-            byteSize(mine), algo, msg::makePayload(mine));
+        msg::PayloadPtr out = co_await call<msg::PayloadPtr>(
+            kAllgather, CollArgs(byteSize(mine), -1, msg::makePayload(mine)),
+            algo);
         co_return msg::payloadAs<T>(out);
     }
 
@@ -218,8 +235,8 @@ class Comm
             fatal("alltoallData: %zu elements not divisible by %d "
                   "ranks", mine.size(), size_);
         Bytes m = byteSize(mine) / size_;
-        msg::PayloadPtr out =
-            co_await alltoallCore(m, algo, msg::makePayload(mine));
+        msg::PayloadPtr out = co_await call<msg::PayloadPtr>(
+            kAlltoall, CollArgs(m, -1, msg::makePayload(mine)), algo);
         co_return msg::payloadAs<T>(out);
     }
 
@@ -229,9 +246,9 @@ class Comm
     reduceData(const std::vector<T> &mine, ReduceOp op, int root = 0,
                Algo algo = Algo::Auto)
     {
-        msg::PayloadPtr out = co_await reduceCore(
-            byteSize(mine), root, algo,
-            makeCombiner(op, datatypeOf<T>()), msg::makePayload(mine));
+        msg::PayloadPtr out = co_await call<msg::PayloadPtr>(
+            kReduce, CollArgs(byteSize(mine), root, msg::makePayload(mine)),
+            algo, makeCombiner(op, datatypeOf<T>()));
         co_return msg::payloadAs<T>(out);
     }
 
@@ -241,9 +258,9 @@ class Comm
     allreduceData(const std::vector<T> &mine, ReduceOp op,
                   Algo algo = Algo::Auto)
     {
-        msg::PayloadPtr out = co_await allreduceCore(
-            byteSize(mine), algo, makeCombiner(op, datatypeOf<T>()),
-            msg::makePayload(mine));
+        msg::PayloadPtr out = co_await call<msg::PayloadPtr>(
+            kAllreduce, CollArgs(byteSize(mine), -1, msg::makePayload(mine)),
+            algo, makeCombiner(op, datatypeOf<T>()));
         co_return msg::payloadAs<T>(out);
     }
 
@@ -258,9 +275,9 @@ class Comm
             fatal("reduceScatterData: %zu elements not divisible by "
                   "%d ranks", mine.size(), size_);
         Bytes m = byteSize(mine) / size_;
-        msg::PayloadPtr out = co_await reduceScatterCore(
-            m, algo, makeCombiner(op, datatypeOf<T>()),
-            msg::makePayload(mine));
+        msg::PayloadPtr out = co_await call<msg::PayloadPtr>(
+            kReduceScatter, CollArgs(m, -1, msg::makePayload(mine)), algo,
+            makeCombiner(op, datatypeOf<T>()));
         co_return msg::payloadAs<T>(out);
     }
 
@@ -270,9 +287,9 @@ class Comm
     scanData(const std::vector<T> &mine, ReduceOp op,
              Algo algo = Algo::Auto)
     {
-        msg::PayloadPtr out = co_await scanCore(
-            byteSize(mine), algo, makeCombiner(op, datatypeOf<T>()),
-            msg::makePayload(mine));
+        msg::PayloadPtr out = co_await call<msg::PayloadPtr>(
+            kScan, CollArgs(byteSize(mine), -1, msg::makePayload(mine)),
+            algo, makeCombiner(op, datatypeOf<T>()));
         co_return msg::payloadAs<T>(out);
     }
 
@@ -280,10 +297,10 @@ class Comm
     Comm(machine::Machine &mach, int rank, int size,
          std::shared_ptr<const std::vector<int>> group, int ctx_id);
 
-    /** Resolve Algo::Auto / Algo::Default (via tuning::resolveAlgo,
-     *  which needs the message length @p m for the table lookup) and
-     *  assemble the per-call context. */
-    CollCtx makeCtx(Coll op, Algo &algo, Bytes m, Combiner combiner);
+    /** Resolve @p algo for a call of @p row (see call()) and assemble
+     *  the per-call context, allocating the next tag. */
+    CollCtx makeCtx(const CollOp &row, Algo &algo, Bytes m,
+                    Combiner combiner);
 
     /** Report call @p c, as requested, to the probe (if anyone
      *  listens); fills in the calling global rank. */
@@ -295,53 +312,6 @@ class Comm
             probe_->call(c);
         }
     }
-
-    /**
-     * The one collective entry: report the call as requested, resolve
-     * the algorithm, build the context (allocating the next tag), run
-     * @p impl with @p args, and report the collective's end.
-     * @p counts is non-null for gatherv/scatterv (@p m is then 0),
-     * whose only algorithm is Linear.
-     */
-    template <typename T, typename... Args>
-    sim::Task<T> collective(Coll op, Bytes m, int root, Algo algo,
-                            const std::vector<Bytes> *counts,
-                            Combiner combiner,
-                            sim::Task<T> (*impl)(const CollCtx &, Algo,
-                                                 Args...),
-                            std::type_identity_t<Args>... args);
-
-    // One Core per collective, each a call of collective().  Both
-    // public forms (size-only, *Data) land here, so a null and a real
-    // payload take byte-identical simulated time.
-    sim::Task<msg::PayloadPtr> bcastCore(Bytes m, int root, Algo algo,
-                                         msg::PayloadPtr data);
-    sim::Task<msg::PayloadPtr> gatherCore(Bytes m, int root, Algo algo,
-                                          msg::PayloadPtr mine);
-    sim::Task<msg::PayloadPtr> scatterCore(Bytes m, int root, Algo algo,
-                                           msg::PayloadPtr all);
-    sim::Task<msg::PayloadPtr>
-    gathervCore(const std::vector<Bytes> &counts, int root, Algo algo,
-                msg::PayloadPtr mine);
-    sim::Task<msg::PayloadPtr>
-    scattervCore(const std::vector<Bytes> &counts, int root, Algo algo,
-                 msg::PayloadPtr all);
-    sim::Task<msg::PayloadPtr> allgatherCore(Bytes m, Algo algo,
-                                             msg::PayloadPtr mine);
-    sim::Task<msg::PayloadPtr> alltoallCore(Bytes m, Algo algo,
-                                            msg::PayloadPtr mine);
-    sim::Task<msg::PayloadPtr> reduceCore(Bytes m, int root, Algo algo,
-                                          Combiner combiner,
-                                          msg::PayloadPtr mine);
-    sim::Task<msg::PayloadPtr> allreduceCore(Bytes m, Algo algo,
-                                             Combiner combiner,
-                                             msg::PayloadPtr mine);
-    sim::Task<msg::PayloadPtr> reduceScatterCore(Bytes m, Algo algo,
-                                                 Combiner combiner,
-                                                 msg::PayloadPtr mine);
-    sim::Task<msg::PayloadPtr> scanCore(Bytes m, Algo algo,
-                                        Combiner combiner,
-                                        msg::PayloadPtr mine);
 
     template <typename T>
     static std::vector<Bytes>

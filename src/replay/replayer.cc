@@ -5,7 +5,6 @@
 #include <deque>
 #include <map>
 
-#include "harness/measure.hh"
 #include "machine/machine.hh"
 #include "mpi/comm.hh"
 #include "replay/trace_parser.hh"
@@ -15,8 +14,6 @@ namespace ccsim::replay {
 
 namespace {
 
-using machine::Coll;
-
 /** Scale a byte count; 1.0 is the exact identity (no FP at all). */
 Bytes
 scaleBytes(Bytes b, double scale)
@@ -25,19 +22,6 @@ scaleBytes(Bytes b, double scale)
         return b;
     return static_cast<Bytes>(
         std::llround(static_cast<double>(b) * scale));
-}
-
-/** Issue one gatherv/scatterv action on @p comm. */
-sim::Task<void>
-runVectorCollective(mpi::Comm &comm, const Action &a, double scale)
-{
-    std::vector<Bytes> counts = a.counts;
-    for (Bytes &c : counts)
-        c = scaleBytes(c, scale);
-    if (a.op == Coll::Gather)
-        co_await comm.gatherv(counts, a.root, a.algo);
-    else
-        co_await comm.scatterv(counts, a.root, a.algo);
 }
 
 /**
@@ -103,12 +87,14 @@ runRank(machine::Machine &mach, const Program &prog, int rank,
                              .first;
                 comm = &it->second;
             }
-            if (a.vector_variant)
-                co_await runVectorCollective(*comm, a, scale);
-            else
-                co_await harness::runCollectiveOnce(
-                    *comm, a.op, scaleBytes(a.bytes, scale), a.algo,
-                    a.root);
+            std::vector<Bytes> counts = a.counts; // gatherv/scatterv
+            for (Bytes &c : counts)
+                c = scaleBytes(c, scale);
+            co_await comm->call(
+                mpi::collOp(a.op, a.vector_variant),
+                mpi::CollArgs(scaleBytes(a.bytes, scale), a.root, nullptr,
+                              a.vector_variant ? &counts : nullptr),
+                a.algo);
             break;
           }
         }

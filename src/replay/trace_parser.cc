@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <cctype>
 #include <fstream>
-#include <map>
+#include <optional>
 #include <ostream>
 #include <sstream>
 
 #include "machine/config_io.hh"
+#include "mpi/collectives.hh"
 #include "util/field.hh"
 #include "util/logging.hh"
 
@@ -17,34 +18,6 @@ namespace {
 
 using machine::Algo;
 using machine::Coll;
-
-/** Collective keyword -> (op, vector variant). */
-const std::map<std::string, std::pair<Coll, bool>> &
-collectiveKeywords()
-{
-    static const std::map<std::string, std::pair<Coll, bool>> kw = {
-        {"barrier", {Coll::Barrier, false}},
-        {"bcast", {Coll::Bcast, false}},
-        {"gather", {Coll::Gather, false}},
-        {"scatter", {Coll::Scatter, false}},
-        {"allgather", {Coll::Allgather, false}},
-        {"alltoall", {Coll::Alltoall, false}},
-        {"reduce", {Coll::Reduce, false}},
-        {"allreduce", {Coll::Allreduce, false}},
-        {"reduce_scatter", {Coll::ReduceScatter, false}},
-        {"scan", {Coll::Scan, false}},
-        {"gatherv", {Coll::Gather, true}},
-        {"scatterv", {Coll::Scatter, true}},
-    };
-    return kw;
-}
-
-bool
-collectiveHasRoot(Coll op)
-{
-    return op == Coll::Bcast || op == Coll::Gather ||
-           op == Coll::Scatter || op == Coll::Reduce;
-}
 
 /** One line being parsed, with the context diagnostics need. */
 struct LineCtx
@@ -209,12 +182,13 @@ parsePtp(const LineCtx &ctx, ActionKind kind,
 }
 
 Action
-parseCollective(const LineCtx &ctx, Coll op, bool vector_variant,
+parseCollective(const LineCtx &ctx, const mpi::CollOp &row,
                 const std::vector<std::string> &toks, int np)
 {
+    const bool vector_variant = row.payload == mpi::Payload::Counts;
     Action a;
     a.kind = ActionKind::Coll;
-    a.op = op;
+    a.op = row.op;
     a.vector_variant = vector_variant;
     a.line = ctx.line;
     std::size_t pos = 0;
@@ -224,7 +198,7 @@ parseCollective(const LineCtx &ctx, Coll op, bool vector_variant,
             toks[pos].find('=') != std::string::npos)
             ctx.fail("missing byte-count list");
         a.counts = parseByteList(ctx, toks[pos++]);
-    } else if (op != Coll::Barrier) {
+    } else if (row.payload != mpi::Payload::None) {
         if (pos >= toks.size() ||
             toks[pos].find('=') != std::string::npos)
             ctx.fail("missing message length");
@@ -235,8 +209,7 @@ parseCollective(const LineCtx &ctx, Coll op, bool vector_variant,
 
     for (; pos < toks.size(); ++pos) {
         auto [key, value] = splitAttr(ctx, toks[pos]);
-        if (key == "root" &&
-            (collectiveHasRoot(op) || vector_variant)) {
+        if (key == "root" && row.rooted) {
             a.root = static_cast<int>(parseInt(ctx, value, "root"));
         } else if (key == "algo") {
             bool was = throwOnError(true);
@@ -247,6 +220,9 @@ parseCollective(const LineCtx &ctx, Coll op, bool vector_variant,
                 ctx.fail("unknown algorithm '" + value + "'");
             }
             throwOnError(was);
+            if (a.algo != Algo::Default && a.algo != Algo::Auto &&
+                !row.find(a.algo))
+                ctx.fail(row.missing(a.algo));
         } else if (key == "group") {
             a.group = parseRankList(ctx, value, np);
         } else {
@@ -293,9 +269,7 @@ actionKeyword(ActionKind k, Coll op, bool vector_variant)
       case ActionKind::Sendrecv:
         return "sendrecv";
       case ActionKind::Coll:
-        if (vector_variant)
-            return op == Coll::Gather ? "gatherv" : "scatterv";
-        return machine::collKey(op);
+        return mpi::collOp(op, vector_variant).name;
       default:
         panic("actionKeyword: bad kind %d", static_cast<int>(k));
     }
@@ -372,12 +346,14 @@ TraceParser::parse(std::istream &is, const std::string &name)
                 ctx.fail("wait takes no arguments");
             a.kind = ActionKind::Wait;
             a.line = lineno;
+        } else if (kw == mpi::kGatherv.name) {
+            a = parseCollective(ctx, mpi::kGatherv, args, prog.np);
+        } else if (kw == mpi::kScatterv.name) {
+            a = parseCollective(ctx, mpi::kScatterv, args, prog.np);
+        } else if (std::optional<Coll> op = machine::collFromKey(kw)) {
+            a = parseCollective(ctx, mpi::collOp(*op), args, prog.np);
         } else {
-            auto it = collectiveKeywords().find(kw);
-            if (it == collectiveKeywords().end())
-                ctx.fail("unknown collective '" + kw + "'");
-            a = parseCollective(ctx, it->second.first,
-                                it->second.second, args, prog.np);
+            ctx.fail("unknown collective '" + kw + "'");
         }
         prog.ranks[static_cast<std::size_t>(rank)].push_back(
             std::move(a));

@@ -5,6 +5,7 @@
 #include "fault/fault_report.hh"
 #include "fault/fault_spec.hh"
 #include "harness/sweep.hh"
+#include "mpi/collectives.hh"
 #include "util/logging.hh"
 
 namespace ccsim::tuning {
@@ -13,38 +14,6 @@ using machine::Algo;
 using machine::Coll;
 
 namespace {
-
-/** What each collective core's dispatch switch accepts. */
-std::vector<Algo>
-supportedAlgos(Coll op)
-{
-    switch (op) {
-      case Coll::Barrier:
-        return {Algo::Linear, Algo::Binomial, Algo::Dissemination,
-                Algo::Hardware};
-      case Coll::Bcast:
-        return {Algo::Linear, Algo::Binomial, Algo::ScatterAllgather,
-                Algo::Pipelined};
-      case Coll::Gather:
-      case Coll::Scatter:
-      case Coll::Reduce:
-        return {Algo::Linear, Algo::Binomial};
-      case Coll::Allgather:
-        return {Algo::Ring, Algo::RecursiveDoubling};
-      case Coll::Alltoall:
-        return {Algo::Linear, Algo::Pairwise, Algo::Bruck};
-      case Coll::Allreduce:
-        return {Algo::ReduceBcast, Algo::RecursiveDoubling,
-                Algo::Rabenseifner};
-      case Coll::ReduceScatter:
-        return {Algo::Linear, Algo::RecursiveHalving, Algo::Pairwise};
-      case Coll::Scan:
-        return {Algo::Linear, Algo::RecursiveDoubling};
-      default:
-        panic("supportedAlgos: bad collective %d",
-              static_cast<int>(op));
-    }
-}
 
 /** One row of the winner map: the best algorithm per length. */
 struct WinnerRow
@@ -98,11 +67,10 @@ TuneResult::worstCell() const
 std::vector<Algo>
 candidateAlgos(const machine::MachineConfig &cfg, Coll op)
 {
-    std::vector<Algo> algos = supportedAlgos(op);
-    if (!cfg.hardware_barrier)
-        algos.erase(std::remove(algos.begin(), algos.end(),
-                                Algo::Hardware),
-                    algos.end());
+    std::vector<Algo> algos;
+    for (const mpi::AlgoEntry &e : mpi::collOp(op).algos)
+        if (e.algo != Algo::Hardware || cfg.hardware_barrier)
+            algos.push_back(e.algo);
 
     // Incumbent first: the tuner breaks exact ties by order, so a
     // challenger must strictly beat the machine's configured choice.
@@ -153,6 +121,9 @@ tuneMachine(const machine::MachineConfig &cfg, const TuneGrid &grid,
     std::vector<harness::SweepPoint> points;
     std::vector<CellRef> refs;
     for (Coll op : ops) {
+        // Regret is measured against the configured algorithm, so it
+        // must be a candidate.
+        mpi::requireAlgo(mpi::collOp(op), base.algorithmFor(op));
         std::vector<Algo> candidates = candidateAlgos(base, op);
         const std::vector<Bytes> &ms =
             op == Coll::Barrier ? barrier_lengths : lengths;

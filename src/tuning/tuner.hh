@@ -101,11 +101,12 @@ struct TuneResult
 
 /**
  * The algorithms worth trying for @p op on a machine described by
- * @p cfg: every algorithm the collective's implementation supports,
- * minus hardware paths the machine lacks (Algo::Hardware requires
- * cfg.hardware_barrier).  Order is fixed and meaningful — the tuner
- * breaks exact ties by it, so it starts with the machine's
- * configured default (a challenger must strictly beat the incumbent).
+ * @p cfg: the operation's row of the collective table
+ * (mpi/collectives.hh), minus hardware paths the machine lacks
+ * (Algo::Hardware requires cfg.hardware_barrier).  Order is fixed and
+ * meaningful — the tuner breaks exact ties by it, so it starts with
+ * the machine's configured default (a challenger must strictly beat
+ * the incumbent), then follows the row.
  */
 std::vector<machine::Algo> candidateAlgos(
     const machine::MachineConfig &cfg, machine::Coll op);

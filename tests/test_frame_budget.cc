@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "harness/measure.hh"
 #include "machine/machine.hh"
 #include "mpi/comm.hh"
 #include "sim/pool.hh"
@@ -80,6 +81,40 @@ TEST(FrameBudget, DisseminationBarrierPerMessage)
               4.5)
         << ops << " frame-pool operations for " << messages
         << " messages";
+}
+
+/**
+ * Frame-pool operations per call per rank of a size-only binomial
+ * bcast, issued through Comm::bcast and through the harness's
+ * runCollectiveOnce, rank programs included.  Either way a call costs
+ * two frames, Comm::call's and the algorithm's; the rest is its
+ * messages (63 per call: each a send, its root and a receive).
+ */
+TEST(FrameBudget, CollectiveCallFrames)
+{
+    constexpr int kP = 64;
+    constexpr int kCalls = 50;
+    auto per_call = [](bool via_harness) {
+        Machine m(machine::sp2Config(), kP);
+        auto rank = [&m, via_harness](int r) -> sim::Task<void> {
+            Comm comm(m, r);
+            for (int i = 0; i < kCalls; ++i) {
+                if (via_harness)
+                    co_await harness::runCollectiveOnce(
+                        comm, Coll::Bcast, 1 * KiB, Algo::Binomial);
+                else
+                    co_await comm.bcast(1 * KiB, 0, Algo::Binomial);
+            }
+        };
+        const std::uint64_t before = poolOps();
+        for (int r = 0; r < kP; ++r)
+            m.sim().spawn(rank(r));
+        m.run();
+        return static_cast<double>(poolOps() - before) /
+               static_cast<double>(kCalls * kP);
+    };
+    EXPECT_LE(per_call(false), 4.2) << "through Comm::bcast";
+    EXPECT_LE(per_call(true), 4.2) << "through runCollectiveOnce";
 }
 
 } // namespace

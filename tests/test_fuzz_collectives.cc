@@ -9,11 +9,14 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "machine/config_io.hh"
 #include "machine/machine.hh"
+#include "mpi/collectives.hh"
 #include "mpi/comm.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
@@ -58,35 +61,21 @@ struct Draw
     int machine_idx;
 };
 
+/**
+ * Every operation with a result to check (all but barrier), each with
+ * its algorithms read from the collective table, so a new algorithm
+ * is fuzzed as soon as its row lists it.
+ */
 Draw
 randomDraw(Rng &rng)
 {
-    struct Option
-    {
-        Coll op;
-        std::vector<Algo> algos;
-    };
-    static const std::vector<Option> options = {
-        {Coll::Bcast,
-         {Algo::Linear, Algo::Binomial, Algo::ScatterAllgather,
-          Algo::Pipelined}},
-        {Coll::Gather, {Algo::Linear, Algo::Binomial}},
-        {Coll::Scatter, {Algo::Linear, Algo::Binomial}},
-        {Coll::Allgather, {Algo::Ring, Algo::RecursiveDoubling}},
-        {Coll::Alltoall, {Algo::Linear, Algo::Pairwise, Algo::Bruck}},
-        {Coll::Reduce, {Algo::Linear, Algo::Binomial}},
-        {Coll::Allreduce,
-         {Algo::ReduceBcast, Algo::RecursiveDoubling,
-          Algo::Rabenseifner}},
-        {Coll::ReduceScatter,
-         {Algo::Linear, Algo::RecursiveHalving, Algo::Pairwise}},
-        {Coll::Scan, {Algo::Linear, Algo::RecursiveDoubling}},
-    };
-    const Option &opt =
-        options[rng.nextBounded(options.size())];
+    static_assert(machine::kAllColls[0] == Coll::Barrier);
+    const Coll op = machine::kAllColls[1 + rng.nextBounded(
+        machine::kAllColls.size() - 1)];
+    const std::span<const AlgoEntry> algos = collOp(op).algos;
     Draw d;
-    d.op = opt.op;
-    d.algo = opt.algos[rng.nextBounded(opt.algos.size())];
+    d.op = op;
+    d.algo = algos[rng.nextBounded(algos.size())].algo;
     d.p = static_cast<int>(1 + rng.nextBounded(12)); // 1..12
     d.count = static_cast<int>(1 + rng.nextBounded(8));
     d.root = static_cast<int>(rng.nextBounded(
@@ -268,6 +257,22 @@ TEST_P(FuzzP, RandomDrawsMatchReference)
     Rng rng(GetParam());
     for (int i = 0; i < 40; ++i)
         checkDraw(randomDraw(rng));
+}
+
+/** collOp() finds each operation's own row, and a row's name is the
+ *  keyword traces write for it (the parser reads base keywords with
+ *  machine::collFromKey). */
+TEST(CollectiveTable, RowsNameTheirOperation)
+{
+    for (Coll op : machine::kAllColls) {
+        EXPECT_EQ(collOp(op).op, op);
+        EXPECT_EQ(collOp(op).name, machine::collKey(op));
+        EXPECT_FALSE(collOp(op).algos.empty());
+    }
+    EXPECT_EQ(&collOp(Coll::Gather, true), &kGatherv);
+    EXPECT_EQ(&collOp(Coll::Scatter, true), &kScatterv);
+    EXPECT_EQ(kGatherv.op, Coll::Gather);
+    EXPECT_EQ(kScatterv.op, Coll::Scatter);
 }
 
 } // namespace

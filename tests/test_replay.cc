@@ -146,6 +146,30 @@ TEST(TraceParser, DiagnosticsCarryFileLineAndRank)
               std::string::npos);
 }
 
+TEST(TraceParser, AlgorithmTheOperationLacksIsATraceError)
+{
+    const std::string text = "np 2\n0 barrier\n1 bcast 1024 algo=pairwise\n";
+    bool was = throwOnError(true);
+    EXPECT_THROW(parseText(text), TraceError);
+    throwOnError(was);
+
+    std::string e = parseError(text);
+    EXPECT_NE(e.find("t.trace:3: rank 1: bcast has no algorithm "
+                     "'pairwise' (it has: linear, binomial, "
+                     "scatter-allgather, pipelined)"),
+              std::string::npos)
+        << e;
+    e = parseError("np 2\n0 gatherv 8,8 algo=binomial\n");
+    EXPECT_NE(e.find("gatherv has no algorithm 'binomial' (it has: "
+                     "linear)"),
+              std::string::npos)
+        << e;
+    // Default and auto resolve at run time, against the machine.
+    EXPECT_EQ(parseError("np 2\n0 gatherv 8,8 algo=default\n"
+                         "0 bcast 8 algo=auto\n"),
+              "");
+}
+
 TEST(TraceParser, ExactMicrosecondRoundTrip)
 {
     EXPECT_EQ(formatMicrosExact(0), "0");

@@ -233,6 +233,90 @@ TEST(Tuner, TableReproducesPerCellWinners)
     }
 }
 
+// ---- an algorithm the operation lacks --------------------------------
+// Each route that names an algorithm for an operation is checked
+// against the collective table before any machine is built.
+
+/** The message of the ConfigError @p f raises; "" if it raises none
+ *  or another error. */
+template <class F>
+std::string
+configError(F f)
+{
+    bool was = throwOnError(true);
+    std::string msg;
+    try {
+        f();
+    } catch (const ConfigError &e) {
+        msg = e.what();
+    } catch (const Error &) {
+    }
+    throwOnError(was);
+    return msg;
+}
+
+constexpr const char *kBcastLacksPairwise =
+    "bcast has no algorithm 'pairwise' (it has: linear, binomial, "
+    "scatter-allgather, pipelined)";
+
+machine::MachineConfig
+configText(const std::string &text)
+{
+    std::istringstream is(text);
+    return machine::loadConfig(is);
+}
+
+TEST(AlgoCheck, ExplicitAlgorithmIsAConfigError)
+{
+    EXPECT_EQ(configError([] {
+                  harness::measureCollective(machine::sp2Config(), 8,
+                                             Coll::Bcast, 1024,
+                                             Algo::Pairwise);
+              }),
+              kBcastLacksPairwise);
+}
+
+TEST(AlgoCheck, SelectionRuleIsAConfigError)
+{
+    auto cfg = machine::sp2Config();
+    std::istringstream rules("machine = SP2\n"
+                             "bcast.rule = p>=2 m>=0 pairwise\n");
+    cfg.selection =
+        std::make_shared<const SelectionTable>(SelectionTable::load(rules));
+    EXPECT_EQ(configError([&] {
+                  harness::measureCollective(cfg, 8, Coll::Bcast, 1024);
+              }),
+              kBcastLacksPairwise);
+}
+
+TEST(AlgoCheck, ConfiguredAlgorithmIsAConfigError)
+{
+    auto cfg = configText("base = SP2\nbcast.algorithm = pairwise\n");
+    EXPECT_EQ(configError([&] {
+                  harness::measureCollective(cfg, 8, Coll::Bcast, 1024);
+              }),
+              kBcastLacksPairwise);
+
+    // The procedure's own barrier runs the configured algorithm too.
+    auto barrier = configText("base = SP2\nbarrier.algorithm = ring\n");
+    EXPECT_NE(configError([&] {
+                  harness::measureCollective(barrier, 8, Coll::Alltoall,
+                                             64);
+              }).find("barrier has no algorithm 'ring'"),
+              std::string::npos);
+}
+
+TEST(AlgoCheck, TuneRejectsAConfiguredAlgorithmTheOperationLacks)
+{
+    TuneGrid grid;
+    grid.ops = {Coll::Bcast};
+    grid.sizes = {4};
+    grid.lengths = {64};
+    auto cfg = configText("base = SP2\nbcast.algorithm = pairwise\n");
+    EXPECT_EQ(configError([&] { tuneMachine(cfg, grid, 1); }),
+              kBcastLacksPairwise);
+}
+
 TEST(AttachSelection, PresetNamesAndFilesBothWork)
 {
     auto cfg = machine::sp2Config();

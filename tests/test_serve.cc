@@ -149,6 +149,26 @@ TEST(ServeServer, MalformedQueryGetsTypedErrorResponse)
     EXPECT_EQ(server.handleLine("ping"), pongResponse());
 }
 
+TEST(ServeServer, AlgorithmTheOperationLacksIsAConfigErrorOnBothTiers)
+{
+    const bool was = throwOnError(true); // as `ccsim serve` runs
+    Server server;
+    for (const char *tier : {"fast", "exact"}) {
+        std::string resp = server.handleLine(
+            std::string("predict machine=SP2 op=bcast p=8 m=64 "
+                        "algo=pairwise tier=") +
+            tier);
+        EXPECT_NE(resp.find("\"component\":\"config\""),
+                  std::string::npos)
+            << tier << ": " << resp;
+        EXPECT_NE(resp.find("bcast has no algorithm 'pairwise'"),
+                  std::string::npos)
+            << tier << ": " << resp;
+    }
+    EXPECT_EQ(server.handleLine("ping"), pongResponse());
+    throwOnError(was);
+}
+
 TEST(ServeServer, CacheHitIsByteIdenticalToDirectSimulation)
 {
     Server server;
