@@ -2,24 +2,18 @@
  * @file
  * google-benchmark microbenchmarks of the simulation engine itself:
  * event-queue throughput, callback allocation (inline vs heap
- * SmallFn storage), coroutine spawn/switch cost, network routing
- * cost (route-cache hit vs miss), the memo-key cost of one point, and
- * end-to-end cost of simulating one collective.  These bound how large a sweep the figure benches
- * can afford.
- *
- * After the registered benchmarks run, main() executes one
- * representative parallel sweep and writes its throughput to
- * BENCH_sweep.json (points, wall seconds, points/sec, jobs) so CI
- * can track sweep-engine performance across commits.
+ * SmallFn storage), coroutine spawn/switch cost, network transfer
+ * cost (warm vs cold link occupancy, analytic route walks), the
+ * memo-key cost of one point, and the end-to-end cost of simulating
+ * one collective with metrics off and on.  Host speed of record comes
+ * from bench/perf; these isolate one piece each.
  */
 
-#include <cstdio>
 #include <string>
 
 #include <benchmark/benchmark.h>
 
 #include "harness/measure.hh"
-#include "harness/sweep.hh"
 #include "machine/machine.hh"
 #include "mpi/comm.hh"
 #include "net/dragonfly.hh"
@@ -302,107 +296,6 @@ BM_SimulateCollectiveMetrics(benchmark::State &state)
 }
 BENCHMARK(BM_SimulateCollectiveMetrics)->Arg(8)->Arg(32);
 
-/** Same-recipe throughput measured at the growth-seed commit (binary
- *  heap + make_shared + no memoization): median of five runs of this
- *  file's recipe against the seed build on the reference container
- *  (single core, so jobs=1 and jobs=N coincide).  Kept for the
- *  trajectory block in BENCH_sweep.json. */
-constexpr double kSeedJobs1PointsPerSec = 1334.0;
-constexpr double kSeedJobsNPointsPerSec = 1334.0;
-
-/**
- * The sweep-engine throughput benchmark behind BENCH_sweep.json.
- *
- * Recipe (fixed — CI compares points/sec across commits): the paper's
- * three machines x {bcast, barrier, allreduce, alltoall} x
- * p in {4, 8, 16, 32} x m in {64, 1 KiB, 16 KiB}, one warm-up call
- * and 2x1 timed iterations per point (300 points total), faults,
- * skew, and metrics all off.  Three passes, memo cache cleared before
- * the cold ones:
- *
- *   jobs1      cold cache, serial    — the CI-guarded number
- *   jobsN      cold cache, all cores — parallel-engine health
- *   warm_memo  jobs=1, warm cache    — memoization-layer ceiling
- *
- * The "before" block is the same recipe measured at the growth-seed
- * commit (pre pooling/calendar-queue/memoization), kept so the file
- * records the optimization trajectory.
- */
-void
-emitSweepThroughput()
-{
-    harness::SweepSpec spec;
-    spec.machines = {machine::t3dConfig(), machine::sp2Config(),
-                     machine::paragonConfig()};
-    spec.ops = {machine::Coll::Bcast, machine::Coll::Barrier,
-                machine::Coll::Allreduce, machine::Coll::Alltoall};
-    spec.sizes = {4, 8, 16, 32};
-    spec.lengths = {64, 1024, 16 * 1024};
-    spec.options = harness::MeasureOptions{2, 1, 1};
-
-    harness::memoClear();
-    harness::SweepRunner serial(1);
-    serial.run(spec);
-    harness::SweepRunner::Stats cold1 = serial.lastStats();
-
-    harness::memoClear();
-    harness::SweepRunner parallel;
-    parallel.run(spec);
-    harness::SweepRunner::Stats coldN = parallel.lastStats();
-
-    // Cache is warm from the parallel pass; rerun serially on it.
-    serial.run(spec);
-    harness::SweepRunner::Stats warm = serial.lastStats();
-
-    std::FILE *f = std::fopen("BENCH_sweep.json", "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot write BENCH_sweep.json\n");
-        return;
-    }
-    std::fprintf(
-        f,
-        "{\n"
-        "  \"bench\": \"sweep_engine\",\n"
-        "  \"recipe\": \"3 machines x bcast,barrier,allreduce,"
-        "alltoall x p=4,8,16,32 x m=64,1Ki,16Ki; k=2 reps=1 "
-        "warmup=1; no faults/skew/metrics\",\n"
-        "  \"points\": %zu,\n"
-        "  \"jobs1\": { \"wall_seconds\": %.6f, "
-        "\"points_per_sec\": %.1f },\n"
-        "  \"jobsN\": { \"jobs\": %d, \"wall_seconds\": %.6f, "
-        "\"points_per_sec\": %.1f },\n"
-        "  \"warm_memo\": { \"wall_seconds\": %.6f, "
-        "\"points_per_sec\": %.1f, \"memo_hits\": %llu },\n"
-        "  \"before\": { \"commit\": \"growth seed (binary heap, "
-        "make_shared, no memo)\", \"jobs1_points_per_sec\": %.1f, "
-        "\"jobsN_points_per_sec\": %.1f }\n"
-        "}\n",
-        cold1.points, cold1.wall_seconds, cold1.pointsPerSec(),
-        parallel.jobs(), coldN.wall_seconds, coldN.pointsPerSec(),
-        warm.wall_seconds, warm.pointsPerSec(),
-        static_cast<unsigned long long>(warm.memo_hits),
-        kSeedJobs1PointsPerSec, kSeedJobsNPointsPerSec);
-    std::fclose(f);
-    std::fprintf(stderr,
-                 "BENCH_sweep.json: %zu points | jobs=1 %.1f pt/s "
-                 "(seed %.1f) | jobs=%d %.1f pt/s | warm memo %.1f "
-                 "pt/s (%llu hits)\n",
-                 cold1.points, cold1.pointsPerSec(),
-                 kSeedJobs1PointsPerSec, parallel.jobs(),
-                 coldN.pointsPerSec(), warm.pointsPerSec(),
-                 static_cast<unsigned long long>(warm.memo_hits));
-}
-
 } // namespace
 
-int
-main(int argc, char **argv)
-{
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    emitSweepThroughput();
-    return 0;
-}
+BENCHMARK_MAIN();

@@ -1,48 +1,16 @@
 #include "machine/config_io.hh"
 
-#include <algorithm>
-#include <cctype>
-#include <cstdarg>
 #include <fstream>
 #include <map>
 #include <mutex>
-#include <sstream>
 
 #include "net/topology_factory.hh"
+#include "util/key_value.hh"
 #include "util/logging.hh"
 
 namespace ccsim::machine {
 
 namespace {
-
-/** fatal() analogue that raises ConfigError (component "config",
- *  exit kConfigExit) so config mistakes are distinguishable from
- *  generic user errors. */
-[[noreturn]] void
-configFatal(const char *fmt, ...)
-    __attribute__((format(printf, 1, 2)));
-
-[[noreturn]] void
-configFatal(const char *fmt, ...)
-{
-    std::va_list ap;
-    va_start(ap, fmt);
-    std::string msg = vstrFormat(fmt, ap);
-    va_end(ap);
-    raiseError(ConfigError(msg));
-}
-
-std::string
-trim(const std::string &s)
-{
-    std::size_t b = 0;
-    std::size_t e = s.size();
-    while (b < e && std::isspace(static_cast<unsigned char>(s[b])))
-        ++b;
-    while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
-        --e;
-    return s.substr(b, e - b);
-}
 
 /** Set @p v from the value of config line @p key. */
 template <class T>
@@ -194,10 +162,7 @@ presetByName(const std::string &name)
 {
     // Case-insensitive: "paragon" from a shell is as valid as
     // "Paragon" from the paper.
-    std::string lower(name);
-    for (char &c : lower)
-        c = static_cast<char>(
-            std::tolower(static_cast<unsigned char>(c)));
+    const std::string lower = lowered(name);
     if (lower == "sp2")
         return sp2Config();
     if (lower == "t3d")
@@ -261,44 +226,22 @@ loadConfig(std::istream &is)
     cfg.name = "custom";
 
     LegacyTopologyKeys legacy;
-    std::string line;
-    int lineno = 0;
     bool first_setting = true;
-    while (std::getline(is, line)) {
-        ++lineno;
-        std::string s = line;
-        auto hash = s.find('#');
-        if (hash != std::string::npos)
-            s = s.substr(0, hash);
-        s = trim(s);
-        if (s.empty())
-            continue;
-
-        auto eq = s.find('=');
-        if (eq == std::string::npos)
-            configFatal("config line %d: expected 'key = value', got '%s'",
-                  lineno, line.c_str());
-        std::string key = trim(s.substr(0, eq));
-        std::string value = trim(s.substr(eq + 1));
-        if (key.empty() || value.empty())
-            configFatal("config line %d: empty key or value", lineno);
-
+    forEachSetting(is, "config", [&](const std::string &key,
+                                     const std::string &value,
+                                     int lineno) {
         if (key == "base") {
             if (!first_setting)
                 configFatal("config line %d: 'base' must be the first "
-                      "setting", lineno);
+                            "setting", lineno);
             std::string name = cfg.name;
             cfg = presetByName(value);
             cfg.name = name;
-            first_setting = false;
-            continue;
+        } else if (!legacy.take(key, value)) {
+            applySetting(cfg, key, value, lineno);
         }
         first_setting = false;
-        if (legacy.take(key, value))
-            continue;
-
-        applySetting(cfg, key, value, lineno);
-    }
+    });
     legacy.fold(cfg.topology);
     try {
         net::checkTopologySpec(cfg.topology);
@@ -367,11 +310,7 @@ cachedConfig(const std::string &key,
 ConfigHandle
 sharedPreset(const std::string &name)
 {
-    std::string lower(name);
-    for (char &c : lower)
-        c = static_cast<char>(
-            std::tolower(static_cast<unsigned char>(c)));
-    return cachedConfig("preset:" + lower, presetByName, name);
+    return cachedConfig("preset:" + lowered(name), presetByName, name);
 }
 
 ConfigHandle

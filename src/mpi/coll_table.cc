@@ -7,6 +7,7 @@
 #include <iterator>
 
 #include "mpi/collectives.hh"
+#include "tuning/selection_table.hh"
 #include "util/logging.hh"
 
 namespace ccsim::mpi {
@@ -31,6 +32,16 @@ CollOp::missing(Algo a) const
         has += (has.empty() ? "" : ", ") + machine::algoName(e.algo);
     return strFormat("%s has no algorithm '%s' (it has: %s)", name,
                      machine::algoName(a).c_str(), has.c_str());
+}
+
+Algo
+CollOp::resolve(const machine::MachineConfig &cfg, int p, Bytes m,
+                Algo requested) const
+{
+    if (payload == Payload::Counts &&
+        (requested == Algo::Default || requested == Algo::Auto))
+        return algos.front().algo;
+    return tuning::resolveAlgo(cfg, op, p, m, requested);
 }
 
 const CollOp &

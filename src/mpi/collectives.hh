@@ -104,6 +104,14 @@ struct CollOp
 
     /** "<name> has no algorithm '<a>' (it has: ...)". */
     std::string missing(machine::Algo a) const;
+
+    /** The algorithm a call requesting @p requested runs on @p p
+     *  ranks of @p cfg at length @p m: a vector row's Default or Auto
+     *  is its first algorithm, anything else goes through
+     *  tuning::resolveAlgo.  Comm::call and the replayer's pre-run
+     *  check resolve through it. */
+    machine::Algo resolve(const machine::MachineConfig &cfg, int p,
+                          Bytes m, machine::Algo requested) const;
 };
 
 extern const CollOp kBarrier;

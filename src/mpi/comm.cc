@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <type_traits>
 
-#include "tuning/selection_table.hh"
 #include "util/logging.hh"
 
 namespace ccsim::mpi {
@@ -158,11 +157,7 @@ CollCtx
 Comm::makeCtx(const CollOp &row, Algo &algo, Bytes m, Combiner combiner)
 {
     const machine::MachineConfig &cfg = mach_->config();
-    if (row.payload == Payload::Counts &&
-        (algo == Algo::Default || algo == Algo::Auto))
-        algo = row.algos.front().algo;
-    else
-        algo = tuning::resolveAlgo(cfg, row.op, size_, m, algo);
+    algo = row.resolve(cfg, size_, m, algo);
 
     CollCtx ctx;
     ctx.mach = mach_;

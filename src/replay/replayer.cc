@@ -104,6 +104,32 @@ runRank(machine::Machine &mach, const Program &prog, int rank,
     completion[static_cast<std::size_t>(rank)] = mach.sim().now();
 }
 
+/**
+ * Raise ConfigError for the first collective action whose algorithm,
+ * resolved as Comm::call will resolve it (group size, scaled length),
+ * is not in its operation's row: the trace parser rejects a named
+ * algorithm, but a configured default or a selection rule only meets
+ * the machine here.
+ */
+void
+requireAlgorithms(const machine::MachineConfig &cfg, const Program &prog,
+                  double scale)
+{
+    for (const std::vector<Action> &actions : prog.ranks)
+        for (const Action &a : actions) {
+            if (a.kind != ActionKind::Coll)
+                continue;
+            const mpi::CollOp &row = mpi::collOp(a.op, a.vector_variant);
+            const int p = a.group.empty()
+                              ? prog.np
+                              : static_cast<int>(a.group.size());
+            const Bytes m = row.payload == mpi::Payload::None
+                                ? 0
+                                : scaleBytes(a.bytes, scale);
+            mpi::requireAlgo(row, row.resolve(cfg, p, m, a.algo));
+        }
+}
+
 } // namespace
 
 Time
@@ -124,6 +150,7 @@ Replayer::run(const machine::MachineConfig &cfg, const Program &prog,
               prog.source.c_str());
     if (opt.scale <= 0.0)
         fatal("replay: scale %g must be positive", opt.scale);
+    requireAlgorithms(cfg, prog, opt.scale);
 
     machine::MachineConfig run_cfg = cfg;
     run_cfg.collect_metrics = cfg.collect_metrics || opt.metrics;

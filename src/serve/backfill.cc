@@ -18,32 +18,6 @@ BackfillQueue::~BackfillQueue()
     stop();
 }
 
-std::uint64_t
-BackfillQueue::submit(const BackfillJob &job)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_)
-        throw ServeError("backfill queue is draining for shutdown");
-    std::uint64_t ticket = next_ticket_++;
-    ++submitted_;
-    open_tickets_.insert(ticket);
-
-    auto it = live_keys_.find(job.key);
-    if (it != live_keys_.end()) {
-        it->second->tickets.push_back(ticket);
-        ++coalesced_;
-        return ticket;
-    }
-
-    auto j = std::make_shared<Job>();
-    j->spec = job;
-    j->tickets.push_back(ticket);
-    live_keys_.emplace(job.key, j);
-    pending_.push_back(std::move(j));
-    work_cv_.notify_one();
-    return ticket;
-}
-
 bool
 BackfillQueue::trySubmit(const BackfillJob &job,
                          std::uint64_t &ticket)

@@ -4,7 +4,8 @@
  * cache misses, batched onto the existing harness::SweepRunner worker
  * pool.
  *
- * Connection threads submit() fully-resolved points and get a ticket.
+ * Connection threads trySubmit() fully-resolved points and get a
+ * ticket, or prefetch() them without one.
  * A single collector thread gathers whatever is pending, runs the
  * batch through SweepRunner::runTasks (so `--jobs K` bounds simulation
  * parallelism exactly like `ccsim sweep --jobs K` does, independent of
@@ -22,9 +23,9 @@
  * lets the server answer with the same typed error a direct `ccsim
  * measure` would exit with.
  *
- * stop() drains: no new submissions are accepted, every already
- * accepted point still simulates, then the collector exits — the
- * SIGINT contract of `ccsim serve`.
+ * stop() drains: no new jobs are accepted, every already accepted
+ * point still simulates, then the collector exits — the SIGINT
+ * contract of `ccsim serve`.
  *
  * Overload hardening (DESIGN.md §4.14): setMaxPending(n) bounds the
  * number of jobs waiting for the collector.  trySubmit() refuses
@@ -100,19 +101,15 @@ class BackfillQueue
     BackfillQueue &operator=(const BackfillQueue &) = delete;
 
     /**
-     * Enqueue @p job and return its ticket.  Jobs with a key already
-     * pending or in flight coalesce (one simulation, many tickets).
-     * FatalError("serve") after stop() — the daemon is draining.
-     */
-    std::uint64_t submit(const BackfillJob &job);
-
-    /**
-     * Bounded submit: like submit(), but when the queue is draining
-     * or already holds maxPending() uncollected jobs AND @p job's key
-     * is not already live (a coalescing submission never grows the
-     * queue), refuse — return false, bump the shed counter, and leave
-     * @p ticket untouched.  The server's load-shedding entry point:
-     * a false return means "answer from the fast path, flag shed".
+     * Enqueue @p job and set @p ticket.  Jobs with a key already
+     * pending or in flight coalesce (one simulation, many tickets),
+     * and a coalescing submission never grows the queue, so it is
+     * always accepted.  Otherwise, when the queue is draining or
+     * already holds maxPending() uncollected jobs, refuse: return
+     * false, bump the shed counter, and leave @p ticket untouched.
+     * With no bound set, only a draining queue refuses.  The server's
+     * load-shedding entry point: a false return means "answer from
+     * the fast path, flag shed".
      */
     bool trySubmit(const BackfillJob &job, std::uint64_t &ticket);
 
@@ -149,9 +146,8 @@ class BackfillQueue
     /** Points waiting for the collector (not yet simulating). */
     std::size_t queueDepth() const;
 
-    /** Cap the uncollected-job count (0 = unbounded).  Affects
-     *  trySubmit() and prefetch() only; submit() is the unbounded
-     *  legacy path. */
+    /** Cap the uncollected-job count (0 = unbounded) that
+     *  trySubmit() and prefetch() respect. */
     void setMaxPending(std::size_t max);
 
     std::size_t maxPending() const;

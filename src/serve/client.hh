@@ -2,8 +2,9 @@
  * @file
  * Client — the blocking line-protocol client of a `ccsim serve`
  * daemon.  One TCP connection, request line out, response line back.
- * `ccsim query`, the protocol tests, and bench/serve_throughput all
- * speak through this class, so none of them hand-roll sockets.
+ * `ccsim query`, the protocol tests, and bench/perf's serve_zipf
+ * workload all speak through this class, so none of them hand-roll
+ * sockets.
  *
  * Failures (unreachable daemon, connection dropped mid-request)
  * raise FatalError with component "serve"; protocol-level errors

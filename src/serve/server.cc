@@ -1,6 +1,5 @@
 #include "serve/server.hh"
 
-#include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -17,6 +16,7 @@
 #include "machine/config_io.hh"
 #include "tuning/selection_table.hh"
 #include "util/error.hh"
+#include "util/key_value.hh"
 
 namespace ccsim::serve {
 
@@ -27,16 +27,6 @@ namespace {
 serveError(const std::string &what)
 {
     throw ServeError(what + ": " + std::strerror(errno));
-}
-
-std::string
-loweredName(const std::string &s)
-{
-    std::string out(s);
-    for (char &c : out)
-        c = static_cast<char>(
-            std::tolower(static_cast<unsigned char>(c)));
-    return out;
 }
 
 /** Collapse MetricsSnapshot::writeJson's pretty-printing onto one
@@ -117,7 +107,7 @@ Server::resolveConfig(const Request &req)
                    : machine::sharedPreset(req.machine);
 
     std::string key = (from_file ? "file:" + req.config_path
-                                 : "preset:" + loweredName(req.machine))
+                                 : "preset:" + lowered(req.machine))
                       + "|sel=" + req.selection
                       + "|topo=" + req.topo;
     std::lock_guard<std::mutex> lock(cfg_mu_);

@@ -1,13 +1,12 @@
 #include "tuning/selection_table.hh"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdarg>
 #include <fstream>
 #include <sstream>
 
 #include "machine/config_io.hh"
 #include "util/field.hh"
+#include "util/key_value.hh"
 #include "util/logging.hh"
 
 namespace ccsim::tuning {
@@ -16,33 +15,6 @@ using machine::Algo;
 using machine::Coll;
 
 namespace {
-
-/** fatal() analogue raising ConfigError, as in machine/config_io. */
-[[noreturn]] void
-configFatal(const char *fmt, ...)
-    __attribute__((format(printf, 1, 2)));
-
-[[noreturn]] void
-configFatal(const char *fmt, ...)
-{
-    std::va_list ap;
-    va_start(ap, fmt);
-    std::string msg = vstrFormat(fmt, ap);
-    va_end(ap);
-    raiseError(ConfigError(msg));
-}
-
-std::string
-trim(const std::string &s)
-{
-    std::size_t b = 0;
-    std::size_t e = s.size();
-    while (b < e && std::isspace(static_cast<unsigned char>(s[b])))
-        ++b;
-    while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
-        --e;
-    return s.substr(b, e - b);
-}
 
 bool
 ruleLess(const SelectionRule &a, const SelectionRule &b)
@@ -165,37 +137,12 @@ SelectionTable
 SelectionTable::load(std::istream &is)
 {
     SelectionTable table;
-    std::string line;
-    int lineno = 0;
-    while (std::getline(is, line)) {
-        ++lineno;
-        std::string s = line;
-        auto hash = s.find('#');
-        if (hash != std::string::npos)
-            s = s.substr(0, hash);
-        s = trim(s);
-        if (s.empty())
-            continue;
-
-        auto eq = s.find('=');
-        // "p>=2" contains '='; the key side never does, so the key
-        // is everything before the first '=' that follows a space or
-        // starts the value.  Simplest robust split: first '=' whose
-        // left side has no '>' just before it.
-        while (eq != std::string::npos && eq > 0 && s[eq - 1] == '>')
-            eq = s.find('=', eq + 1);
-        if (eq == std::string::npos)
-            configFatal("selection line %d: expected 'key = value', "
-                        "got '%s'", lineno, line.c_str());
-        std::string key = trim(s.substr(0, eq));
-        std::string value = trim(s.substr(eq + 1));
-        if (key.empty() || value.empty())
-            configFatal("selection line %d: empty key or value",
-                        lineno);
-
+    forEachSetting(is, "selection", [&](const std::string &key,
+                                        const std::string &value,
+                                        int lineno) {
         if (key == "machine") {
             table.machine_ = value;
-            continue;
+            return;
         }
 
         auto dot = key.find('.');
@@ -219,7 +166,7 @@ SelectionTable::load(std::istream &is)
             static_cast<Bytes>(parseBound(mtok, "m>=", lineno));
         rule.algo = machine::algoFromName(atok);
         table.addRule(op, rule);
-    }
+    });
     return table;
 }
 
@@ -235,11 +182,7 @@ SelectionTable::loadFile(const std::string &path)
 SelectionTable
 fixedTable(const std::string &machine_name)
 {
-    std::string lower(machine_name);
-    for (char &c : lower)
-        c = static_cast<char>(
-            std::tolower(static_cast<unsigned char>(c)));
-
+    const std::string lower = lowered(machine_name);
     SelectionTable t;
     auto rule = [&t](Coll op, int p, Bytes m, Algo a) {
         t.addRule(op, {p, m, a});
@@ -337,10 +280,7 @@ void
 attachSelection(machine::MachineConfig &cfg,
                 const std::string &name_or_path)
 {
-    std::string lower(name_or_path);
-    for (char &c : lower)
-        c = static_cast<char>(
-            std::tolower(static_cast<unsigned char>(c)));
+    const std::string lower = lowered(name_or_path);
     if (lower == "sp2" || lower == "t3d" || lower == "paragon") {
         cfg.selection = std::make_shared<const SelectionTable>(
             fixedTable(name_or_path));

@@ -1,12 +1,12 @@
 #include "util/cli.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
 #include "util/field.hh"
+#include "util/key_value.hh"
 #include "util/logging.hh"
 
 namespace ccsim::cli {
@@ -165,16 +165,6 @@ Options::usage() const
 }
 
 namespace {
-
-std::string
-lowered(const std::string &s)
-{
-    std::string out(s);
-    for (char &c : out)
-        c = static_cast<char>(
-            std::tolower(static_cast<unsigned char>(c)));
-    return out;
-}
 
 /** Plain dynamic-programming Levenshtein distance. */
 std::size_t

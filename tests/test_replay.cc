@@ -5,12 +5,14 @@
 #include <gtest/gtest.h>
 
 #include "fault/fault_spec.hh"
+#include "machine/config_io.hh"
 #include "machine/machine.hh"
 #include "machine/machine_config.hh"
 #include "mpi/comm.hh"
 #include "replay/recorder.hh"
 #include "replay/replayer.hh"
 #include "replay/trace_parser.hh"
+#include "tuning/selection_table.hh"
 #include "util/logging.hh"
 
 namespace ccsim::replay {
@@ -378,6 +380,44 @@ TEST(Replayer, WaitWithoutRequestIsAUserError)
     bool was = throwOnError(true);
     EXPECT_THROW(Replayer::run(machine::idealConfig(), prog),
                  FatalError);
+    throwOnError(was);
+}
+
+TEST(Replayer, AlgorithmTheOperationLacksIsAConfigError)
+{
+    // The configured default and a selection rule meet the machine
+    // only at replay; either way the check runs before the run.
+    std::istringstream doc("base = SP2\nbcast.algorithm = pairwise\n");
+    const machine::MachineConfig configured = machine::loadConfig(doc);
+    const Program prog = parseText("np 2\n0 bcast 1024\n1 bcast 1024\n");
+    machine::MachineConfig selected = machine::sp2Config();
+    tuning::SelectionTable table;
+    table.addRule(machine::Coll::Bcast, {2, 0, machine::Algo::Pairwise});
+    selected.selection =
+        std::make_shared<const tuning::SelectionTable>(table);
+    const Program autos = parseText("np 2\n0 bcast 1024 algo=auto\n"
+                                    "1 bcast 1024 algo=auto\n");
+
+    bool was = throwOnError(true);
+    EXPECT_THROW(Replayer::run(configured, prog), ConfigError);
+    EXPECT_THROW(Replayer::run(selected, autos), ConfigError);
+    try {
+        Replayer::run(configured, prog);
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "bcast has no algorithm 'pairwise'"),
+                  std::string::npos)
+            << e.what();
+    }
+    // A vector row's default is its own first algorithm, not the
+    // configured one of its plain operation.
+    std::istringstream gather_doc("base = SP2\ngather.algorithm = "
+                                  "binomial\n");
+    EXPECT_GT(Replayer::run(machine::loadConfig(gather_doc),
+                            parseText("np 2\n0 gatherv 8,8\n"
+                                      "1 gatherv 8,8\n"))
+                  .makespan(),
+              0);
     throwOnError(was);
 }
 

@@ -282,7 +282,7 @@ TEST(ServeBackfill, CoalescesDuplicateKeysIntoOneSimulation)
 
     // Keep the single worker busy on a slow point first so the two
     // duplicate submissions below are both pending at once — without
-    // it, the tiny p=4 barrier can finish between the two submit()
+    // it, the tiny p=4 barrier can finish between the two trySubmit()
     // calls and there is nothing left to coalesce onto.
     BackfillJob slow;
     slow.cfg = machine::sharedPreset("T3D");
@@ -293,7 +293,8 @@ TEST(ServeBackfill, CoalescesDuplicateKeysIntoOneSimulation)
     slow.key = harness::measurePointKey(*slow.cfg, 32,
                                         machine::Coll::Alltoall, 4096,
                                         machine::Algo::Default);
-    std::uint64_t ts = queue.submit(slow);
+    std::uint64_t ts = 0;
+    ASSERT_TRUE(queue.trySubmit(slow, ts));
 
     BackfillJob job;
     job.cfg = machine::sharedPreset("T3D");
@@ -304,8 +305,9 @@ TEST(ServeBackfill, CoalescesDuplicateKeysIntoOneSimulation)
                                        machine::Coll::Barrier, 0,
                                        machine::Algo::Default);
 
-    std::uint64_t t1 = queue.submit(job);
-    std::uint64_t t2 = queue.submit(job);
+    std::uint64_t t1 = 0, t2 = 0;
+    ASSERT_TRUE(queue.trySubmit(job, t1));
+    ASSERT_TRUE(queue.trySubmit(job, t2));
     EXPECT_FALSE(queue.wait(ts).failed);
     BackfillResult r1 = queue.wait(t1);
     BackfillResult r2 = queue.wait(t2);
@@ -517,9 +519,10 @@ TEST(ServeBackfill, TheBoundShedsNewKeysButStillCoalescesLiveOnes)
     // A heavy point occupies the single-threaded runner; until it
     // completes, everything below queues up behind it, so the bound
     // arithmetic is deterministic.
-    std::uint64_t slow_ticket =
-        queue.submit(jobFor(cfg, machine::Coll::Alltoall, 32,
-                            64 * 1024));
+    std::uint64_t slow_ticket = 0;
+    ASSERT_TRUE(queue.trySubmit(
+        jobFor(cfg, machine::Coll::Alltoall, 32, 64 * 1024),
+        slow_ticket));
     while (queue.queueDepth() > 0) // until the collector owns it
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
