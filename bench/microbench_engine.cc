@@ -1,8 +1,9 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulation engine itself:
- * event-queue throughput, callback allocation (inline vs heap
- * SmallFn storage), coroutine spawn/switch cost, network transfer
+ * event-queue throughput, callback storage (a recycled queue slot
+ * holding an inline or heap SmallFn), coroutine spawn/switch cost,
+ * network transfer
  * cost (warm vs cold link occupancy, analytic route walks), the
  * memo-key cost of one point, and the end-to-end cost of simulating
  * one collective with metrics off and on.  Host speed of record comes
@@ -46,8 +47,11 @@ BM_EventQueueScheduleRun(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(1024)->Arg(65536);
 
-/** Callback allocation cost when the capture fits SmallFn's inline
- *  buffer — the common case for simulator-internal events. */
+/** Callback cost when the capture fits SmallFn's inline buffer —
+ *  the common case for simulator-internal callbacks.  The SmallFn
+ *  sits in a slot the queue recycles, so after the first wave a
+ *  schedule() allocates nothing; coroutine resumes need no slot at
+ *  all (the event holds the handle). */
 void
 BM_EventScheduleSmallCapture(benchmark::State &state)
 {
@@ -66,7 +70,8 @@ BM_EventScheduleSmallCapture(benchmark::State &state)
 BENCHMARK(BM_EventScheduleSmallCapture);
 
 /** Same loop with a capture too large for the inline buffer: every
- *  schedule() pays a heap allocation (the SmallFn fallback path). */
+ *  schedule() pays a heap allocation (the SmallFn fallback path),
+ *  though its queue slot is still recycled. */
 void
 BM_EventScheduleLargeCapture(benchmark::State &state)
 {

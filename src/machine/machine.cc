@@ -140,12 +140,8 @@ Machine::metricsSnapshot()
     // counters are per-machine and derived only from operation
     // counts, so they stay deterministic run to run.
     sim::PoolCounters pc;
-    for (int i = 0; i < size_; ++i) {
-        sim::PoolCounters c = fabric_->node(i).poolCounters();
-        pc.reuses += c.reuses;
-        pc.allocs += c.allocs;
-        pc.oversize += c.oversize;
-    }
+    for (int i = 0; i < size_; ++i)
+        pc += fabric_->node(i).poolCounters();
     snap.counters["msg.pool.reuses"] = pc.reuses;
     snap.counters["msg.pool.allocs"] = pc.allocs;
 

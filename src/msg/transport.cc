@@ -191,199 +191,243 @@ Transport::recvDone(const Message &m, Time start)
         probe_->recv(node_, m.src, m.bytes, start, sim_.now());
 }
 
-sim::Task<void>
-Transport::send(int dst, int tag, int context, Bytes bytes,
-                PayloadPtr payload, CostOverride ov)
+Time
+Transport::copyTime(Bytes bytes) const
 {
-    const Time o_send =
-        ov.send >= 0 ? ov.send : params_.send_overhead;
-    if (dst < 0 || dst >= fabric_.size())
-        panic("Transport::send: destination %d out of range", dst);
-    if (bytes < 0)
-        panic("Transport::send: negative size");
-    if (payload && static_cast<Bytes>(payload->size()) != bytes)
-        panic("Transport::send: payload size %zu != declared %lld",
-              payload->size(), static_cast<long long>(bytes));
+    return transferTime(bytes, params_.copy_bandwidth_mbs);
+}
 
-    const Time start = sim_.now();
-    Time copy = transferTime(bytes, params_.copy_bandwidth_mbs);
+Time
+Transport::injectCopy(Bytes bytes)
+{
+    const Time done = std::max(sim_.now(), copro_free_) + copyTime(bytes);
+    copro_free_ = done;
+    if (probe_)
+        probe_->injectBacklog(done - sim_.now());
+    return done;
+}
 
-    if (dst == node_) {
-        // Buffered local delivery: full copy on the sending side,
-        // nothing touches the network.
-        co_await busy(o_send + copy);
-        Message m{node_, dst, tag, context, bytes, std::move(payload),
-                  sim_.now(), 0};
-        deliverEager(std::move(m));
-        sendDone(dst, bytes, stats::SendPath::Self, start);
-        co_return;
-    }
+Time
+Transport::cpuCopyShare(Bytes bytes) const
+{
+    return scaleTime(copyTime(bytes), 1.0 - params_.coprocessor_overlap);
+}
 
+void
+Transport::sendEager(int dst, int tag, int context, Bytes bytes,
+                     PayloadPtr payload)
+{
+    const Time inject_done = injectCopy(bytes);
     Transport *peer = &fabric_.node(dst);
+    Message m{node_, dst, tag, context, bytes, std::move(payload), 0, 0};
+    transmitWire(dst, bytes, inject_done,
+                 [this, peer, m = std::move(m)](Time arrival) mutable {
+                     m.arrival = arrival;
+                     sim_.scheduleAt(arrival,
+                                     [peer, m = std::move(m)]() mutable {
+                                         peer->deliverEager(std::move(m));
+                                     });
+                 });
+}
 
-    if (bytes <= params_.eager_threshold) {
-        co_await busy(o_send);
-        // The injection copy runs on the coprocessor/DMA timeline;
-        // the main CPU is held only for its (1 - overlap) share.
-        Time copy_start = std::max(sim_.now(), copro_free_);
-        Time inject_done = copy_start + copy;
-        copro_free_ = inject_done;
-        if (probe_)
-            probe_->injectBacklog(inject_done - sim_.now());
-        Message m{node_, dst, tag, context, bytes, std::move(payload),
-                  0, 0};
-        transmitWire(dst, bytes, inject_done,
-                     [this, peer, m = std::move(m)](Time arrival) mutable {
-                         m.arrival = arrival;
-                         sim_.scheduleAt(arrival,
-                                         [peer, m = std::move(m)]() mutable {
-                                             peer->deliverEager(
-                                                 std::move(m));
-                                         });
-                     });
-        co_await busy(
-            scaleTime(copy, 1.0 - params_.coprocessor_overlap));
-        sendDone(dst, bytes, stats::SendPath::Eager, start);
-        co_return;
-    }
-
-    // Rendezvous: RTS -> CTS -> DATA.
-    co_await busy(o_send + params_.rendezvous_overhead);
+Transport::HandshakePtr
+Transport::sendRts(int dst, int tag, int context)
+{
     HandshakePtr hs = hs_pool_.make(sim_);
-    Rts rts{node_, tag, context, bytes, payload, hs, 0};
+    Transport *peer = &fabric_.node(dst);
+    Rts rts{node_, tag, context, hs, 0};
     transmitWire(dst, 0, sim_.now(),
                  [this, peer, rts = std::move(rts)](Time arrival) mutable {
                      sim_.scheduleAt(arrival,
                                      [peer, rts = std::move(rts)]() mutable {
-                                         peer->deliverRts(
-                                             std::move(rts));
+                                         peer->deliverRts(std::move(rts));
                                      });
                  });
+    return hs;
+}
 
-    co_await hs->cts.wait();
-
-    Message m{node_, dst, tag, context, bytes, std::move(payload), 0, 0};
-    bool use_blt = params_.blt_enabled && bytes >= params_.blt_threshold;
-    auto fire_data = [this, hs](Time arrival) {
+void
+Transport::sendData(const HandshakePtr &hs, int dst, int tag, int context,
+                    Bytes bytes, PayloadPtr payload, Time when)
+{
+    hs->msg = Message{node_, dst, tag, context, bytes, std::move(payload),
+                      0, 0};
+    transmitWire(dst, bytes, when, [this, hs](Time arrival) {
         hs->msg.arrival = arrival;
         sim_.scheduleAt(arrival, [hs] { hs->data.fire(); });
-    };
-    if (use_blt) {
-        // Block-transfer engine: descriptor setup instead of a
-        // memory copy; the engine streams straight from user memory.
-        co_await busy(params_.blt_setup);
-        hs->msg = std::move(m);
-        transmitWire(dst, bytes, sim_.now(), fire_data);
-    } else {
-        Time copy_start = std::max(sim_.now(), copro_free_);
-        Time inject_done = copy_start + copy;
-        copro_free_ = inject_done;
-        if (probe_)
-            probe_->injectBacklog(inject_done - sim_.now());
-        hs->msg = std::move(m);
-        transmitWire(dst, bytes, inject_done, fire_data);
-        co_await busy(
-            scaleTime(copy, 1.0 - params_.coprocessor_overlap));
+    });
+}
+
+sim::Task<void>
+Transport::sendTask(sim::PoolPtr<ReqState> st, int dst, int tag,
+                    int context, Bytes bytes, PayloadPtr payload,
+                    CostOverride ov)
+{
+    // Everything that does not suspend lives in plain members: this
+    // frame keeps every local of every branch.
+    try {
+        if (dst < 0 || dst >= fabric_.size())
+            panic("Transport::send: destination %d out of range", dst);
+        if (bytes < 0)
+            panic("Transport::send: negative size");
+        if (payload && static_cast<Bytes>(payload->size()) != bytes)
+            panic("Transport::send: payload size %zu != declared %lld",
+                  payload->size(), static_cast<long long>(bytes));
+        const Time o_send =
+            ov.send >= 0 ? ov.send : params_.send_overhead;
+        const Time start = sim_.now();
+
+        if (dst == node_) {
+            // Buffered local delivery: full copy on the sending side,
+            // nothing touches the network.
+            co_await busy(o_send + copyTime(bytes));
+            deliverEager(Message{node_, dst, tag, context, bytes,
+                                 std::move(payload), sim_.now(), 0});
+            sendDone(dst, bytes, stats::SendPath::Self, start);
+        } else if (bytes <= params_.eager_threshold) {
+            co_await busy(o_send);
+            sendEager(dst, tag, context, bytes, std::move(payload));
+            co_await busy(cpuCopyShare(bytes));
+            sendDone(dst, bytes, stats::SendPath::Eager, start);
+        } else {
+            // Rendezvous: RTS -> CTS -> DATA.
+            co_await busy(o_send + params_.rendezvous_overhead);
+            HandshakePtr hs = sendRts(dst, tag, context);
+            co_await hs->cts.wait();
+            if (params_.blt_enabled && bytes >= params_.blt_threshold) {
+                // Block-transfer engine: descriptor setup instead of a
+                // memory copy; the engine streams straight from user
+                // memory.
+                co_await busy(params_.blt_setup);
+                sendData(hs, dst, tag, context, bytes, std::move(payload),
+                         sim_.now());
+                sendDone(dst, bytes, stats::SendPath::Blt, start);
+            } else {
+                sendData(hs, dst, tag, context, bytes, std::move(payload),
+                         injectCopy(bytes));
+                co_await busy(cpuCopyShare(bytes));
+                sendDone(dst, bytes, stats::SendPath::Rendezvous, start);
+            }
+        }
+    } catch (...) {
+        if (!st)
+            throw;
+        st->exc = std::current_exception();
     }
-    sendDone(dst, bytes,
-             use_blt ? stats::SendPath::Blt : stats::SendPath::Rendezvous,
-             start);
+    if (st)
+        st->done.fire();
+}
+
+sim::Task<void>
+Transport::send(int dst, int tag, int context, Bytes bytes,
+                PayloadPtr payload, CostOverride ov)
+{
+    return sendTask({}, dst, tag, context, bytes, std::move(payload),
+                    ov);
+}
+
+bool
+Transport::takeArrived(PendingRecv &pr)
+{
+    auto eit = std::find_if(
+        unexpected_.begin(), unexpected_.end(), [&](const Message &m) {
+            return matches(pr.src, pr.tag, pr.context, m.src, m.tag,
+                           m.context);
+        });
+    auto rit = std::find_if(
+        pending_rts_.begin(), pending_rts_.end(), [&](const Rts &r) {
+            return matches(pr.src, pr.tag, pr.context, r.src, r.tag,
+                           r.context);
+        });
+    const bool have_eager = eit != unexpected_.end();
+    const bool have_rts = rit != pending_rts_.end();
+    // Non-overtaking: take whichever arrived first.
+    if (have_eager && (!have_rts || eit->seq < rit->seq)) {
+        pr.take(std::move(*eit));
+        unexpected_.erase(eit);
+    } else if (have_rts) {
+        pr.take(std::move(*rit));
+        pending_rts_.erase(rit);
+    } else {
+        return false;
+    }
+    return true;
+}
+
+void
+Transport::park(PendingRecv &pr, std::coroutine_handle<> h)
+{
+    pr.handle = h;
+    pending_recvs_.push_back(&pr);
+    if (probe_)
+        probe_->queueDepth(stats::MatchQueue::PendingRecv,
+                           pending_recvs_.size());
+}
+
+void
+Transport::sendCts(const PendingRecv &pr)
+{
+    Time cts_arrival = injectAt(pr.msg.src, 0, sim_.now());
+    sim_.scheduleAt(cts_arrival, [hs = pr.hs] { hs->cts.fire(); });
+}
+
+sim::Task<Message>
+Transport::recvTask(int src, int tag, int context, CostOverride ov,
+                    int dst, int send_tag, Bytes bytes,
+                    PayloadPtr payload)
+{
+    // Everything that does not suspend lives in plain members: this
+    // frame keeps every local of every branch.
+    Request sreq;
+    if (dst >= 0)
+        sreq = isend(dst, send_tag, context, bytes, std::move(payload),
+                     ov);
+    if (src != kAnySource && (src < 0 || src >= fabric_.size()))
+        panic("Transport::recv: source %d out of range", src);
+    const Time start = sim_.now();
+
+    PendingRecv pr(src, tag, context);
+    if (!takeArrived(pr)) {
+        // Nothing has arrived yet: park until a matching delivery.
+        co_await sim::suspendWith(
+            [this, &pr](std::coroutine_handle<> h) { park(pr, h); });
+        if (!pr.matched)
+            panic("Transport::recv: woken with nothing delivered");
+    }
+
+    const Time o_recv = ov.recv >= 0 ? ov.recv : params_.recv_overhead;
+    if (!pr.hs) {
+        co_await busy(o_recv + copyTime(pr.msg.bytes));
+    } else {
+        // Rendezvous: process the RTS and return the clear-to-send;
+        // the payload lands directly in the user buffer, so only the
+        // completion cost remains.
+        co_await busy(params_.rendezvous_overhead);
+        sendCts(pr);
+        co_await pr.hs->data.wait();
+        co_await busy(o_recv);
+        pr.msg = std::move(pr.hs->msg);
+        pr.hs.reset();
+    }
+    recvDone(pr.msg, start);
+    if (sreq.state)
+        co_await wait(sreq);
+    co_return std::move(pr.msg);
 }
 
 sim::Task<Message>
 Transport::recv(int src, int tag, int context, CostOverride ov)
 {
-    const Time o_recv =
-        ov.recv >= 0 ? ov.recv : params_.recv_overhead;
-    if (src != kAnySource && (src < 0 || src >= fabric_.size()))
-        panic("Transport::recv: source %d out of range", src);
-    const Time start = sim_.now();
-
-    // Earliest matching arrival across the eager and RTS queues.
-    auto eit = unexpected_.end();
-    for (auto it = unexpected_.begin(); it != unexpected_.end(); ++it) {
-        if (matches(src, tag, context, it->src, it->tag, it->context)) {
-            eit = it;
-            break;
-        }
-    }
-    auto rit = pending_rts_.end();
-    for (auto it = pending_rts_.begin(); it != pending_rts_.end(); ++it) {
-        if (matches(src, tag, context, it->src, it->tag, it->context)) {
-            rit = it;
-            break;
-        }
-    }
-
-    bool have_eager = eit != unexpected_.end();
-    bool have_rts = rit != pending_rts_.end();
-    if (have_eager && have_rts) {
-        // Non-overtaking: take whichever arrived first.
-        if (eit->seq < rit->seq)
-            have_rts = false;
-        else
-            have_eager = false;
-    }
-
-    if (have_eager) {
-        Message m = std::move(*eit);
-        unexpected_.erase(eit);
-        co_await busy(o_recv +
-                      transferTime(m.bytes, params_.copy_bandwidth_mbs));
-        recvDone(m, start);
-        co_return m;
-    }
-    if (have_rts) {
-        Rts rts = std::move(*rit);
-        pending_rts_.erase(rit);
-        Message m = co_await recvRendezvous(std::move(rts), ov);
-        recvDone(m, start);
-        co_return m;
-    }
-
-    // Nothing has arrived yet: park until a matching delivery.
-    PendingRecv pr;
-    pr.src = src;
-    pr.tag = tag;
-    pr.context = context;
-    co_await sim::suspendWith([&](std::coroutine_handle<> h) {
-        pr.handle = h;
-        pending_recvs_.push_back(&pr);
-        if (probe_)
-            probe_->queueDepth(stats::MatchQueue::PendingRecv,
-                               pending_recvs_.size());
-    });
-
-    if (pr.eager) {
-        Message m = std::move(*pr.eager);
-        co_await busy(o_recv +
-                      transferTime(m.bytes, params_.copy_bandwidth_mbs));
-        recvDone(m, start);
-        co_return m;
-    }
-    if (!pr.rts)
-        panic("Transport::recv: woken with nothing delivered");
-    {
-        Message m = co_await recvRendezvous(std::move(*pr.rts), ov);
-        recvDone(m, start);
-        co_return m;
-    }
+    return recvTask(src, tag, context, ov, -1, 0, 0, nullptr);
 }
 
 sim::Task<Message>
-Transport::recvRendezvous(Rts rts, CostOverride ov)
+Transport::sendrecv(int dst, int send_tag, Bytes bytes, int src,
+                    int recv_tag, int context, PayloadPtr payload,
+                    CostOverride ov)
 {
-    const Time o_recv =
-        ov.recv >= 0 ? ov.recv : params_.recv_overhead;
-    // Process the RTS and return the clear-to-send.
-    co_await busy(params_.rendezvous_overhead);
-    Time cts_arrival = injectAt(rts.src, 0, sim_.now());
-    sim_.scheduleAt(cts_arrival, [hs = rts.hs] { hs->cts.fire(); });
-
-    co_await rts.hs->data.wait();
-    // Direct deposit into the user buffer: completion cost only.
-    co_await busy(o_recv);
-    co_return std::move(rts.hs->msg);
+    return recvTask(src, recv_tag, context, ov, dst, send_tag, bytes,
+                    std::move(payload));
 }
 
 void
@@ -396,7 +440,7 @@ Transport::deliverEager(Message m)
         if (matches(pr->src, pr->tag, pr->context, m.src, m.tag,
                     m.context)) {
             pending_recvs_.erase(it);
-            pr->eager = std::move(m);
+            pr->take(std::move(m));
             sim_.resumeNow(pr->handle);
             return;
         }
@@ -417,7 +461,7 @@ Transport::deliverRts(Rts rts)
         if (matches(pr->src, pr->tag, pr->context, rts.src, rts.tag,
                     rts.context)) {
             pending_recvs_.erase(it);
-            pr->rts = std::move(rts);
+            pr->take(std::move(rts));
             sim_.resumeNow(pr->handle);
             return;
         }
@@ -426,19 +470,6 @@ Transport::deliverRts(Rts rts)
     if (probe_)
         probe_->queueDepth(stats::MatchQueue::PendingRts,
                            pending_rts_.size());
-}
-
-sim::Task<void>
-Transport::runSend(sim::PoolPtr<ReqState> st, int dst, int tag,
-                   int context, Bytes bytes, PayloadPtr payload,
-                   CostOverride ov)
-{
-    try {
-        co_await send(dst, tag, context, bytes, std::move(payload), ov);
-    } catch (...) {
-        st->exc = std::current_exception();
-    }
-    st->done.fire();
 }
 
 sim::Task<void>
@@ -458,8 +489,8 @@ Transport::isend(int dst, int tag, int context, Bytes bytes,
                  PayloadPtr payload, CostOverride ov)
 {
     sim::PoolPtr<ReqState> st = req_pool_.make(sim_);
-    sim_.spawn(runSend(st, dst, tag, context, bytes, std::move(payload),
-                       ov));
+    sim_.spawn(sendTask(st, dst, tag, context, bytes, std::move(payload),
+                        ov));
     return Request{std::move(st)};
 }
 
@@ -477,18 +508,6 @@ Transport::wait(Request req)
     if (!req.state)
         panic("Transport::wait: empty request");
     return WaitAwaiter(std::move(req.state));
-}
-
-sim::Task<Message>
-Transport::sendrecv(int dst, int send_tag, Bytes bytes, int src,
-                    int recv_tag, int context, PayloadPtr payload,
-                    CostOverride ov)
-{
-    Request sreq = isend(dst, send_tag, context, bytes,
-                         std::move(payload), ov);
-    Message m = co_await recv(src, recv_tag, context, ov);
-    co_await wait(sreq);
-    co_return m;
 }
 
 Fabric::Fabric(sim::Simulator &sim, net::Network &net, int n,

@@ -39,6 +39,7 @@
 #include <exception>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "fault/fault_injector.hh"
@@ -252,31 +253,67 @@ class Transport
 
     using HandshakePtr = sim::PoolPtr<Handshake>;
 
-    /** An RTS awaiting a matching receive. */
+    /** An RTS awaiting a matching receive.  The payload travels with
+     *  the data phase (Handshake::msg), so the RTS carries only the
+     *  envelope. */
     struct Rts
     {
         int src = 0;
         int tag = 0;
         int context = 0;
-        Bytes bytes = 0;
-        PayloadPtr payload;
         HandshakePtr hs;
         std::uint64_t seq = 0;
     };
 
-    /** A parked receive awaiting a matching arrival. */
+    /**
+     * A receive being matched: the wanted envelope, then what matched
+     * it.  An eager match fills @c msg; a rendezvous match fills
+     * @c hs and names the sender to clear in @c msg.src.  While
+     * parked, the receive is listed in pending_recvs_ until a
+     * delivery fills it and resumes @c handle.
+     */
     struct PendingRecv
     {
-        int src = 0;
-        int tag = 0;
-        int context = 0;
+        PendingRecv(int s, int t, int c) : src(s), tag(t), context(c) {}
+
+        /** Match an eager arrival. */
+        void
+        take(Message &&m)
+        {
+            msg = std::move(m);
+            matched = true;
+        }
+
+        /** Match an RTS: keep its handshake, name its sender. */
+        void
+        take(Rts &&rts)
+        {
+            msg.src = rts.src;
+            hs = std::move(rts.hs);
+            matched = true;
+        }
+
+        int src;
+        int tag;
+        int context;
+        bool matched = false;
         std::coroutine_handle<> handle;
-        std::optional<Message> eager;
-        std::optional<Rts> rts;
+        Message msg;
+        HandshakePtr hs;
     };
 
     bool matches(int want_src, int want_tag, int want_ctx,
                  int src, int tag, int ctx) const;
+
+    /**
+     * Take the earliest arrival (eager message or RTS) that matches
+     * @p pr out of the match queues into @p pr.  Returns false, and
+     * leaves the queues alone, when nothing matching has arrived.
+     */
+    bool takeArrived(PendingRecv &pr);
+
+    /** List @p pr as a parked receive, to be resumed through @p h. */
+    void park(PendingRecv &pr, std::coroutine_handle<> h);
 
     /** Eager payload (or self-send) arrival at this node. */
     void deliverEager(Message m);
@@ -284,8 +321,35 @@ class Transport
     /** RTS arrival at this node. */
     void deliverRts(Rts rts);
 
-    /** Receiver side of the rendezvous protocol. */
-    sim::Task<Message> recvRendezvous(Rts rts, CostOverride ov);
+    /** Receiver side of a rendezvous: return the clear-to-send for
+     *  the handshake @p pr matched. */
+    void sendCts(const PendingRecv &pr);
+
+    /** Time to copy @p bytes into or out of system buffers. */
+    Time copyTime(Bytes bytes) const;
+
+    /**
+     * Charge the injection copy of @p bytes to the coprocessor/DMA
+     * timeline and return when it is done.  The main CPU is held only
+     * for cpuCopyShare() of it.
+     */
+    Time injectCopy(Bytes bytes);
+
+    /** The main CPU's (1 - overlap) share of an injection copy. */
+    Time cpuCopyShare(Bytes bytes) const;
+
+    /** Copy an eager message out and put it on the wire to @p dst. */
+    void sendEager(int dst, int tag, int context, Bytes bytes,
+                   PayloadPtr payload);
+
+    /** Start a rendezvous to @p dst: a fresh handshake, its RTS on
+     *  the wire. */
+    HandshakePtr sendRts(int dst, int tag, int context);
+
+    /** The rendezvous data phase: put the payload on the wire at
+     *  @p when and fire the receiver's data trigger on arrival. */
+    void sendData(const HandshakePtr &hs, int dst, int tag, int context,
+                  Bytes bytes, PayloadPtr payload, Time when);
 
     /** Inject one wire message; returns its arrival time at dst. */
     Time injectAt(int dst, Bytes bytes, Time when);
@@ -333,9 +397,27 @@ class Transport
     sim::Task<void> reliableDeliver(int dst, Bytes bytes, Time when,
                                     sim::DeliverFn deliver);
 
-    sim::Task<void> runSend(sim::PoolPtr<ReqState> st, int dst,
-                            int tag, int context, Bytes bytes,
-                            PayloadPtr payload, CostOverride ov);
+    /**
+     * The one send coroutine, behind send() and isend().  With a
+     * request state @p st (isend, spawned as a root) a failure goes
+     * into st->exc and st->done fires at the end; without one (a
+     * blocking send) the failure propagates to the awaiting caller.
+     */
+    sim::Task<void> sendTask(sim::PoolPtr<ReqState> st, int dst,
+                             int tag, int context, Bytes bytes,
+                             PayloadPtr payload, CostOverride ov);
+
+    /**
+     * The one receive coroutine, behind recv() and sendrecv().  With
+     * @p dst >= 0 it first issues the send half (isend of @p bytes to
+     * @p dst under @p send_tag), then matches and completes the
+     * receive, then waits on the send.
+     */
+    sim::Task<Message> recvTask(int src, int tag, int context,
+                                CostOverride ov, int dst, int send_tag,
+                                Bytes bytes, PayloadPtr payload);
+
+    /** irecv's root: a root must be a Task<void>. */
     sim::Task<void> runRecv(sim::PoolPtr<ReqState> st, int src,
                             int tag, int context, CostOverride ov);
 
@@ -377,10 +459,7 @@ class Transport
     poolCounters() const
     {
         sim::PoolCounters out = req_pool_.counters();
-        const sim::PoolCounters &h = hs_pool_.counters();
-        out.reuses += h.reuses;
-        out.allocs += h.allocs;
-        out.oversize += h.oversize;
+        out += hs_pool_.counters();
         return out;
     }
 };

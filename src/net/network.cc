@@ -28,8 +28,7 @@ Network::Network(std::unique_ptr<Topology> topo, const NetworkParams &params)
             "topology '%s' has %zu links, more than the %zu a link id "
             "can number",
             topo_->name().c_str(), topo_->numLinks(), kMaxLinks)));
-    link_free_.reset(topo_->numLinks());
-    link_busy_.reset(topo_->numLinks());
+    links_.reset(topo_->numLinks());
     class_params_.assign(
         static_cast<std::size_t>(topo_->numLinkClasses()), params_);
     classed_ = topo_->numLinkClasses() > 1;
@@ -77,19 +76,19 @@ Network::transfer(int src, int dst, Bytes bytes, Time now)
 
     // Uniform wiring: one serialisation time for the whole route.
     // Multi-class wiring computes the gating (slowest-link)
-    // serialisation and per-class hop latency during the first walk.
+    // serialisation and per-class hop latency during the walk.
     Time ser = classed_ ? 0
                         : transferTime(bytes + params_.packet_overhead,
                                        params_.link_bandwidth_mbs);
     Time hops_delay = 0;
 
-    // Walk 1: route length and the contention window — the transfer
-    // starts when every link on the route is free.
+    // The one walk: record the route and find the contention window —
+    // the transfer starts when every link on the route is free.
     Time start = now;
     LinkId constraining = -1;
-    std::size_t path_len = 0;
+    route_.clear();
     topo_->forEachLink(src, dst, [&](LinkId l) {
-        ++path_len;
+        route_.push_back(l);
         if (classed_) {
             const NetworkParams &cp =
                 class_params_[static_cast<std::size_t>(
@@ -100,13 +99,14 @@ Network::transfer(int src, int dst, Bytes bytes, Time now)
             hops_delay += cp.hop_latency;
         }
         if (params_.contention) {
-            const Time f = link_free_.get(static_cast<std::size_t>(l));
+            const Time f = links_.get(static_cast<std::size_t>(l)).free;
             if (f > start) {
                 start = f;
                 constraining = l;
             }
         }
     });
+    const std::size_t path_len = route_.size();
     if (path_len == 0)
         panic("Network::transfer: empty route from %d to %d", src,
               dst);
@@ -119,23 +119,23 @@ Network::transfer(int src, int dst, Bytes bytes, Time now)
         // A degraded link slows the whole cut-through worm: the
         // serialisation rate is set by the slowest link on the route.
         double worst = 1.0;
-        topo_->forEachLink(src, dst, [&](LinkId l) {
+        for (LinkId l : route_)
             worst = std::max(worst, slowdown_hook_(l, start));
-        });
         if (worst > 1.0)
             ser = static_cast<Time>(
                 std::llround(static_cast<double>(ser) * worst));
     }
 
-    // Walk 2 (3 with a slowdown hook): commit the reservation.
-    topo_->forEachLink(src, dst, [&](LinkId l) {
+    // Commit the reservation.
+    for (LinkId l : route_) {
         const auto i = static_cast<std::size_t>(l);
+        Link &k = links_.slot(i);
         if (params_.contention)
-            link_free_.slot(i) = start + ser;
-        link_busy_.slot(i) += ser;
+            k.free = start + ser;
+        k.busy += ser;
         if (probe_)
             probe_->linkBytes(i, bytes);
-    });
+    }
 
     ++messages_;
     total_bytes_ += bytes;
@@ -167,8 +167,8 @@ Network::utilization(Time horizon) const
     if (horizon <= 0)
         return u;
     double sum = 0.0;
-    link_free_.forEach([&](std::size_t i, Time end) {
-        Time busy = std::min(end, horizon);
+    links_.forEach([&](std::size_t i, const Link &k) {
+        Time busy = std::min(k.free, horizon);
         if (busy <= 0)
             return;
         ++u.links_used;
@@ -180,16 +180,15 @@ Network::utilization(Time horizon) const
             u.hottest = static_cast<LinkId>(i);
         }
     });
-    if (link_free_.size() > 0)
-        u.mean = sum / static_cast<double>(link_free_.size());
+    if (links_.size() > 0)
+        u.mean = sum / static_cast<double>(links_.size());
     return u;
 }
 
 void
 Network::reset()
 {
-    link_free_.clear();
-    link_busy_.clear();
+    links_.clear();
     route_walks_ = 0;
     route_hops_ = 0;
     messages_ = 0;

@@ -18,13 +18,16 @@
  * and is fully received hops * hop_latency + serialisation after it
  * starts.  Contention can be disabled for ablation studies.
  *
- * Routing is ANALYTIC: transfer() walks the route with a RouteCursor
- * (O(1) state, one link per step) as many times as it needs passes —
+ * Routing is ANALYTIC: transfer() walks the route once with a
+ * RouteCursor (O(1) state, one link per step) into a reused scratch
+ * vector, and its contention, slowdown and commit passes read that —
  * there is no stored route anywhere.  The old per-(src, dst) route
  * cache was O(p^2) memory and capped the simulator around p ~ 10^4;
- * with analytic walks plus lazily-paged link state (LazyArray), a
+ * with analytic walks plus lazily-paged link records (LazyArray), a
  * Network's footprint is O(links touched), and p = 10^5..10^6 rank
- * machines are simulable.
+ * machines are simulable.  A link's record holds both its next free
+ * time and its accumulated busy time, so a hop touches one cache
+ * line.
  *
  * Heterogeneous links: a multi-class topology (Hierarchical's
  * intra-chip / intra-node / inter-node wiring) can be given per-class
@@ -161,7 +164,7 @@ class Network
     Time
     linkBusy(LinkId l) const
     {
-        return link_busy_.get(static_cast<std::size_t>(l));
+        return links_.get(static_cast<std::size_t>(l)).busy;
     }
 
     /**
@@ -173,8 +176,8 @@ class Network
     void
     forEachTouchedLink(Fn &&fn) const
     {
-        link_busy_.forEach([&](std::size_t i, Time busy) {
-            fn(static_cast<LinkId>(i), busy);
+        links_.forEach([&](std::size_t i, const Link &k) {
+            fn(static_cast<LinkId>(i), k.busy);
         });
     }
 
@@ -207,8 +210,16 @@ class Network
      *  the classed arithmetic is bypassed entirely. */
     std::vector<NetworkParams> class_params_;
     bool classed_ = false;
-    LazyArray<Time> link_free_;
-    LazyArray<Time> link_busy_;
+
+    /** One directed link's occupancy. */
+    struct Link
+    {
+        Time free = 0; //!< end of its last reservation (contention)
+        Time busy = 0; //!< accumulated wire serialisation time
+    };
+    LazyArray<Link> links_;
+    /** The route of the transfer in progress (reused scratch). */
+    std::vector<LinkId> route_;
     LinkSlowdownHook slowdown_hook_;
     stats::Probe *probe_ = nullptr;
 

@@ -1,6 +1,7 @@
 #include "sim/event_queue.hh"
 
 #include <algorithm>
+#include <new>
 #include <utility>
 
 #include "util/logging.hh"
@@ -41,6 +42,29 @@ EventQueue::reserve(std::size_t events)
     overflow_.reserve(events / 4);
 }
 
+EventQueue::~EventQueue()
+{
+    // Pending callbacks die with the queue; resumes hold no storage.
+    // Only the cursor bucket has a consumed (already fired) prefix.
+    auto drop = [this](const Entry &e) {
+        if (e.fire == &runSlot)
+            releaseSlot(static_cast<Slot *>(e.arg));
+    };
+    for (std::size_t b = 0; b < nb_; ++b) {
+        const Bucket &bk = buckets_[b];
+        for (std::size_t i = b == cur_ ? pos_ : 0; i < bk.size(); ++i)
+            drop(bk[i]);
+    }
+    for (const Entry &e : overflow_)
+        drop(e);
+    while (Slot *s = free_slots_) {
+        poolUnpoison(s, sizeof(Slot));
+        free_slots_ = s->next;
+        s->~Slot();
+        framePool().release(s, sizeof(Slot));
+    }
+}
+
 void
 EventQueue::schedule(Time when, Callback cb)
 {
@@ -50,15 +74,62 @@ EventQueue::schedule(Time when, Callback cb)
               static_cast<long long>(last_fired_));
     if (!cb)
         panic("EventQueue::schedule: empty callback");
-    insert(Entry{when, next_seq_++, std::move(cb)});
+    Slot *s = free_slots_;
+    if (s) {
+        poolUnpoison(s, sizeof(Slot));
+        free_slots_ = s->next;
+    } else {
+        s = ::new (framePool().allocate(sizeof(Slot))) Slot;
+    }
+    ::new (static_cast<void *>(&s->fn)) Callback(std::move(cb));
+    insert(Entry{when, next_seq_++, &runSlot, s});
 }
 
 void
-EventQueue::scheduleNow(Callback cb)
+EventQueue::resumeAt(Time when, std::coroutine_handle<> h)
 {
-    if (!cb)
-        panic("EventQueue::scheduleNow: empty callback");
-    insert(Entry{last_fired_, next_seq_++, std::move(cb)});
+    if (when < last_fired_)
+        panic("EventQueue::resumeAt: time %lld before current time %lld",
+              static_cast<long long>(when),
+              static_cast<long long>(last_fired_));
+    insert(Entry{when, next_seq_++, &resume, h.address()});
+}
+
+void
+EventQueue::resumeNow(std::coroutine_handle<> h)
+{
+    insert(Entry{last_fired_, next_seq_++, &resume, h.address()});
+}
+
+void
+EventQueue::resume(EventQueue &, void *addr)
+{
+    std::coroutine_handle<>::from_address(addr).resume();
+}
+
+void
+EventQueue::runSlot(EventQueue &q, void *slot)
+{
+    // The slot goes back to the freelist however the callback ends,
+    // also when it throws.
+    struct Release
+    {
+        EventQueue &q;
+        Slot *s;
+        ~Release() { q.releaseSlot(s); }
+    } release{q, static_cast<Slot *>(slot)};
+    release.s->fn();
+}
+
+void
+EventQueue::releaseSlot(Slot *s) noexcept
+{
+    s->fn.~Callback();
+    s->next = free_slots_;
+    free_slots_ = s;
+    // The link word stays readable; everything past it is armed.
+    poolPoison(reinterpret_cast<char *>(s) + sizeof(Slot *),
+               sizeof(Slot) - sizeof(Slot *));
 }
 
 void
@@ -70,12 +141,12 @@ EventQueue::insert(Entry e)
         origin_ = e.when;
         cur_ = 0;
         pos_ = 0;
-        buckets_[0].push_back(std::move(e));
+        buckets_[0].push_back(e);
         sorted_[0] = 1;
     } else {
         std::size_t b = bucketOf(e.when);
         if (b >= nb_) {
-            overflow_.push_back(std::move(e));
+            overflow_.push_back(e);
         } else if (b == cur_) {
             Bucket &bk = buckets_[cur_];
             if (pos_ == 0) {
@@ -86,15 +157,15 @@ EventQueue::insert(Entry e)
                 if (sorted_[cur_] && !bk.empty() &&
                     earlier(e, bk.back()))
                     sorted_[cur_] = 0;
-                bk.push_back(std::move(e));
+                bk.push_back(e);
             } else {
                 // Mid-consumption the bucket is sorted past pos_;
                 // keep it that way.
-                insertSortedCur(std::move(e));
+                insertSortedCur(e);
             }
         } else if (b > cur_) {
             Bucket &bk = buckets_[b];
-            bk.push_back(std::move(e));
+            bk.push_back(e);
             if (bk.size() > 1)
                 sorted_[b] = 0;
         } else {
@@ -105,7 +176,7 @@ EventQueue::insert(Entry e)
             // back is safe: every bucket in [b, cur_) is empty.
             cur_ = b;
             pos_ = 0;
-            buckets_[b].push_back(std::move(e));
+            buckets_[b].push_back(e);
             sorted_[b] = 1;
         }
     }
@@ -124,17 +195,7 @@ EventQueue::insertSortedCur(Entry e)
     auto it = std::upper_bound(
         bk.begin() + static_cast<std::ptrdiff_t>(pos_), bk.end(), e,
         [](const Entry &a, const Entry &b) { return earlier(a, b); });
-    bk.insert(it, std::move(e));
-}
-
-void
-EventQueue::reserveFor(Time when, std::size_t n)
-{
-    if (size_ == 0)
-        return;
-    std::size_t b = bucketOf(when);
-    Bucket &bk = b >= nb_ ? overflow_ : buckets_[b];
-    bk.reserve(bk.size() + n);
+    bk.insert(it, e);
 }
 
 Time
@@ -173,10 +234,9 @@ EventQueue::runNext()
     if (size_ == 0)
         panic("EventQueue::runNext: queue is empty");
     ensureSortedCur();
-    // Move the earliest entry out and restore the cursor invariant
-    // *before* invoking the callback — callbacks routinely schedule
-    // new events.
-    Entry e = std::move(buckets_[cur_][pos_]);
+    // Copy the earliest entry out and restore the cursor invariant
+    // *before* firing it — callbacks routinely schedule new events.
+    const Entry e = buckets_[cur_][pos_];
     ++pos_;
     --size_;
     last_fired_ = e.when;
@@ -188,7 +248,7 @@ EventQueue::runNext()
     } else {
         settle();
     }
-    e.cb();
+    e.fire(*this, e.arg);
     return e.when;
 }
 
@@ -249,11 +309,11 @@ EventQueue::advanceWindow()
         std::size_t b = bucketOf(e.when);
         if (b < nb_) {
             Bucket &bk = buckets_[b];
-            bk.push_back(std::move(e));
+            bk.push_back(e);
             if (bk.size() > 1)
                 sorted_[b] = 0;
         } else {
-            overflow_[keep++] = std::move(e);
+            overflow_[keep++] = e;
         }
     }
     overflow_.resize(keep);

@@ -22,18 +22,22 @@
  * exploits that by never revisiting a bucket it has walked past
  * within a window.
  *
- * Callbacks are sim::SmallFn rather than std::function: the vast
- * majority capture a coroutine handle or a message plus a pointer
- * and are stored inline in the entry, so scheduling an event costs
- * no allocation.  Bucket storage itself comes from the thread-local
- * frame pool (PoolAlloc), so bucket growth after warm-up is a
- * freelist pop, not a malloc.
+ * An entry is 32 bytes and trivially copyable: (time, seq, fire,
+ * arg).  Most events resume a parked coroutine, and those entries
+ * hold the coroutine handle itself.  Any other callback is a
+ * sim::SmallFn held in a slot that the queue recycles through its
+ * own freelist, so scheduling one costs no allocation after warm-up,
+ * and sorting, bucket growth and pops move plain words instead of
+ * relocating callables.  Slots and bucket storage come from the
+ * thread-local frame pool only on a miss.
  */
 
 #ifndef CCSIM_SIM_EVENT_QUEUE_HH
 #define CCSIM_SIM_EVENT_QUEUE_HH
 
+#include <coroutine>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "sim/pool.hh"
@@ -50,6 +54,12 @@ class EventQueue
 
     EventQueue();
 
+    /** Destroys the callbacks of events still pending. */
+    ~EventQueue();
+
+    EventQueue(const EventQueue &) = delete;
+    EventQueue &operator=(const EventQueue &) = delete;
+
     /**
      * Enqueue a callback to fire at absolute time @p when.  Scheduling
      * in the past (before the last popped event's time) is a bug in
@@ -58,26 +68,19 @@ class EventQueue
     void schedule(Time when, Callback cb);
 
     /**
-     * Enqueue a callback at the last fired time — the parked-coroutine
-     * resume path.  Equivalent to schedule(lastFired(), cb) but skips
-     * the cannot-be-in-the-past check by construction.
+     * Enqueue the resumption of the parked coroutine @p h at absolute
+     * time @p when.  The entry holds the handle itself: no callback
+     * slot.  Scheduling in the past panics, as for schedule().
      */
-    void scheduleNow(Callback cb);
+    void resumeAt(Time when, std::coroutine_handle<> h);
 
     /**
-     * Enqueue @p n callbacks all firing at @p when, in factory order
-     * (@p make is called with 0..n-1 and returns each Callback).  One
-     * capacity reservation covers the whole batch — the fan-out shape
-     * collectives emit when a trigger releases many waiters at once.
+     * Enqueue the resumption of @p h at the last fired time — the
+     * parked-coroutine wake path.  Equivalent to
+     * resumeAt(lastFired(), h) but skips the cannot-be-in-the-past
+     * check by construction.
      */
-    template <typename MakeCb>
-    void
-    scheduleBatchAt(Time when, std::size_t n, MakeCb &&make)
-    {
-        reserveFor(when, n);
-        for (std::size_t i = 0; i < n; ++i)
-            schedule(when, make(i));
-    }
+    void resumeNow(std::coroutine_handle<> h);
 
     /**
      * Capacity hint: the caller expects up to @p events pending at
@@ -111,11 +114,31 @@ class EventQueue
     std::size_t maxDepth() const { return max_depth_; }
 
   private:
+    /** What an entry runs: resume() for a coroutine handle (arg is
+     *  its address), runSlot() for a held callback (arg is its
+     *  Slot). */
+    using Fire = void (*)(EventQueue &, void *);
+
     struct Entry
     {
         Time when;
         std::uint64_t seq;
-        Callback cb;
+        Fire fire;
+        void *arg;
+    };
+    static_assert(std::is_trivially_copyable_v<Entry> &&
+                      sizeof(Entry) <= 32,
+                  "an event entry is four plain words");
+
+    /** A scheduled callback's storage.  While parked on the freelist
+     *  the link word is the active member. */
+    union Slot
+    {
+        Slot() : next(nullptr) {}
+        ~Slot() {}
+
+        Slot *next;
+        Callback fn;
     };
 
     /** Bucket storage draws from the thread-local frame pool. */
@@ -145,7 +168,11 @@ class EventQueue
     void ensureSortedCur();
     void settle();
     void advanceWindow();
-    void reserveFor(Time when, std::size_t n);
+
+    static void resume(EventQueue &q, void *addr);
+    static void runSlot(EventQueue &q, void *slot);
+    /** Destroy @p s's callback and park the slot on the freelist. */
+    void releaseSlot(Slot *s) noexcept;
 
     std::vector<Bucket> buckets_;
     std::vector<unsigned char> sorted_; //!< per-bucket "is sorted" flag
@@ -156,6 +183,7 @@ class EventQueue
     std::size_t cur_ = 0;               //!< cursor bucket
     std::size_t pos_ = 0;               //!< consumed prefix of cur_
     std::size_t size_ = 0;
+    Slot *free_slots_ = nullptr;        //!< recycled callback slots
 
     std::uint64_t next_seq_ = 0;
     std::uint64_t fired_ = 0;

@@ -79,6 +79,19 @@ struct PoolCounters
     std::uint64_t reuses = 0;   //!< served from the freelist
     std::uint64_t allocs = 0;   //!< fell through to the heap
     std::uint64_t oversize = 0; //!< larger than any size class
+    /** Block bytes handed out: the size class of a pooled block, the
+     *  request of an oversize one. */
+    std::uint64_t bytes = 0;
+
+    PoolCounters &
+    operator+=(const PoolCounters &o)
+    {
+        reuses += o.reuses;
+        allocs += o.allocs;
+        oversize += o.oversize;
+        bytes += o.bytes;
+        return *this;
+    }
 };
 
 /**
@@ -123,8 +136,10 @@ class FramePool
         std::size_t c = classFor(n);
         if (c >= kClasses) {
             ++counters_.oversize;
+            counters_.bytes += n;
             return ::operator new(n);
         }
+        counters_.bytes += bytesFor(c);
         if (Node *head = free_[c]) {
             free_[c] = head->next;
             ++counters_.reuses;
@@ -268,10 +283,10 @@ class Pool
         if (s) {
             poolUnpoison(s, sizeof(Slot));
             free_ = getNext(s);
-            ++counters_.reuses;
+            ++reuses_;
         } else {
             s = static_cast<Slot *>(framePool().allocate(sizeof(Slot)));
-            ++counters_.allocs;
+            ++allocs_;
         }
         s->refs = 1;
         s->pool = this;
@@ -279,7 +294,18 @@ class Pool
         return PoolPtr<T>(s);
     }
 
-    const PoolCounters &counters() const { return counters_; }
+    /** Slots handed out, and their bytes.  Derived on demand: every
+     *  transport holds two pools, so each stored word costs a word
+     *  per rank. */
+    PoolCounters
+    counters() const
+    {
+        PoolCounters c;
+        c.reuses = reuses_;
+        c.allocs = allocs_;
+        c.bytes = (reuses_ + allocs_) * sizeof(Slot);
+        return c;
+    }
 
   private:
     friend class PoolPtr<T>;
@@ -326,7 +352,8 @@ class Pool
     }
 
     Slot *free_ = nullptr;
-    PoolCounters counters_;
+    std::uint64_t reuses_ = 0;
+    std::uint64_t allocs_ = 0;
 };
 
 /** Shared handle to a pooled object (single-threaded refcount). */

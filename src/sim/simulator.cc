@@ -23,16 +23,10 @@ Trigger::fire()
         sim_.resumeNow(first_);
         first_ = nullptr;
     }
-    if (!spill_.empty()) {
-        // Broadcast release: one batched reservation for the whole
-        // fan-out instead of per-waiter queue growth.
-        sim_.queue().scheduleBatchAt(
-            sim_.now(), spill_.size(), [this](std::size_t i) {
-                auto h = spill_[i];
-                return EventQueue::Callback([h] { h.resume(); });
-            });
-        spill_.clear();
-    }
+    // Broadcast release, in wait order.
+    for (std::coroutine_handle<> h : spill_)
+        sim_.resumeNow(h);
+    spill_.clear();
 }
 
 void

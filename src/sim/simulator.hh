@@ -162,11 +162,12 @@ class Simulator
         queue_.schedule(when, std::move(cb));
     }
 
-    /** Resume a parked coroutine at absolute time @p when. */
+    /** Resume a parked coroutine at absolute time @p when.  The
+     *  event holds only the handle. */
     void
     resumeAt(Time when, std::coroutine_handle<> h)
     {
-        queue_.schedule(when, [h] { h.resume(); });
+        queue_.resumeAt(when, h);
     }
 
     /** Resume a parked coroutine at the current time (via the queue,
@@ -176,7 +177,7 @@ class Simulator
     void
     resumeNow(std::coroutine_handle<> h)
     {
-        queue_.scheduleNow([h] { h.resume(); });
+        queue_.resumeNow(h);
     }
 
     /** Awaitable: suspend the caller for @p d simulated time. */

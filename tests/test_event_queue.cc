@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include "sim/event_queue.hh"
+#include "sim/pool.hh"
+#include "sim/task.hh"
 #include "util/logging.hh"
 
 namespace ccsim::sim {
@@ -269,6 +271,71 @@ TEST(EventQueue, ReserveIsTransparent)
     while (!hinted.empty())
         hinted.runNext();
     EXPECT_EQ(fp, fh);
+}
+
+TEST(EventQueue, ResumesAndCallbacksAtOneInstantFireInScheduleOrder)
+{
+    // A resume holds only its handle and a callback holds a slot, but
+    // both take their place in the one (time, seq) order.
+    EventQueue q;
+    std::vector<int> order;
+    auto record = [&order](int id) -> Task<void> {
+        order.push_back(id);
+        co_return;
+    };
+    Task<void> first = record(1);
+    Task<void> second = record(3);
+    Task<void> woken = record(5);
+    q.schedule(5, [&] { order.push_back(0); });
+    q.resumeAt(5, first.handle());
+    q.schedule(5, [&] {
+        order.push_back(2);
+        q.resumeNow(woken.handle());
+        q.schedule(5, [&] { order.push_back(6); });
+    });
+    q.resumeAt(5, second.handle());
+    q.schedule(5, [&] { order.push_back(4); });
+    while (!q.empty())
+        q.runNext();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
+}
+
+TEST(EventQueue, PendingCallbacksAreDestroyedWithTheQueue)
+{
+    auto token = std::make_shared<int>(0);
+    {
+        EventQueue q;
+        q.schedule(10, [token] {});
+        q.schedule(20, [token] {});
+        q.schedule(1000 * MS, [token] {}); // beyond the window
+        EXPECT_EQ(token.use_count(), 4);
+        q.runNext();
+        EXPECT_EQ(token.use_count(), 3);
+    }
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventQueue, AThrowingCallbackReleasesItsSlot)
+{
+    throwOnError(true);
+    EventQueue q;
+    auto token = std::make_shared<int>(0);
+    q.schedule(1, [token] { panic("callback failure"); });
+    EXPECT_THROW(q.runNext(), PanicError);
+    EXPECT_EQ(token.use_count(), 1);
+
+    // The next callback reuses the released slot: no frame-pool block.
+    auto poolOps = [] {
+        const PoolCounters &c = framePool().counters();
+        return c.reuses + c.allocs + c.oversize;
+    };
+    const std::uint64_t before = poolOps();
+    int fired = 0;
+    q.schedule(2, [&fired] { ++fired; });
+    EXPECT_EQ(poolOps(), before);
+    q.runNext();
+    EXPECT_EQ(fired, 1);
+    throwOnError(false);
 }
 
 TEST(SmallFn, SmallCapturesAreStoredInline)

@@ -1,11 +1,13 @@
 /**
  * @file
  * Frame budget of the hot path: how many operations on the thread's
- * FramePool (blocks handed out, from the freelist or the heap) the
- * simulator spends per unit of simulated work.  Coroutine frames
- * dominate host time at large p, so these bounds keep the frameless
- * awaiters (Transport::busy, Transport::wait) and the by-reference
- * collective context from quietly growing frames back.
+ * FramePool (blocks handed out, from the freelist or the heap), and
+ * how many bytes, the simulator spends per unit of simulated work.
+ * Coroutine frames dominate host time at large p, so these bounds
+ * keep the frameless awaiters (Transport::busy, Transport::wait), the
+ * by-reference collective context, one frame per send and per
+ * receive, and the event queue's recycled callback slots from
+ * quietly growing frames back.
  */
 
 #include <cstdint>
@@ -49,15 +51,17 @@ TEST(FrameBudget, BusyTakesNoFrame)
     EXPECT_EQ(m.sim().now(), kIters * US);
 }
 
-/**
- * Frame-pool operations of the run itself (the ranks are spawned,
- * and have reached their first suspension, before the count starts)
- * per message of a dissemination barrier.  Each message is one
- * sendrecv: its frame, the send root and its send frame, and the
- * receive frame; the rest is the event queue's and match queues'
- * occasional growth.
- */
-TEST(FrameBudget, DisseminationBarrierPerMessage)
+/** Frame-pool counters spent by one p = 64 SP2 dissemination
+ *  barrier run, per message.  The ranks are spawned, and have reached
+ *  their first suspension, before the count starts. */
+struct BarrierCost
+{
+    double ops = 0;   //!< blocks handed out per message
+    double bytes = 0; //!< block bytes handed out per message
+};
+
+BarrierCost
+disseminationBarrierCost()
 {
     constexpr int kP = 64;
     machine::MachineConfig cfg = machine::sp2Config();
@@ -70,17 +74,41 @@ TEST(FrameBudget, DisseminationBarrierPerMessage)
     for (int r = 0; r < kP; ++r)
         m.sim().spawn(rank(r));
 
-    const std::uint64_t before = poolOps();
+    const std::uint64_t ops_before = poolOps();
+    const std::uint64_t bytes_before = sim::framePool().counters().bytes;
     m.run();
-    const std::uint64_t ops = poolOps() - before;
+    const std::uint64_t ops = poolOps() - ops_before;
+    const std::uint64_t bytes =
+        sim::framePool().counters().bytes - bytes_before;
 
     const std::uint64_t messages =
         m.metricsSnapshot().counters.at("net.messages");
     EXPECT_EQ(messages, static_cast<std::uint64_t>(kP) * 6);
-    EXPECT_LE(static_cast<double>(ops) / static_cast<double>(messages),
-              4.5)
-        << ops << " frame-pool operations for " << messages
-        << " messages";
+    const auto n = static_cast<double>(messages);
+    return {static_cast<double>(ops) / n, static_cast<double>(bytes) / n};
+}
+
+/**
+ * Frame-pool operations per message of a dissemination barrier.
+ * Each message is one sendrecv: its receive frame and the send root's
+ * frame; the rest is the event queue's and match queues' occasional
+ * growth and its recycled callback slots.
+ */
+TEST(FrameBudget, DisseminationBarrierPerMessage)
+{
+    const double ops = disseminationBarrierCost().ops;
+    EXPECT_LE(ops, 3.0) << ops << " frame-pool operations per message";
+}
+
+/**
+ * Frame-pool bytes per message of the same barrier: the two frames
+ * a sendrecv costs, a 320-byte send class and a 512-byte receive
+ * class, plus the queues' growth.
+ */
+TEST(FrameBudget, SendrecvMessageBytes)
+{
+    const double bytes = disseminationBarrierCost().bytes;
+    EXPECT_LE(bytes, 1200.0) << bytes << " frame-pool bytes per message";
 }
 
 /**
@@ -88,7 +116,8 @@ TEST(FrameBudget, DisseminationBarrierPerMessage)
  * bcast, issued through Comm::bcast and through the harness's
  * runCollectiveOnce, rank programs included.  Either way a call costs
  * two frames, Comm::call's and the algorithm's; the rest is its
- * messages (63 per call: each a send, its root and a receive).
+ * messages (63 per call: each a send frame and a receive frame) and
+ * the event queue's recycled callback slots.
  */
 TEST(FrameBudget, CollectiveCallFrames)
 {

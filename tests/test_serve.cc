@@ -569,6 +569,9 @@ TEST(ServeServer, HealthVerbReportsDaemonState)
 
 TEST(ServeServer, AMissedDeadlineDowngradesToAShedFastAnswer)
 {
+    // The point must be cold: a process-wide memo warmed by an earlier
+    // run of this test would answer it at once.
+    harness::memoClear();
     Server server;
     // Far too heavy a point for a 1 ms deadline: the caller gets a
     // fast-tier estimate flagged as shed instead of blocking.
@@ -593,6 +596,9 @@ TEST(ServeServer, AMissedDeadlineDowngradesToAShedFastAnswer)
 
 TEST(ServeServer, AFullBackfillQueueShedsToTheFastTier)
 {
+    // The heavy point must be cold: a process-wide memo warmed by an
+    // earlier run of this test would answer it at once.
+    harness::memoClear();
     ServerOptions opts;
     opts.backfill_max = 1;
     Server server(opts);
