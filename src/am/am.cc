@@ -6,22 +6,10 @@
 
 namespace ccsim::am {
 
-AmEndpoint::AmEndpoint(sim::Simulator &sim, net::Network &net,
-                       AmFabric &fabric, int node,
-                       const AmParams &params)
-    : sim_(sim), net_(net), fabric_(fabric), node_(node),
-      params_(params)
-{
-    if (params_.send_overhead < 0 || params_.handler_overhead < 0)
-        fatal("AmEndpoint: negative overhead");
-    if (params_.copy_bandwidth_mbs <= 0)
-        fatal("AmEndpoint: copy bandwidth must be positive");
-}
-
 Time
 AmEndpoint::occupyCpu(Time cost)
 {
-    Time start = std::max(sim_.now(), cpu_free_);
+    Time start = std::max(fabric_.sim_.now(), cpu_free_);
     cpu_free_ = start + cost;
     return cpu_free_;
 }
@@ -37,29 +25,30 @@ AmEndpoint::post(int dst, int handler_id, std::uint64_t arg,
     (void)fabric_.handler(handler_id); // validates the id
 
     ++sends_;
-    Time copy = transferTime(bytes, params_.copy_bandwidth_mbs);
-    Time issue_done = occupyCpu(params_.send_overhead + copy);
+    const AmParams &params = fabric_.params_;
+    Time copy = transferTime(bytes, params.copy_bandwidth_mbs);
+    Time issue_done = occupyCpu(params.send_overhead + copy);
 
     AmArrival arrival{node_, dst, arg, bytes, std::move(payload)};
     if (dst == node_) {
         // Local delivery: straight to the dispatcher.
         AmEndpoint *self = this;
-        sim_.scheduleAt(issue_done,
-                        [self, handler_id,
-                         arrival = std::move(arrival)]() mutable {
-                            self->deliver(handler_id,
-                                          std::move(arrival));
-                        });
+        fabric_.sim_.scheduleAt(
+            issue_done,
+            [self, handler_id, arrival = std::move(arrival)]() mutable {
+                self->deliver(handler_id, std::move(arrival));
+            });
         return;
     }
 
-    Time wire_arrival = net_.transfer(node_, dst, bytes, issue_done);
+    Time wire_arrival =
+        fabric_.net_.transfer(node_, dst, bytes, issue_done);
     AmEndpoint *peer = &fabric_.node(dst);
-    sim_.scheduleAt(wire_arrival,
-                    [peer, handler_id,
-                     arrival = std::move(arrival)]() mutable {
-                        peer->deliver(handler_id, std::move(arrival));
-                    });
+    fabric_.sim_.scheduleAt(
+        wire_arrival,
+        [peer, handler_id, arrival = std::move(arrival)]() mutable {
+            peer->deliver(handler_id, std::move(arrival));
+        });
 }
 
 sim::Task<void>
@@ -68,37 +57,42 @@ AmEndpoint::send(int dst, int handler_id, std::uint64_t arg,
 {
     post(dst, handler_id, arg, bytes, std::move(payload));
     // Block the caller until this node's CPU has finished issuing.
-    if (cpu_free_ > sim_.now())
-        co_await sim_.delay(cpu_free_ - sim_.now());
+    if (cpu_free_ > fabric_.sim_.now())
+        co_await fabric_.sim_.delay(cpu_free_ - fabric_.sim_.now());
 }
 
 void
 AmEndpoint::deliver(int handler_id, AmArrival arrival)
 {
+    const AmParams &params = fabric_.params_;
     Time dispatched = occupyCpu(
-        params_.handler_overhead +
-        transferTime(arrival.bytes, params_.copy_bandwidth_mbs));
+        params.handler_overhead +
+        transferTime(arrival.bytes, params.copy_bandwidth_mbs));
     AmEndpoint *self = this;
-    sim_.scheduleAt(dispatched,
-                    [self, handler_id,
-                     arrival = std::move(arrival)]() mutable {
-                        ++self->handled_;
-                        self->fabric_.handler(handler_id)(arrival);
-                    });
+    fabric_.sim_.scheduleAt(
+        dispatched,
+        [self, handler_id, arrival = std::move(arrival)]() mutable {
+            ++self->handled_;
+            self->fabric_.handler(handler_id)(arrival);
+        });
 }
 
 AmFabric::AmFabric(sim::Simulator &sim, net::Network &net, int n,
                    const AmParams &params)
+    : sim_(sim), net_(net), params_(params)
 {
     if (n < 1)
         fatal("AmFabric: need at least one node, got %d", n);
     if (n > net.topology().numNodes())
         fatal("AmFabric: %d nodes exceed the %d-node topology", n,
               net.topology().numNodes());
+    if (params.send_overhead < 0 || params.handler_overhead < 0)
+        fatal("AmEndpoint: negative overhead");
+    if (params.copy_bandwidth_mbs <= 0)
+        fatal("AmEndpoint: copy bandwidth must be positive");
     nodes_.reserve(static_cast<size_t>(n));
     for (int i = 0; i < n; ++i)
-        nodes_.push_back(
-            std::make_unique<AmEndpoint>(sim, net, *this, i, params));
+        nodes_.push_back(std::make_unique<AmEndpoint>(*this, i));
 }
 
 int

@@ -13,13 +13,14 @@
  * dominates every startup latency in the paper, at the cost of a
  * more restrictive programming model (handlers must not block).
  *
- * Model: each node has an AmEndpoint with its own CPU timeline.
- * send()/post() charge a (small) send overhead, the injection copy
- * runs at the node copy bandwidth, the network is the same
- * contention-modelled fabric MPI uses, and on arrival the handler
- * charges a (small) handler overhead before executing.  Handlers
- * may post() further messages (e.g.\ forwarding down a broadcast
- * tree) but must not suspend.
+ * Model: each node has an AmEndpoint with its own CPU timeline; the
+ * simulator, network and AmParams are the AmFabric's, once per
+ * machine.  send()/post() charge a (small) send overhead, the
+ * injection copy runs at the node copy bandwidth, the network is the
+ * same contention-modelled fabric MPI uses, and on arrival the
+ * handler charges a (small) handler overhead before executing.
+ * Handlers may post() further messages (e.g.\ forwarding down a
+ * broadcast tree) but must not suspend.
  */
 
 #ifndef CCSIM_AM_AM_HH
@@ -66,12 +67,15 @@ using Handler = std::function<void(const AmArrival &)>;
 
 class AmFabric;
 
-/** One node's active-message endpoint. */
+/** One node's active-message endpoint: its CPU timeline and
+ *  counters. */
 class AmEndpoint
 {
   public:
-    AmEndpoint(sim::Simulator &sim, net::Network &net, AmFabric &fabric,
-               int node, const AmParams &params);
+    /** Endpoint of node @p node; @p fabric owns it and outlives it. */
+    AmEndpoint(AmFabric &fabric, int node) : fabric_(fabric), node_(node)
+    {
+    }
 
     AmEndpoint(const AmEndpoint &) = delete;
     AmEndpoint &operator=(const AmEndpoint &) = delete;
@@ -110,20 +114,20 @@ class AmEndpoint
     /** Reserve this node's CPU from now; returns completion time. */
     Time occupyCpu(Time cost);
 
-    sim::Simulator &sim_;
-    net::Network &net_;
     AmFabric &fabric_;
     int node_;
-    AmParams params_;
     Time cpu_free_ = 0;
     std::uint64_t sends_ = 0;
     std::uint64_t handled_ = 0;
 };
 
-/** All endpoints of a machine plus the shared handler table. */
+/** All endpoints of a machine plus what they share: the simulator,
+ *  network, costs and handler table. */
 class AmFabric
 {
   public:
+    /** Build @p n endpoints over @p net; @p params is checked once,
+     *  before any endpoint is built. */
     AmFabric(sim::Simulator &sim, net::Network &net, int n,
              const AmParams &params);
 
@@ -139,6 +143,9 @@ class AmFabric
 
     const Handler &handler(int id) const;
 
+    sim::Simulator &sim_;
+    net::Network &net_;
+    AmParams params_;
     std::vector<std::unique_ptr<AmEndpoint>> nodes_;
     std::vector<Handler> handlers_;
 };

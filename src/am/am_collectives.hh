@@ -99,8 +99,6 @@ class AmWorld
     void forwardBcast(std::uint64_t round, int rank, int mask,
                       Bytes m, int root,
                       const msg::PayloadPtr &payload);
-    void reduceArrive(std::uint64_t round, int rank,
-                      msg::PayloadPtr payload);
     void maybeForwardReduce(std::uint64_t round, int rank);
 
     /** acc = acc (+) in, null-tolerant (size-only mode is a no-op). */

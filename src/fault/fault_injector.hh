@@ -77,9 +77,8 @@ class FaultInjector
     net::LinkId blackholedOnRoute(const net::Topology &topo, int src,
                                   int dst, Time t) const;
 
-    /** Links assigned as degraded / black-holed. */
+    /** Links assigned as degraded. */
     int degradedLinks() const { return degraded_count_; }
-    int blackholedLinks() const { return blackholed_count_; }
 
     /** Static black-hole assignment of @p link (window ignored). */
     bool blackholed(net::LinkId link) const;

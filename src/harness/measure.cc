@@ -560,7 +560,7 @@ model::MachineModel
 fitMachineModel(const machine::MachineConfig &cfg,
                 const std::vector<machine::Coll> &ops,
                 std::vector<int> sizes, std::vector<Bytes> lengths,
-                const MeasureOptions &opt)
+                const MeasureOptions &opt, Algo algo)
 {
     std::vector<machine::Coll> todo = ops;
     if (todo.empty())
@@ -577,8 +577,7 @@ fitMachineModel(const machine::MachineConfig &cfg,
         for (int p : sizes) {
             for (Bytes m : lengths) {
                 Bytes mm = op == Coll::Barrier ? 0 : m;
-                auto meas = measureCollective(cfg, p, op, mm,
-                                              Algo::Default, opt);
+                auto meas = measureCollective(cfg, p, op, mm, algo, opt);
                 samples.push_back({mm, p, meas.us()});
                 if (op == Coll::Barrier)
                     break;

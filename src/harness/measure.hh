@@ -264,15 +264,17 @@ Bytes aggregatedLength(machine::Coll op, Bytes m, int p);
 /**
  * Fit a model::MachineModel for @p cfg by sweeping the Section 2
  * procedure over the given machine sizes and message lengths for
- * every operation in @p ops, then running the paper-style two-stage
- * fit per operation.  Empty sweep vectors use the paper's standard
- * sweeps (capped at @p max_p when positive, to bound cost).
+ * every operation in @p ops, measuring algorithm @p algo, then
+ * running the paper-style two-stage fit per operation.  Empty sweep
+ * vectors use the paper's standard sweeps.  serve::FastPath fits
+ * its per-(machine, op, algorithm) models through this too.
  */
 model::MachineModel fitMachineModel(
     const machine::MachineConfig &cfg,
     const std::vector<machine::Coll> &ops = {},
     std::vector<int> sizes = {}, std::vector<Bytes> lengths = {},
-    const MeasureOptions &opt = {});
+    const MeasureOptions &opt = {},
+    machine::Algo algo = machine::Algo::Default);
 
 /**
  * Point-to-point ping-pong between two nodes of a machine: rank 0

@@ -136,12 +136,10 @@ Machine::metricsSnapshot()
     snap.counters["net.route.walks"] = network_->routeWalks();
     snap.counters["net.route.hops"] = network_->routeHops();
 
-    // Completion-slot pool effectiveness across all endpoints.  The
-    // counters are per-machine and derived only from operation
-    // counts, so they stay deterministic run to run.
-    sim::PoolCounters pc;
-    for (int i = 0; i < size_; ++i)
-        pc += fabric_->node(i).poolCounters();
+    // Completion-slot pool effectiveness.  The pools are the
+    // fabric's, one per machine, and their counters derive only from
+    // operation counts, so they stay deterministic run to run.
+    const sim::PoolCounters pc = fabric_->poolCounters();
     snap.counters["msg.pool.reuses"] = pc.reuses;
     snap.counters["msg.pool.allocs"] = pc.allocs;
 

@@ -128,7 +128,7 @@ class Machine
     std::map<std::vector<int>, int> context_registry_;
     /** Declared last so it is destroyed first: the frames a failed or
      *  deadlocked run leaves, and its pending events, still hold
-     *  request slots pooled by the fabric's transports. */
+     *  request and handshake slots from the fabric's pools. */
     sim::Simulator sim_;
 };
 

@@ -20,37 +20,18 @@ scaleTime(Time t, double f)
 
 } // namespace
 
-Transport::Transport(sim::Simulator &sim, net::Network &net, Fabric &fabric,
-                     int node, const TransportParams &params,
-                     fault::FaultInjector *fi)
-    : sim_(sim), net_(net), fabric_(fabric), node_(node),
-      params_(params), fi_(fi),
-      lossy_(fi != nullptr && fi->spec().lossPossible())
-{
-    if (params_.send_overhead < 0 || params_.recv_overhead < 0 ||
-        params_.rendezvous_overhead < 0 || params_.blt_setup < 0)
-        fatal("Transport: negative software overhead");
-    if (params_.copy_bandwidth_mbs <= 0)
-        fatal("Transport: copy bandwidth must be positive, got %g",
-              params_.copy_bandwidth_mbs);
-    if (params_.eager_threshold < 0 || params_.blt_threshold < 0)
-        fatal("Transport: negative protocol threshold");
-    if (params_.coprocessor_overlap < 0 || params_.coprocessor_overlap > 1)
-        fatal("Transport: coprocessor overlap %g outside [0,1]",
-              params_.coprocessor_overlap);
-}
-
 sim::DelayAwaiter
 Transport::busy(Time cost)
 {
     if (cost < 0)
         panic("Transport::busy: negative cost");
-    if (fi_)
-        cost = fi_->scaleCpu(node_, cost); // straggler injection
-    Time start = std::max(sim_.now(), cpu_free_);
+    if (const fault::FaultInjector *fi = fabric_.fi_)
+        cost = fi->scaleCpu(node_, cost); // straggler injection
+    sim::Simulator &sim = fabric_.sim_;
+    Time start = std::max(sim.now(), cpu_free_);
     Time end = start + cost;
     cpu_free_ = end;
-    return sim_.delay(end - sim_.now()); // ready at once when end == now
+    return sim.delay(end - sim.now()); // ready at once when end == now
 }
 
 bool
@@ -65,17 +46,17 @@ Transport::matches(int want_src, int want_tag, int want_ctx,
 Time
 Transport::injectAt(int dst, Bytes bytes, Time when)
 {
-    return net_.transfer(node_, dst, bytes, when);
+    return fabric_.net_.transfer(node_, dst, bytes, when);
 }
 
 Time
 Transport::wireArrival(int dst, Bytes bytes, Time when)
 {
     Time arrival = injectAt(dst, bytes, when);
-    if (fi_) {
-        Time penalty = fi_->drawDelayPenalty();
+    if (fault::FaultInjector *fi = fabric_.fi_) {
+        Time penalty = fi->drawDelayPenalty();
         if (penalty > 0) {
-            fi_->recordDelay(node_, dst, when, bytes);
+            fi->recordDelay(node_, dst, when, bytes);
             arrival += penalty;
         }
     }
@@ -86,7 +67,10 @@ sim::Task<void>
 Transport::reliableDeliver(int dst, Bytes bytes, Time when,
                            sim::DeliverFn deliver)
 {
-    const fault::FaultSpec &spec = fi_->spec();
+    sim::Simulator &sim = fabric_.sim_;
+    net::Network &net = fabric_.net_;
+    fault::FaultInjector &fi = *fabric_.fi_;
+    const fault::FaultSpec &spec = fi.spec();
     const fault::RecoveryPolicy policy = spec.policy;
     // fail_fast stops at the base budget; the recovering policies
     // are granted escalation_budget further rounds before giving up
@@ -97,9 +81,9 @@ Transport::reliableDeliver(int dst, Bytes bytes, Time when,
             : spec.retry_budget + spec.escalation_budget;
     Time timeout = spec.retry_timeout;
     for (int attempt = 0;; ++attempt) {
-        Time xmit = std::max(when, sim_.now());
+        Time xmit = std::max(when, sim.now());
         net::LinkId hole =
-            fi_->blackholedOnRoute(net_.topology(), node_, dst, xmit);
+            fi.blackholedOnRoute(net.topology(), node_, dst, xmit);
 
         // degrade: the first copy probes the direct route; once a
         // black hole has eaten it, retransmissions detour via the
@@ -107,28 +91,28 @@ Transport::reliableDeliver(int dst, Bytes bytes, Time when,
         int via = -1;
         if (hole >= 0 && attempt > 0 &&
             policy == fault::RecoveryPolicy::Degrade)
-            via = fi_->fallbackVia(node_, dst, net_);
+            via = fi.fallbackVia(node_, dst, net);
 
         bool lost;
         Time arrival;
         if (via >= 0) {
-            lost = fi_->drawDrop(); // the detour is still lossy
-            arrival = net_.transferVia(node_, via, dst, bytes, xmit);
+            lost = fi.drawDrop(); // the detour is still lossy
+            arrival = net.transferVia(node_, via, dst, bytes, xmit);
         } else {
-            lost = hole >= 0 || fi_->drawDrop();
+            lost = hole >= 0 || fi.drawDrop();
             // The worm occupies the route either way; a lost message
             // held the wires up to the failure point.
             arrival = injectAt(dst, bytes, xmit);
         }
 
         if (!lost) {
-            Time penalty = fi_->drawDelayPenalty();
+            Time penalty = fi.drawDelayPenalty();
             if (penalty > 0) {
-                fi_->recordDelay(node_, dst, xmit, bytes);
+                fi.recordDelay(node_, dst, xmit, bytes);
                 arrival += penalty;
             }
             if (via >= 0)
-                fi_->recordReroute(node_, via, dst, xmit, bytes);
+                fi.recordReroute(node_, via, dst, xmit, bytes);
             deliver(arrival);
             // Zero-byte ack on the reverse route; the protocol
             // engine is done when it lands.  A detoured delivery
@@ -136,15 +120,15 @@ Transport::reliableDeliver(int dst, Bytes bytes, Time when,
             // would cross the hole's neighbourhood again).
             Time acked =
                 via >= 0
-                    ? net_.transferVia(dst, via, node_, 0, arrival)
-                    : net_.transfer(dst, node_, 0, arrival);
-            if (acked > sim_.now())
-                co_await sim_.delay(acked - sim_.now());
+                    ? net.transferVia(dst, via, node_, 0, arrival)
+                    : net.transfer(dst, node_, 0, arrival);
+            if (acked > sim.now())
+                co_await sim.delay(acked - sim.now());
             co_return;
         }
 
-        fi_->recordDrop(node_, dst, via >= 0 ? -1 : hole, xmit, bytes,
-                        attempt);
+        fi.recordDrop(node_, dst, via >= 0 ? -1 : hole, xmit, bytes,
+                      attempt);
         if (attempt >= max_attempts) {
             if (policy == fault::RecoveryPolicy::Degrade) {
                 // The backstop: degrade never fails a run.  A message
@@ -152,65 +136,77 @@ Transport::reliableDeliver(int dst, Bytes bytes, Time when,
                 // absorbed — handed over out-of-band after one final
                 // escalated timeout, at full price in the report.
                 Time done = xmit + timeout;
-                fi_->recordAbsorb(node_, dst, hole, xmit, bytes,
-                                  attempt + 1, timeout);
+                fi.recordAbsorb(node_, dst, hole, xmit, bytes,
+                                attempt + 1, timeout);
                 deliver(done);
-                if (done > sim_.now())
-                    co_await sim_.delay(done - sim_.now());
+                if (done > sim.now())
+                    co_await sim.delay(done - sim.now());
                 co_return;
             }
-            fi_->failExhausted(node_, dst, hole, xmit, bytes,
-                               attempt + 1);
+            fi.failExhausted(node_, dst, hole, xmit, bytes, attempt + 1);
         }
 
         // Ack-timeout expiry, then exponential backoff.
         Time resend_at = xmit + timeout;
-        if (resend_at > sim_.now())
-            co_await sim_.delay(resend_at - sim_.now());
+        if (resend_at > sim.now())
+            co_await sim.delay(resend_at - sim.now());
         if (attempt >= spec.retry_budget)
-            fi_->recordEscalation(node_, dst, sim_.now(), bytes,
-                                  attempt + 1, timeout);
+            fi.recordEscalation(node_, dst, sim.now(), bytes,
+                                attempt + 1, timeout);
         timeout = scaleTime(timeout, spec.retry_backoff);
-        fi_->recordRetransmit(node_, dst, sim_.now(), bytes,
-                              attempt + 1);
-        when = sim_.now();
+        fi.recordRetransmit(node_, dst, sim.now(), bytes, attempt + 1);
+        when = sim.now();
     }
 }
 
 void
 Transport::sendDone(int dst, Bytes bytes, stats::SendPath path, Time start)
 {
-    if (probe_)
-        probe_->send(node_, dst, bytes, path, start, sim_.now());
+    if (stats::Probe *probe = fabric_.probe_)
+        probe->send(node_, dst, bytes, path, start, fabric_.sim_.now());
 }
 
 void
 Transport::recvDone(const Message &m, Time start)
 {
-    if (probe_)
-        probe_->recv(node_, m.src, m.bytes, start, sim_.now());
+    if (stats::Probe *probe = fabric_.probe_)
+        probe->recv(node_, m.src, m.bytes, start, fabric_.sim_.now());
 }
 
 Time
 Transport::copyTime(Bytes bytes) const
 {
-    return transferTime(bytes, params_.copy_bandwidth_mbs);
+    return transferTime(bytes, fabric_.params_.copy_bandwidth_mbs);
 }
 
 Time
 Transport::injectCopy(Bytes bytes)
 {
-    const Time done = std::max(sim_.now(), copro_free_) + copyTime(bytes);
+    const Time now = fabric_.sim_.now();
+    const Time done = std::max(now, copro_free_) + copyTime(bytes);
     copro_free_ = done;
-    if (probe_)
-        probe_->injectBacklog(done - sim_.now());
+    if (stats::Probe *probe = fabric_.probe_)
+        probe->injectBacklog(done - now);
     return done;
 }
 
 Time
 Transport::cpuCopyShare(Bytes bytes) const
 {
-    return scaleTime(copyTime(bytes), 1.0 - params_.coprocessor_overlap);
+    return scaleTime(copyTime(bytes),
+                     1.0 - fabric_.params_.coprocessor_overlap);
+}
+
+template <typename F>
+void
+Transport::transmitWire(int dst, Bytes bytes, Time when, F &&deliver)
+{
+    if (fabric_.lossy_) {
+        fabric_.sim_.spawn(reliableDeliver(
+            dst, bytes, when, sim::DeliverFn(std::forward<F>(deliver))));
+        return;
+    }
+    deliver(wireArrival(dst, bytes, when));
 }
 
 void
@@ -223,25 +219,25 @@ Transport::sendEager(int dst, int tag, int context, Bytes bytes,
     transmitWire(dst, bytes, inject_done,
                  [this, peer, m = std::move(m)](Time arrival) mutable {
                      m.arrival = arrival;
-                     sim_.scheduleAt(arrival,
-                                     [peer, m = std::move(m)]() mutable {
-                                         peer->deliverEager(std::move(m));
-                                     });
+                     fabric_.sim_.scheduleAt(
+                         arrival, [peer, m = std::move(m)]() mutable {
+                             peer->deliverEager(std::move(m));
+                         });
                  });
 }
 
 Transport::HandshakePtr
 Transport::sendRts(int dst, int tag, int context)
 {
-    HandshakePtr hs = hs_pool_.make(sim_);
+    HandshakePtr hs = fabric_.hs_pool_.make(fabric_.sim_);
     Transport *peer = &fabric_.node(dst);
     Rts rts{node_, tag, context, hs, 0};
-    transmitWire(dst, 0, sim_.now(),
+    transmitWire(dst, 0, fabric_.sim_.now(),
                  [this, peer, rts = std::move(rts)](Time arrival) mutable {
-                     sim_.scheduleAt(arrival,
-                                     [peer, rts = std::move(rts)]() mutable {
-                                         peer->deliverRts(std::move(rts));
-                                     });
+                     fabric_.sim_.scheduleAt(
+                         arrival, [peer, rts = std::move(rts)]() mutable {
+                             peer->deliverRts(std::move(rts));
+                         });
                  });
     return hs;
 }
@@ -254,7 +250,7 @@ Transport::sendData(const HandshakePtr &hs, int dst, int tag, int context,
                       0, 0};
     transmitWire(dst, bytes, when, [this, hs](Time arrival) {
         hs->msg.arrival = arrival;
-        sim_.scheduleAt(arrival, [hs] { hs->data.fire(); });
+        fabric_.sim_.scheduleAt(arrival, [hs] { hs->data.fire(); });
     });
 }
 
@@ -274,33 +270,35 @@ Transport::sendTask(sim::PoolPtr<ReqState> st, int dst, int tag,
             panic("Transport::send: payload size %zu != declared %lld",
                   payload->size(), static_cast<long long>(bytes));
         const Time o_send =
-            ov.send >= 0 ? ov.send : params_.send_overhead;
-        const Time start = sim_.now();
+            ov.send >= 0 ? ov.send : fabric_.params_.send_overhead;
+        const Time start = fabric_.sim_.now();
 
         if (dst == node_) {
             // Buffered local delivery: full copy on the sending side,
             // nothing touches the network.
             co_await busy(o_send + copyTime(bytes));
             deliverEager(Message{node_, dst, tag, context, bytes,
-                                 std::move(payload), sim_.now(), 0});
+                                 std::move(payload), fabric_.sim_.now(),
+                                 0});
             sendDone(dst, bytes, stats::SendPath::Self, start);
-        } else if (bytes <= params_.eager_threshold) {
+        } else if (bytes <= fabric_.params_.eager_threshold) {
             co_await busy(o_send);
             sendEager(dst, tag, context, bytes, std::move(payload));
             co_await busy(cpuCopyShare(bytes));
             sendDone(dst, bytes, stats::SendPath::Eager, start);
         } else {
             // Rendezvous: RTS -> CTS -> DATA.
-            co_await busy(o_send + params_.rendezvous_overhead);
+            co_await busy(o_send + fabric_.params_.rendezvous_overhead);
             HandshakePtr hs = sendRts(dst, tag, context);
             co_await hs->cts.wait();
-            if (params_.blt_enabled && bytes >= params_.blt_threshold) {
+            if (fabric_.params_.blt_enabled &&
+                bytes >= fabric_.params_.blt_threshold) {
                 // Block-transfer engine: descriptor setup instead of a
                 // memory copy; the engine streams straight from user
                 // memory.
-                co_await busy(params_.blt_setup);
+                co_await busy(fabric_.params_.blt_setup);
                 sendData(hs, dst, tag, context, bytes, std::move(payload),
-                         sim_.now());
+                         fabric_.sim_.now());
                 sendDone(dst, bytes, stats::SendPath::Blt, start);
             } else {
                 sendData(hs, dst, tag, context, bytes, std::move(payload),
@@ -359,16 +357,17 @@ Transport::park(PendingRecv &pr, std::coroutine_handle<> h)
 {
     pr.handle = h;
     pending_recvs_.push_back(&pr);
-    if (probe_)
-        probe_->queueDepth(stats::MatchQueue::PendingRecv,
-                           pending_recvs_.size());
+    if (stats::Probe *probe = fabric_.probe_)
+        probe->queueDepth(stats::MatchQueue::PendingRecv,
+                          pending_recvs_.size());
 }
 
 void
 Transport::sendCts(const PendingRecv &pr)
 {
-    Time cts_arrival = injectAt(pr.msg.src, 0, sim_.now());
-    sim_.scheduleAt(cts_arrival, [hs = pr.hs] { hs->cts.fire(); });
+    sim::Simulator &sim = fabric_.sim_;
+    Time cts_arrival = injectAt(pr.msg.src, 0, sim.now());
+    sim.scheduleAt(cts_arrival, [hs = pr.hs] { hs->cts.fire(); });
 }
 
 sim::Task<Message>
@@ -384,7 +383,7 @@ Transport::recvTask(int src, int tag, int context, CostOverride ov,
                      ov);
     if (src != kAnySource && (src < 0 || src >= fabric_.size()))
         panic("Transport::recv: source %d out of range", src);
-    const Time start = sim_.now();
+    const Time start = fabric_.sim_.now();
 
     PendingRecv pr(src, tag, context);
     if (!takeArrived(pr)) {
@@ -395,14 +394,15 @@ Transport::recvTask(int src, int tag, int context, CostOverride ov,
             panic("Transport::recv: woken with nothing delivered");
     }
 
-    const Time o_recv = ov.recv >= 0 ? ov.recv : params_.recv_overhead;
+    const Time o_recv =
+        ov.recv >= 0 ? ov.recv : fabric_.params_.recv_overhead;
     if (!pr.hs) {
         co_await busy(o_recv + copyTime(pr.msg.bytes));
     } else {
         // Rendezvous: process the RTS and return the clear-to-send;
         // the payload lands directly in the user buffer, so only the
         // completion cost remains.
-        co_await busy(params_.rendezvous_overhead);
+        co_await busy(fabric_.params_.rendezvous_overhead);
         sendCts(pr);
         co_await pr.hs->data.wait();
         co_await busy(o_recv);
@@ -441,14 +441,14 @@ Transport::deliverEager(Message m)
                     m.context)) {
             pending_recvs_.erase(it);
             pr->take(std::move(m));
-            sim_.resumeNow(pr->handle);
+            fabric_.sim_.resumeNow(pr->handle);
             return;
         }
     }
     unexpected_.push_back(std::move(m));
-    if (probe_)
-        probe_->queueDepth(stats::MatchQueue::Unexpected,
-                           unexpected_.size());
+    if (stats::Probe *probe = fabric_.probe_)
+        probe->queueDepth(stats::MatchQueue::Unexpected,
+                          unexpected_.size());
 }
 
 void
@@ -462,14 +462,14 @@ Transport::deliverRts(Rts rts)
                     rts.context)) {
             pending_recvs_.erase(it);
             pr->take(std::move(rts));
-            sim_.resumeNow(pr->handle);
+            fabric_.sim_.resumeNow(pr->handle);
             return;
         }
     }
     pending_rts_.push_back(std::move(rts));
-    if (probe_)
-        probe_->queueDepth(stats::MatchQueue::PendingRts,
-                           pending_rts_.size());
+    if (stats::Probe *probe = fabric_.probe_)
+        probe->queueDepth(stats::MatchQueue::PendingRts,
+                          pending_rts_.size());
 }
 
 sim::Task<void>
@@ -488,17 +488,17 @@ Request
 Transport::isend(int dst, int tag, int context, Bytes bytes,
                  PayloadPtr payload, CostOverride ov)
 {
-    sim::PoolPtr<ReqState> st = req_pool_.make(sim_);
-    sim_.spawn(sendTask(st, dst, tag, context, bytes, std::move(payload),
-                        ov));
+    sim::PoolPtr<ReqState> st = fabric_.req_pool_.make(fabric_.sim_);
+    fabric_.sim_.spawn(sendTask(st, dst, tag, context, bytes,
+                                std::move(payload), ov));
     return Request{std::move(st)};
 }
 
 Request
 Transport::irecv(int src, int tag, int context, CostOverride ov)
 {
-    sim::PoolPtr<ReqState> st = req_pool_.make(sim_);
-    sim_.spawn(runRecv(st, src, tag, context, ov));
+    sim::PoolPtr<ReqState> st = fabric_.req_pool_.make(fabric_.sim_);
+    fabric_.sim_.spawn(runRecv(st, src, tag, context, ov));
     return Request{std::move(st)};
 }
 
@@ -512,42 +512,40 @@ Transport::wait(Request req)
 
 Fabric::Fabric(sim::Simulator &sim, net::Network &net, int n,
                const TransportParams &params, fault::FaultInjector *fi)
+    : sim_(sim), net_(net), params_(params), fi_(fi),
+      lossy_(fi != nullptr && fi->spec().lossPossible())
 {
     if (n < 1)
         fatal("Fabric: need at least one node, got %d", n);
     if (n > net.topology().numNodes())
         fatal("Fabric: %d nodes exceed the %d-node topology", n,
               net.topology().numNodes());
+    if (params.send_overhead < 0 || params.recv_overhead < 0 ||
+        params.rendezvous_overhead < 0 || params.blt_setup < 0)
+        fatal("Transport: negative software overhead");
+    if (params.copy_bandwidth_mbs <= 0)
+        fatal("Transport: copy bandwidth must be positive, got %g",
+              params.copy_bandwidth_mbs);
+    if (params.eager_threshold < 0 || params.blt_threshold < 0)
+        fatal("Transport: negative protocol threshold");
+    if (params.coprocessor_overlap < 0 || params.coprocessor_overlap > 1)
+        fatal("Transport: coprocessor overlap %g outside [0,1]",
+              params.coprocessor_overlap);
     slab_ = static_cast<Transport *>(::operator new(
         sizeof(Transport) * static_cast<std::size_t>(n),
         std::align_val_t{alignof(Transport)}));
-    for (int i = 0; i < n; ++i) {
-        // Transport's constructor only fatal()s (no throw), so a
-        // partial slab never needs unwinding.
-        new (slab_ + i) Transport(sim, net, *this, i, params, fi);
-        n_ = i + 1;
-    }
+    for (int i = 0; i < n; ++i)
+        new (slab_ + i) Transport(*this, i);
+    n_ = n;
 }
 
 Fabric::~Fabric()
 {
-    // An RTS nobody received holds a handshake pooled by its sender,
-    // so every match queue is emptied before any endpoint's pools go.
-    for (int i = 0; i < n_; ++i) {
-        slab_[i].unexpected_.clear();
-        slab_[i].pending_rts_.clear();
-        slab_[i].pending_recvs_.clear();
-    }
+    // The pools are members, so the slots an endpoint's match queues
+    // still hold go back to them before they die.
     for (int i = n_; i-- > 0;)
         slab_[i].~Transport();
     ::operator delete(slab_, std::align_val_t{alignof(Transport)});
-}
-
-void
-Fabric::setProbe(stats::Probe *probe)
-{
-    for (int i = 0; i < n_; ++i)
-        slab_[i].probe_ = probe;
 }
 
 Transport &

@@ -119,7 +119,7 @@ struct ReqState
 
 /**
  * Handle for a nonblocking send/receive.  The state slot is pooled
- * by the issuing Transport, so a Request must not outlive its
+ * by the machine's Fabric, so a Request must not outlive its
  * Machine — which was already the rule, since ReqState references
  * the Simulator.
  */
@@ -166,25 +166,23 @@ class WaitAwaiter
     sim::PoolPtr<ReqState> st_;
 };
 
-/** One node's messaging endpoint. */
+/**
+ * One node's messaging endpoint: its CPU and coprocessor timelines
+ * and its match queues.  Everything the endpoints of a machine share
+ * (simulator, network, parameters, completion pools, probe and fault
+ * hooks) lives once, in the owning Fabric.
+ */
 class Transport
 {
   public:
-    /** @p fi (optional) injects faults: software overheads are
-     *  scaled by the node's straggler factor, and when the fault
-     *  spec makes message loss possible every wire payload runs the
-     *  acknowledged timeout/retransmit protocol (see transmitWire). */
-    Transport(sim::Simulator &sim, net::Network &net, Fabric &fabric,
-              int node, const TransportParams &params,
-              fault::FaultInjector *fi = nullptr);
+    /** Endpoint of node @p node; @p fabric owns it and outlives it. */
+    Transport(Fabric &fabric, int node) : fabric_(fabric), node_(node) {}
 
     Transport(const Transport &) = delete;
     Transport &operator=(const Transport &) = delete;
 
     /** This endpoint's node id. */
     int node() const { return node_; }
-
-    const TransportParams &params() const { return params_; }
 
     /**
      * Blocking send.  Completes when the local resources are free to
@@ -371,16 +369,7 @@ class Transport
      * penalty is added to the arrival time inline.
      */
     template <typename F>
-    void
-    transmitWire(int dst, Bytes bytes, Time when, F &&deliver)
-    {
-        if (lossy_) {
-            sim_.spawn(reliableDeliver(
-                dst, bytes, when, sim::DeliverFn(std::forward<F>(deliver))));
-            return;
-        }
-        deliver(wireArrival(dst, bytes, when));
-    }
+    void transmitWire(int dst, Bytes bytes, Time when, F &&deliver);
 
     /**
      * The acknowledged wire protocol used when faults can lose
@@ -427,14 +416,8 @@ class Transport
     /** Report a completed receive of @p m to the probe. */
     void recvDone(const Message &m, Time start);
 
-    sim::Simulator &sim_;
-    net::Network &net_;
     Fabric &fabric_;
     int node_;
-    TransportParams params_;
-    fault::FaultInjector *fi_ = nullptr;
-    stats::Probe *probe_ = nullptr; //!< null: nobody listens
-    bool lossy_ = false; //!< fi_ present and message loss possible
 
     Time cpu_free_ = 0;   // node CPU timeline
     Time copro_free_ = 0; // message coprocessor / DMA timeline
@@ -448,28 +431,23 @@ class Transport
     std::vector<Rts, sim::PoolAlloc<Rts>> pending_rts_;
     std::vector<PendingRecv *, sim::PoolAlloc<PendingRecv *>>
         pending_recvs_;
-
-    /** Slot pools for the per-operation completion objects. */
-    sim::Pool<ReqState> req_pool_;
-    sim::Pool<Handshake> hs_pool_;
-
-  public:
-    /** Completion-slot pool counters (for metrics assembly). */
-    sim::PoolCounters
-    poolCounters() const
-    {
-        sim::PoolCounters out = req_pool_.counters();
-        out += hs_pool_.counters();
-        return out;
-    }
 };
 
-/** Owns the Transport of every node on one machine. */
+/**
+ * One machine's messaging layer: the Transport of every node, and
+ * once for all of them what they share — the simulator and network,
+ * the parameter set, the completion-slot pools, the probe and the
+ * fault hooks.
+ */
 class Fabric
 {
   public:
-    /** Build @p n transports sharing one network and parameter set;
-     *  @p fi (optional) threads fault injection into every endpoint. */
+    /** Build @p n transports sharing one network and parameter set
+     *  (checked once, before any endpoint is built).  @p fi
+     *  (optional) injects faults: software overheads are scaled by
+     *  the node's straggler factor, and when the fault spec makes
+     *  message loss possible every wire payload runs the acknowledged
+     *  timeout/retransmit protocol (see Transport::transmitWire). */
     Fabric(sim::Simulator &sim, net::Network &net, int n,
            const TransportParams &params,
            fault::FaultInjector *fi = nullptr);
@@ -487,14 +465,38 @@ class Fabric
 
     /** Report every endpoint's sends, receives and queue depths to
      *  @p probe (null: nobody listens; the default). */
-    void setProbe(stats::Probe *probe);
+    void setProbe(stats::Probe *probe) { probe_ = probe; }
+
+    /** Completion-slot pool counters (for metrics assembly). */
+    sim::PoolCounters
+    poolCounters() const
+    {
+        sim::PoolCounters out = req_pool_.counters();
+        out += hs_pool_.counters();
+        return out;
+    }
 
   private:
+    friend class Transport;
+
+    sim::Simulator &sim_;
+    net::Network &net_;
+    TransportParams params_;
+    fault::FaultInjector *fi_;
+    stats::Probe *probe_ = nullptr; //!< null: nobody listens
+
+    /** Slot pools for the per-operation completion objects.  Members
+     *  of the fabric, they outlive every endpoint whose match queues
+     *  still hold a slot. */
+    sim::Pool<ReqState> req_pool_;
+    sim::Pool<Transport::Handshake> hs_pool_;
+
     /** Endpoints live in one contiguous slab (placement-new): a
      *  single allocation per machine instead of one per node, and
      *  neighbouring ranks share cache lines during sweeps. */
     Transport *slab_ = nullptr;
     int n_ = 0;
+    bool lossy_; //!< fi_ present and message loss possible
 };
 
 } // namespace ccsim::msg

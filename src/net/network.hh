@@ -158,8 +158,7 @@ class Network
     /**
      * Exact accumulated wire serialisation time of one link (unlike
      * utilization(), which approximates by last reservation end).
-     * Always maintained; reset() clears it.  Replaces the old dense
-     * linkBusyTimes() vector accessor.
+     * Always maintained; reset() clears it.
      */
     Time
     linkBusy(LinkId l) const

@@ -74,26 +74,10 @@ FastPath::fitForLocked(const machine::MachineConfig &cfg,
     }
 
     ++stats_.misses;
-    const harness::MeasureOptions opt = calibrationOptions();
-    const bool barrier = op == machine::Coll::Barrier;
-    std::vector<model::Sample> samples;
-    for (int p : calibrationSizes()) {
-        if (barrier) {
-            auto meas = harness::measureCollective(cfg, p, op, 0,
-                                                   concrete, opt);
-            samples.push_back({0, p, meas.us()});
-            continue;
-        }
-        for (Bytes m : calibrationLengths()) {
-            auto meas = harness::measureCollective(cfg, p, op, m,
-                                                   concrete, opt);
-            samples.push_back({m, p, meas.us()});
-        }
-    }
-    model::TimingExpression e = barrier
-                                    ? model::fitStartupAuto(samples)
-                                    : model::fitPaperStyleAuto(samples);
-    return fits_.emplace(key, e).first->second;
+    const model::MachineModel fitted = harness::fitMachineModel(
+        cfg, {op}, calibrationSizes(), calibrationLengths(),
+        calibrationOptions(), concrete);
+    return fits_.emplace(key, fitted.expression(op)).first->second;
 }
 
 double

@@ -18,8 +18,9 @@
  *    replacing std::make_shared.  Like the simulator itself it is
  *    single-threaded: a pool and all PoolPtrs into it must stay on
  *    one thread, and the pool must outlive its pointers (the
- *    transport owns its pools, and Requests already must not outlive
- *    their Machine because ReqState references the Simulator).
+ *    machine's msg::Fabric owns the pools, and Requests already must
+ *    not outlive their Machine because ReqState references the
+ *    Simulator).
  *
  * Under AddressSanitizer, free slots are poisoned while parked on a
  * freelist and unpoisoned on reuse, so use-after-release bugs in
@@ -245,12 +246,11 @@ class PoolPtr;
  * when the last copy drops.
  *
  * Slot memory comes from the thread's FramePool rather than the
- * global heap: pools are short-lived (one per Transport, one
- * Transport per node per Machine, one Machine per sweep point), so
- * without the shared backing every fresh Machine would re-pay one
- * heap allocation per in-flight request.  Through the FramePool the
- * slots a destroyed Machine parks are the ones the next Machine's
- * pools pick up.
+ * global heap: pools are short-lived (two per Machine, one Machine
+ * per sweep point), so without the shared backing every fresh
+ * Machine would re-pay one heap allocation per in-flight request.
+ * Through the FramePool the slots a destroyed Machine parks are the
+ * ones the next Machine's pools pick up.
  */
 template <typename T>
 class Pool
@@ -294,9 +294,7 @@ class Pool
         return PoolPtr<T>(s);
     }
 
-    /** Slots handed out, and their bytes.  Derived on demand: every
-     *  transport holds two pools, so each stored word costs a word
-     *  per rank. */
+    /** Slots handed out, and their bytes (every slot is one size). */
     PoolCounters
     counters() const
     {

@@ -23,17 +23,6 @@ struct CacheStats
     std::uint64_t bypassed = 0; //!< requests not eligible for caching
     std::uint64_t evictions = 0; //!< entries dropped by a bound (only
                                  //!< bounded caches ever set this)
-
-    /** Fraction of eligible lookups served from the cache. */
-    double
-    hitRate() const
-    {
-        std::uint64_t total = hits + misses;
-        return total > 0
-                   ? static_cast<double>(hits) /
-                         static_cast<double>(total)
-                   : 0.0;
-    }
 };
 
 } // namespace ccsim::stats

@@ -77,16 +77,6 @@ class LazyArray
         return (*p)[i & kPageMask];
     }
 
-    /** Number of materialized pages (memory introspection). */
-    std::size_t
-    pagesAllocated() const
-    {
-        std::size_t n = 0;
-        for (const auto &p : pages_)
-            n += p != nullptr;
-        return n;
-    }
-
     /**
      * Visit fn(index, value) for every slot of every materialized
      * page, in ascending index order.  Untouched pages are skipped

@@ -233,6 +233,32 @@ TEST(ServeServer, FastTierTracksExactWithinTolerance)
     }
 }
 
+TEST(ServeServer, FastPathFitIsFitMachineModel)
+{
+    // The fast tier calibrates through harness::fitMachineModel over
+    // its own grid: the same coefficients and growth bases, so a
+    // fast answer is the fitted model's answer.
+    auto cfg = machine::sharedPreset("T3D");
+    FastPath fastpath;
+    for (machine::Coll op :
+         {machine::Coll::Bcast, machine::Coll::Barrier}) {
+        const model::TimingExpression fast =
+            fastpath.expressionFor(*cfg, op, machine::Algo::Default);
+        const model::TimingExpression fitted =
+            harness::fitMachineModel(*cfg, {op},
+                                     FastPath::calibrationSizes(),
+                                     FastPath::calibrationLengths(),
+                                     FastPath::calibrationOptions())
+                .expression(op);
+        EXPECT_EQ(fast.t0_growth, fitted.t0_growth) << collName(op);
+        EXPECT_EQ(fast.d_growth, fitted.d_growth) << collName(op);
+        EXPECT_EQ(fast.a, fitted.a) << collName(op);
+        EXPECT_EQ(fast.b, fitted.b) << collName(op);
+        EXPECT_EQ(fast.c, fitted.c) << collName(op);
+        EXPECT_EQ(fast.d, fitted.d) << collName(op);
+    }
+}
+
 TEST(ServeServer, TicketFlowDeliversTheExactAnswer)
 {
     Server server;

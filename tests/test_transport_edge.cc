@@ -1,11 +1,13 @@
 /** @file Edge-case tests for the transport protocol machinery. */
 
 #include <memory>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "msg/transport.hh"
 #include "net/fully_connected.hh"
+#include "net/mesh2d.hh"
 #include "net/network.hh"
 #include "sim/simulator.hh"
 #include "util/logging.hh"
@@ -228,6 +230,43 @@ TEST(TransportEdge, CoprocessorSerializesBackToBackInjections)
     EXPECT_LT(arrivals[0], arrivals[1]);
     EXPECT_LT(arrivals[1], arrivals[2]);
     EXPECT_GE(arrivals[1] - arrivals[0], 10 * US);
+}
+
+TEST(TransportEdge, BadParametersAreRejectedBeforeAnyEndpointIsBuilt)
+{
+    // The parameter set is the fabric's, checked once before the
+    // endpoint slab exists, so a rejected set leaves nothing behind
+    // (a leak-checking sanitizer build holds that part).
+    const std::pair<TransportParams, const char *> cases[] = {
+        {{.send_overhead = -1}, "Transport: negative software overhead"},
+        {{.copy_bandwidth_mbs = 0},
+         "Transport: copy bandwidth must be positive, got 0"},
+        {{.eager_threshold = -1}, "Transport: negative protocol threshold"},
+        {{.coprocessor_overlap = 1.5},
+         "Transport: coprocessor overlap 1.5 outside [0,1]"},
+    };
+    sim::Simulator simulator;
+    net::Network network(std::make_unique<net::Mesh2D>(32, 32),
+                         net::NetworkParams{});
+    throwOnError(true);
+    for (const auto &[params, message] : cases) {
+        try {
+            Fabric fabric(simulator, network, 1024, params);
+            ADD_FAILURE() << "accepted, want: " << message;
+        } catch (const FatalError &e) {
+            EXPECT_STREQ(e.what(), message);
+        }
+    }
+    throwOnError(false);
+}
+
+TEST(TransportEdge, AnEndpointHoldsOnlyItsNodesState)
+{
+    // A fabric reference, the node id, the CPU and coprocessor
+    // timelines, the arrival sequence and three match queues: 112
+    // bytes on LP64.  Parameters, pools, probe and fault hooks are
+    // the fabric's, once per machine.
+    EXPECT_LE(sizeof(Transport), 128u);
 }
 
 } // namespace
