@@ -114,7 +114,7 @@ main(int argc, char **argv)
          small_large},
     };
 
-    SweepSession sweep(opts, benchMeasureOptions());
+    SweepSession sweep(opts, harness::MeasureOptions::sweep());
     for (const auto &ps : panels)
         declarePanel(sweep, cfg, ps.op, ps.algos, ps.lengths, sizes);
     sweep.run();

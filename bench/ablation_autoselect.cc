@@ -108,7 +108,7 @@ main(int argc, char **argv)
     grid.lengths = opts.quick
                        ? std::vector<Bytes>{64, 16 * KiB}
                        : std::vector<Bytes>{4, 256, 4 * KiB, 64 * KiB};
-    grid.options = benchMeasureOptions();
+    grid.options = harness::MeasureOptions::sweep();
 
     const std::vector<machine::MachineConfig> machines = {
         machine::sp2Config(), machine::t3dConfig(),

@@ -35,7 +35,7 @@ main(int argc, char **argv)
 
     // Declare every point of both panels up front; tags separate the
     // contention-off variants from the stock machines (same name).
-    SweepSession sweep(opts, benchMeasureOptions());
+    SweepSession sweep(opts, harness::MeasureOptions::sweep());
     auto makeTopo = [](const std::string &spec,
                        const std::string &name) {
         auto cfg = machine::t3dConfig();

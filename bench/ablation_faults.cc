@@ -86,7 +86,7 @@ main(int argc, char **argv)
     std::vector<Bytes> lengths = sweepLengths(opts.quick);
     std::vector<std::vector<std::string>> csv_rows;
 
-    SweepSession sweep(opts, benchMeasureOptions());
+    SweepSession sweep(opts, harness::MeasureOptions::sweep());
     for (machine::Coll op : ops) {
         for (const auto &base : machines) {
             for (double rate : kRates) {

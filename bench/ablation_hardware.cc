@@ -60,7 +60,7 @@ main(int argc, char **argv)
     const std::vector<Bytes> cp_lengths = {1 * KiB, 16 * KiB,
                                            64 * KiB};
 
-    SweepSession sweep(opts, benchMeasureOptions());
+    SweepSession sweep(opts, harness::MeasureOptions::sweep());
     for (int p : sizes) {
         sweep.add(with_hw, p, machine::Coll::Barrier, 0,
                   machine::Algo::Default, "hw");

@@ -86,7 +86,7 @@ main(int argc, char **argv)
     omega.name = "omega (Paragon params)";
     omega.topology = "omega";
 
-    harness::MeasureOptions mopt = benchMeasureOptions();
+    harness::MeasureOptions mopt = harness::MeasureOptions::sweep();
     mopt.metrics = true;
     SweepSession sweep(opts, mopt);
     std::vector<machine::MachineConfig> stock = {

@@ -37,7 +37,7 @@ main(int argc, char **argv)
 
     // One SP2 variant per threshold; the tag keys the variant (all
     // share the preset name).
-    SweepSession sweep(opts, benchMeasureOptions());
+    SweepSession sweep(opts, harness::MeasureOptions::sweep());
     for (Bytes m : lengths) {
         for (Bytes th : thresholds) {
             auto cfg = machine::sp2Config();

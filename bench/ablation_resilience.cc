@@ -100,7 +100,7 @@ main(int argc, char **argv)
                        ? std::vector<Bytes>{KiB, 16 * KiB, 64 * KiB}
                        : std::vector<Bytes>{256, KiB, 16 * KiB,
                                             64 * KiB};
-    grid.options = benchMeasureOptions();
+    grid.options = harness::MeasureOptions::sweep();
 
     tuning::TuneGrid degraded_grid = grid;
     degraded_grid.options.ensemble = 3;

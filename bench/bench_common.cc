@@ -151,16 +151,6 @@ SweepSession::mergedMetrics() const
     return merged;
 }
 
-harness::MeasureOptions
-benchMeasureOptions()
-{
-    harness::MeasureOptions o;
-    o.iterations = 3;
-    o.repetitions = 1;
-    o.warmup = 1;
-    return o;
-}
-
 std::vector<int>
 sweepSizes(const std::string &machine, bool quick)
 {

@@ -117,10 +117,6 @@ class SweepSession
     bool ran_ = false;
 };
 
-/** Measurement knobs used by the benches (deterministic sim: one
- *  repetition of a short loop reproduces the paper's numbers). */
-harness::MeasureOptions benchMeasureOptions();
-
 /** Machine sizes for a sweep (paper's 2..128, T3D capped at 64). */
 std::vector<int> sweepSizes(const std::string &machine, bool quick);
 

@@ -77,7 +77,7 @@ main(int argc, char **argv)
                 "Startup latencies [us] with vendor MPI vs an "
                 "active-message layer.");
 
-    auto mopt = benchMeasureOptions();
+    auto mopt = harness::MeasureOptions::sweep();
     std::vector<int> sizes = opts.quick
                                  ? std::vector<int>{4, 16}
                                  : std::vector<int>{4, 16, 64};

@@ -43,7 +43,7 @@ main(int argc, char **argv)
 
     // Declare every (op, p, machine) point, then simulate them all
     // on the sweep worker pool before any printing.
-    SweepSession sweep(opts, benchMeasureOptions());
+    SweepSession sweep(opts, harness::MeasureOptions::sweep());
     for (machine::Coll op : ops)
         for (const auto &cfg : machines)
             for (int p : sweepSizes(cfg.name, opts.quick))

@@ -43,7 +43,7 @@ main(int argc, char **argv)
 
     auto machines = machine::paperMachines();
 
-    SweepSession sweep(opts, benchMeasureOptions());
+    SweepSession sweep(opts, harness::MeasureOptions::sweep());
     for (machine::Coll op : ops)
         for (Bytes m : sweepLengths(opts.quick))
             for (const auto &cfg : machines)

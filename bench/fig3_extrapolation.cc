@@ -99,7 +99,7 @@ main(int argc, char **argv)
     const Bytes bcast_m = 16; // the paper's short-message series
 
     // ---- 1. simulate the fit range ------------------------------
-    SweepSession sweep(opts, benchMeasureOptions());
+    SweepSession sweep(opts, harness::MeasureOptions::sweep());
     for (const Fabric &f : fabrics)
         for (machine::Coll op : ops)
             for (int p : fitSizes(opts.quick))

@@ -51,7 +51,7 @@ main(int argc, char **argv)
 
     auto machines = machine::paperMachines();
 
-    SweepSession sweep(opts, benchMeasureOptions());
+    SweepSession sweep(opts, harness::MeasureOptions::sweep());
     for (const Panel &panel : panels) {
         bool barrier = panel.op == machine::Coll::Barrier;
         std::vector<Bytes> lengths =

@@ -41,7 +41,7 @@ main(int argc, char **argv)
 
     auto machines = machine::paperMachines();
 
-    SweepSession sweep(opts, benchMeasureOptions());
+    SweepSession sweep(opts, harness::MeasureOptions::sweep());
     for (machine::Coll op : ops) {
         for (const auto &cfg : machines) {
             sweep.addStartup(cfg, p, op);

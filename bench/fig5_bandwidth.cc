@@ -67,7 +67,7 @@ main(int argc, char **argv)
 
     auto machines = machine::paperMachines();
 
-    SweepSession sweep(opts, benchMeasureOptions());
+    SweepSession sweep(opts, harness::MeasureOptions::sweep());
     for (machine::Coll op : ops)
         for (int p : sizes)
             for (const auto &cfg : machines)

@@ -33,7 +33,7 @@ main(int argc, char **argv)
                 "m / r_inf.");
 
     auto machines = machine::paperMachines();
-    auto mopt = benchMeasureOptions();
+    auto mopt = harness::MeasureOptions::sweep();
 
     TableWriter t;
     t.header({"m", "SP2 us", "SP2 MB/s", "T3D us", "T3D MB/s",

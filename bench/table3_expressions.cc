@@ -38,7 +38,7 @@ main(int argc, char **argv)
     std::vector<Bytes> lengths = sweepLengths(opts.quick);
     std::vector<std::vector<std::string>> csv_rows;
 
-    SweepSession sweep(opts, benchMeasureOptions());
+    SweepSession sweep(opts, harness::MeasureOptions::sweep());
     for (machine::Coll op : machine::kPaperColls) {
         for (const auto &cfg : machines) {
             for (int p : sweepSizes(cfg.name, opts.quick)) {

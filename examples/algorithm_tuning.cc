@@ -42,9 +42,7 @@ main(int argc, char **argv)
     tuning::TuneGrid grid;
     grid.sizes = {4, 16, 64};
     grid.lengths = {64, 4 * KiB, 64 * KiB};
-    grid.options.iterations = 3;
-    grid.options.repetitions = 1;
-    grid.options.warmup = 1;
+    grid.options = harness::MeasureOptions::sweep();
 
     std::printf("Tuning the %s model over %zu sizes x %zu lengths\n\n",
                 cfg.name.c_str(), grid.sizes.size(),

@@ -46,10 +46,7 @@ int
 main()
 {
     auto machines = machine::paperMachines();
-    harness::MeasureOptions mopt;
-    mopt.iterations = 3;
-    mopt.repetitions = 1;
-    mopt.warmup = 1;
+    const auto mopt = harness::MeasureOptions::sweep();
     const int p = 32;
 
     std::printf("Machine shoot-out at p = %d (times in us; ranking "

@@ -7,24 +7,12 @@ namespace ccsim::am {
 
 namespace {
 
-/** arg encodings: small fields packed into the 64-bit immediate. */
-constexpr std::uint64_t
-packMask(std::uint64_t round, int mask)
+/** Lowest set bit of @p rel > 0: the mask a binomial-tree child at
+ *  root-relative rank @p rel forwards below. */
+int
+lowestBit(int rel)
 {
-    return (round << 9) | static_cast<std::uint64_t>(mask);
-}
-
-constexpr std::uint64_t
-packMaskRoot(std::uint64_t round, int mask, int root)
-{
-    return (packMask(round, mask) << 8) |
-           static_cast<std::uint64_t>(root);
-}
-
-constexpr std::uint64_t
-packRoot(std::uint64_t round, int root)
-{
-    return (round << 8) | static_cast<std::uint64_t>(root);
+    return rel & -rel;
 }
 
 } // namespace
@@ -62,31 +50,30 @@ AmWorld::AmWorld(machine::Machine &mach, const AmParams &params,
                 releaseBarrier(a.arg, 0, 1 << mpi::ceilLog2(p_));
         });
 
+    // A handler's argument is the round number alone.  The root is
+    // in the round's state (every rank passes the same one), and a
+    // tree child forwards below the lowest set bit of its rank
+    // relative to the root.
     h_barrier_release_ = fabric_.registerHandler(
         [this](const AmArrival &a) {
-            releaseBarrier(a.arg >> 9, a.dst,
-                           static_cast<int>(a.arg & 0x1ff));
+            releaseBarrier(a.arg, a.dst, lowestBit(a.dst));
         });
 
     h_bcast_ = fabric_.registerHandler([this](const AmArrival &a) {
-        std::uint64_t round = a.arg >> 17;
-        int mask = static_cast<int>((a.arg >> 8) & 0x1ff);
-        int root = static_cast<int>(a.arg & 0xff);
-        BcastRound &r = bcastRound(round);
+        BcastRound &r = bcastRound(a.arg);
         r.data[static_cast<size_t>(a.dst)] = a.payload;
         r.delivered[static_cast<size_t>(a.dst)]->fire();
-        forwardBcast(round, a.dst, mask, a.bytes, root, a.payload);
+        forwardBcast(a.arg, a.dst,
+                     lowestBit(relRank(a.dst, r.root, p_)), a.bytes,
+                     r.root, a.payload);
     });
 
     h_reduce_ = fabric_.registerHandler([this](const AmArrival &a) {
-        std::uint64_t round = a.arg >> 8;
-        int root = static_cast<int>(a.arg & 0xff);
-        ReduceRound &r = reduceRound(round);
-        r.root = root;
+        ReduceRound &r = reduceRound(a.arg);
         r.m = a.bytes;
         ++r.received[static_cast<size_t>(a.dst)];
         foldInto(r.partial[static_cast<size_t>(a.dst)], a.payload);
-        maybeForwardReduce(round, a.dst);
+        maybeForwardReduce(a.arg, a.dst);
     });
 }
 
@@ -166,8 +153,7 @@ AmWorld::releaseBarrier(std::uint64_t round, int rank, int mask)
     r.release[static_cast<size_t>(rank)]->fire();
     for (int m = mask >> 1; m > 0; m >>= 1) {
         if (rank + m < p_)
-            fabric_.node(rank).post(rank + m, h_barrier_release_,
-                                    packMask(round, m));
+            fabric_.node(rank).post(rank + m, h_barrier_release_, round);
     }
 }
 
@@ -188,9 +174,8 @@ AmWorld::forwardBcast(std::uint64_t round, int rank, int mask, Bytes m,
     for (int child_mask = mask >> 1; child_mask > 0; child_mask >>= 1) {
         int child_rel = rel + child_mask;
         if (child_rel < p_)
-            fabric_.node(rank).post(
-                absRank(child_rel, root, p_), h_bcast_,
-                packMaskRoot(round, child_mask, root), m, payload);
+            fabric_.node(rank).post(absRank(child_rel, root, p_),
+                                    h_bcast_, round, m, payload);
     }
 }
 
@@ -201,6 +186,7 @@ AmWorld::bcast(int rank, Bytes m, int root, msg::PayloadPtr data)
         fatal("AmWorld::bcast: root %d outside world of %d", root, p_);
     std::uint64_t round = next_bcast_[static_cast<size_t>(rank)]++;
     BcastRound &r = bcastRound(round);
+    r.root = root;
     if (rank == root) {
         r.data[static_cast<size_t>(rank)] = std::move(data);
         r.delivered[static_cast<size_t>(rank)]->fire();
@@ -227,7 +213,7 @@ AmWorld::maybeForwardReduce(std::uint64_t round, int rank)
     }
     int parent_rel = rel & (rel - 1);
     fabric_.node(rank).post(absRank(parent_rel, r.root, p_), h_reduce_,
-                            packRoot(round, r.root), r.m, r.partial[i]);
+                            round, r.m, r.partial[i]);
 }
 
 sim::Task<msg::PayloadPtr>

@@ -76,6 +76,7 @@ class AmWorld
 
     struct BcastRound
     {
+        int root = 0;
         std::vector<msg::PayloadPtr> data;
         std::vector<std::unique_ptr<sim::Trigger>> delivered;
     };

@@ -86,6 +86,23 @@ struct MeasureOptions
      */
     int ensemble = 1;
 
+    /**
+     * The sweep procedure: k = 3, one repetition, one warm-up run.
+     * The simulator is deterministic, so a short loop reproduces the
+     * paper's numbers.  The figure benches, `ccsim sweep` and
+     * `ccsim tune`, and the serve fast path's calibration all use it,
+     * so their points share memo entries.
+     */
+    static MeasureOptions
+    sweep()
+    {
+        MeasureOptions o;
+        o.iterations = 3;
+        o.repetitions = 1;
+        o.warmup = 1;
+        return o;
+    }
+
     /** The paper's full procedure: k = 20, 5 reps, 2 warm-up runs. */
     static MeasureOptions
     paperFaithful()

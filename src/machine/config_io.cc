@@ -139,14 +139,22 @@ collFromKey(std::string_view key)
     return std::nullopt;
 }
 
-Algo
-algoFromName(const std::string &name)
+std::optional<Algo>
+algoFromKey(std::string_view name)
 {
     for (int i = 0; i <= static_cast<int>(Algo::Auto); ++i) {
         Algo a = static_cast<Algo>(i);
         if (algoName(a) == name)
             return a;
     }
+    return std::nullopt;
+}
+
+Algo
+algoFromName(const std::string &name)
+{
+    if (std::optional<Algo> a = algoFromKey(name))
+        return *a;
     std::string valid;
     for (int i = 0; i <= static_cast<int>(Algo::Auto); ++i) {
         if (!valid.empty())

@@ -92,13 +92,16 @@ std::string collKey(Coll op);
  *  key (each caller reports that in its own terms). */
 std::optional<Coll> collFromKey(std::string_view key);
 
+/** Inverse of algoName(), every spelling including "auto" and
+ *  "default"; nullopt for a name that is no algorithm's (each caller
+ *  reports that in its own terms). */
+std::optional<Algo> algoFromKey(std::string_view name);
+
 /**
- * Inverse of algoName(): the one algorithm-name parser the CLI, the
- * machine-config loader, and the selection-table loader all share.
- * Accepts every algoName() spelling including "auto" and "default";
- * unknown names raise ConfigError listing the valid spellings (not a
- * generic parse error), so `--algo binomal` and a typo in a config
- * file fail identically and catchably.
+ * algoFromKey() for the CLI, the machine-config loader and the
+ * selection-table loader: unknown names raise ConfigError listing the
+ * valid spellings (not a generic parse error), so `--algo binomal`
+ * and a typo in a config file fail identically and catchably.
  */
 Algo algoFromName(const std::string &name);
 

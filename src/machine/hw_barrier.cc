@@ -12,49 +12,30 @@ HardwareBarrier::HardwareBarrier(sim::Simulator &sim, int ranks,
         fatal("HardwareBarrier: need at least one rank, got %d", ranks);
     if (latency < 0)
         fatal("HardwareBarrier: negative latency");
-    next_round_.assign(static_cast<size_t>(ranks), 0);
 }
 
-HardwareBarrier::Round &
-HardwareBarrier::roundFor(std::uint64_t idx)
-{
-    if (idx < base_round_)
-        panic("HardwareBarrier: round %llu already retired",
-              static_cast<unsigned long long>(idx));
-    while (rounds_.size() <= idx - base_round_)
-        rounds_.push_back(std::make_unique<Round>(sim_));
-    return *rounds_[idx - base_round_];
-}
-
-sim::Task<void>
+HardwareBarrier::Arrival
 HardwareBarrier::arrive(int rank)
 {
     if (rank < 0 || rank >= ranks_)
         panic("HardwareBarrier::arrive: rank %d out of range", rank);
+    return Arrival(*this);
+}
 
-    std::uint64_t idx = next_round_[static_cast<size_t>(rank)]++;
-    Round &round = roundFor(idx);
-    if (++round.arrived == ranks_) {
-        ++completed_;
-        sim::Trigger *release = &round.release;
-        sim_.schedule(latency_, [release] { release->fire(); });
-    }
-    co_await round.release.wait();
-
-    // Retire fully-released leading rounds nobody can revisit.
-    while (!rounds_.empty() && rounds_.front()->release.fired()) {
-        bool safe = true;
-        for (std::uint64_t nr : next_round_) {
-            if (nr <= base_round_) {
-                safe = false;
-                break;
-            }
-        }
-        if (!safe)
-            break;
-        rounds_.erase(rounds_.begin());
-        ++base_round_;
-    }
+void
+HardwareBarrier::park(std::coroutine_handle<> h)
+{
+    if (waiting_.size() == static_cast<std::size_t>(ranks_))
+        panic("HardwareBarrier: arrival while an episode is releasing");
+    waiting_.push_back(h);
+    if (waiting_.size() < static_cast<std::size_t>(ranks_))
+        return;
+    ++completed_;
+    sim_.scheduleAt(sim_.now() + latency_, [this] {
+        for (std::coroutine_handle<> w : waiting_)
+            sim_.resumeNow(w);
+        waiting_.clear();
+    });
 }
 
 } // namespace ccsim::machine

@@ -8,22 +8,21 @@
  * machine size (Table 3: 0.011 log p + 3), at least 30x faster than
  * the software barriers of the SP2/Paragon.
  *
- * The model: arrivals are counted per barrier episode ("round");
- * when the last rank of a round arrives, all ranks of that round
- * are released a fixed latency later.  Rounds are tracked per rank
- * so a fast rank entering the next barrier cannot corrupt the
- * current one.
+ * The model: an arriving rank parks (an awaiter, no coroutine frame
+ * of its own); when the last rank of an episode arrives, one event a
+ * fixed latency later releases them all, in arrival order.  A rank
+ * stays parked until its episode releases, so it cannot reach the
+ * next episode early, and the barrier keeps no per-rank state.
  */
 
 #ifndef CCSIM_MACHINE_HW_BARRIER_HH
 #define CCSIM_MACHINE_HW_BARRIER_HH
 
+#include <coroutine>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "sim/simulator.hh"
-#include "sim/task.hh"
 #include "util/units.hh"
 
 namespace ccsim::machine {
@@ -42,33 +41,40 @@ class HardwareBarrier
     HardwareBarrier(const HardwareBarrier &) = delete;
     HardwareBarrier &operator=(const HardwareBarrier &) = delete;
 
+    /** Awaitable arrival of one rank: parks it until its episode
+     *  releases. */
+    class Arrival
+    {
+      public:
+        explicit Arrival(HardwareBarrier &b) : barrier_(b) {}
+
+        bool await_ready() const noexcept { return false; }
+        void await_suspend(std::coroutine_handle<> h) { barrier_.park(h); }
+        void await_resume() const noexcept {}
+
+      private:
+        HardwareBarrier &barrier_;
+    };
+
     /**
-     * Rank @p rank arrives at its next barrier episode; completes
-     * when every rank has arrived at the same episode plus the
+     * Rank @p rank arrives at the current barrier episode; the
+     * co_await completes when every rank has arrived, plus the
      * hardware latency.
      */
-    sim::Task<void> arrive(int rank);
+    Arrival arrive(int rank);
 
     /** Completed barrier episodes. */
     std::uint64_t episodes() const { return completed_; }
 
   private:
-    struct Round
-    {
-        explicit Round(sim::Simulator &s) : release(s) {}
-
-        int arrived = 0;
-        sim::Trigger release;
-    };
-
-    Round &roundFor(std::uint64_t idx);
+    /** Park @p h; the last arrival schedules the episode's release. */
+    void park(std::coroutine_handle<> h);
 
     sim::Simulator &sim_;
     int ranks_;
     Time latency_;
-    std::vector<std::uint64_t> next_round_;
-    std::vector<std::unique_ptr<Round>> rounds_;
-    std::uint64_t base_round_ = 0; // index of rounds_[0]
+    /** The current episode's parked ranks, in arrival order. */
+    std::vector<std::coroutine_handle<>> waiting_;
     std::uint64_t completed_ = 0;
 };
 

@@ -7,9 +7,15 @@
  * A Machine owns everything a run needs:
  * @code
  *     machine::Machine m(machine::t3dConfig(), 64);
- *     m.spawnAll([&](int rank) -> sim::Task<void> { ... });
+ *     auto program = [&](int rank) -> sim::Task<void> { ... };
+ *     m.spawnAll([&](int rank) { return program(rank); });
  *     m.run();
  * @endcode
+ *
+ * Name the coroutine lambda: a coroutine's frame refers to the
+ * closure that created it, and a lambda passed straight to spawnAll
+ * becomes a temporary std::function that dies when spawnAll returns,
+ * long before the rank programs finish.
  */
 
 #ifndef CCSIM_MACHINE_MACHINE_HH
@@ -100,7 +106,9 @@ class Machine
      */
     stats::MetricsSnapshot metricsSnapshot();
 
-    /** Spawn one rank program per node (rank passed to the factory). */
+    /** Spawn one rank program per node (rank passed to the factory).
+     *  The factory must call a named coroutine lambda that outlives
+     *  the run, not be one itself (see the file comment). */
     void spawnAll(const std::function<sim::Task<void>(int)> &factory);
 
     /** Run the event loop to completion. */

@@ -371,54 +371,66 @@ Transport::sendCts(const PendingRecv &pr)
 }
 
 sim::Task<Message>
-Transport::recvTask(int src, int tag, int context, CostOverride ov,
-                    int dst, int send_tag, Bytes bytes,
-                    PayloadPtr payload)
+Transport::recvTask(sim::PoolPtr<ReqState> st, int src, int tag,
+                    int context, CostOverride ov, int dst, int send_tag,
+                    Bytes bytes, PayloadPtr payload)
 {
     // Everything that does not suspend lives in plain members: this
     // frame keeps every local of every branch.
-    Request sreq;
-    if (dst >= 0)
-        sreq = isend(dst, send_tag, context, bytes, std::move(payload),
-                     ov);
-    if (src != kAnySource && (src < 0 || src >= fabric_.size()))
-        panic("Transport::recv: source %d out of range", src);
-    const Time start = fabric_.sim_.now();
-
     PendingRecv pr(src, tag, context);
-    if (!takeArrived(pr)) {
-        // Nothing has arrived yet: park until a matching delivery.
-        co_await sim::suspendWith(
-            [this, &pr](std::coroutine_handle<> h) { park(pr, h); });
-        if (!pr.matched)
-            panic("Transport::recv: woken with nothing delivered");
-    }
+    try {
+        Request sreq;
+        if (dst >= 0)
+            sreq = isend(dst, send_tag, context, bytes,
+                         std::move(payload), ov);
+        if (src != kAnySource && (src < 0 || src >= fabric_.size()))
+            panic("Transport::recv: source %d out of range", src);
+        const Time start = fabric_.sim_.now();
 
-    const Time o_recv =
-        ov.recv >= 0 ? ov.recv : fabric_.params_.recv_overhead;
-    if (!pr.hs) {
-        co_await busy(o_recv + copyTime(pr.msg.bytes));
-    } else {
-        // Rendezvous: process the RTS and return the clear-to-send;
-        // the payload lands directly in the user buffer, so only the
-        // completion cost remains.
-        co_await busy(fabric_.params_.rendezvous_overhead);
-        sendCts(pr);
-        co_await pr.hs->data.wait();
-        co_await busy(o_recv);
-        pr.msg = std::move(pr.hs->msg);
-        pr.hs.reset();
+        if (!takeArrived(pr)) {
+            // Nothing has arrived yet: park until a matching delivery.
+            co_await sim::suspendWith(
+                [this, &pr](std::coroutine_handle<> h) { park(pr, h); });
+            if (!pr.matched)
+                panic("Transport::recv: woken with nothing delivered");
+        }
+
+        const Time o_recv =
+            ov.recv >= 0 ? ov.recv : fabric_.params_.recv_overhead;
+        if (!pr.hs) {
+            co_await busy(o_recv + copyTime(pr.msg.bytes));
+        } else {
+            // Rendezvous: process the RTS and return the clear-to-send;
+            // the payload lands directly in the user buffer, so only
+            // the completion cost remains.
+            co_await busy(fabric_.params_.rendezvous_overhead);
+            sendCts(pr);
+            co_await pr.hs->data.wait();
+            co_await busy(o_recv);
+            pr.msg = std::move(pr.hs->msg);
+            pr.hs.reset();
+        }
+        recvDone(pr.msg, start);
+        if (sreq.state)
+            co_await wait(sreq);
+        if (!st)
+            co_return std::move(pr.msg);
+        st->msg = std::move(pr.msg);
+    } catch (...) {
+        if (!st)
+            throw;
+        st->exc = std::current_exception();
     }
-    recvDone(pr.msg, start);
-    if (sreq.state)
-        co_await wait(sreq);
-    co_return std::move(pr.msg);
+    // Only an irecv gets here: its request holds the outcome, and the
+    // root's own value is dropped.
+    st->done.fire();
+    co_return Message{};
 }
 
 sim::Task<Message>
 Transport::recv(int src, int tag, int context, CostOverride ov)
 {
-    return recvTask(src, tag, context, ov, -1, 0, 0, nullptr);
+    return recvTask({}, src, tag, context, ov, -1, 0, 0, nullptr);
 }
 
 sim::Task<Message>
@@ -426,7 +438,7 @@ Transport::sendrecv(int dst, int send_tag, Bytes bytes, int src,
                     int recv_tag, int context, PayloadPtr payload,
                     CostOverride ov)
 {
-    return recvTask(src, recv_tag, context, ov, dst, send_tag, bytes,
+    return recvTask({}, src, recv_tag, context, ov, dst, send_tag, bytes,
                     std::move(payload));
 }
 
@@ -472,18 +484,6 @@ Transport::deliverRts(Rts rts)
                           pending_rts_.size());
 }
 
-sim::Task<void>
-Transport::runRecv(sim::PoolPtr<ReqState> st, int src, int tag,
-                   int context, CostOverride ov)
-{
-    try {
-        st->msg = co_await recv(src, tag, context, ov);
-    } catch (...) {
-        st->exc = std::current_exception();
-    }
-    st->done.fire();
-}
-
 Request
 Transport::isend(int dst, int tag, int context, Bytes bytes,
                  PayloadPtr payload, CostOverride ov)
@@ -498,7 +498,8 @@ Request
 Transport::irecv(int src, int tag, int context, CostOverride ov)
 {
     sim::PoolPtr<ReqState> st = fabric_.req_pool_.make(fabric_.sim_);
-    fabric_.sim_.spawn(runRecv(st, src, tag, context, ov));
+    fabric_.sim_.spawn(recvTask(st, src, tag, context, ov, -1, 0, 0,
+                                nullptr));
     return Request{std::move(st)};
 }
 

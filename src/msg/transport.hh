@@ -397,18 +397,19 @@ class Transport
                              PayloadPtr payload, CostOverride ov);
 
     /**
-     * The one receive coroutine, behind recv() and sendrecv().  With
-     * @p dst >= 0 it first issues the send half (isend of @p bytes to
-     * @p dst under @p send_tag), then matches and completes the
-     * receive, then waits on the send.
+     * The one receive coroutine, behind recv(), irecv() and
+     * sendrecv().  With @p dst >= 0 it first issues the send half
+     * (isend of @p bytes to @p dst under @p send_tag), then matches
+     * and completes the receive, then waits on the send.  With a
+     * request state @p st (irecv, spawned as a root) the message or
+     * the failure goes into @p st and st->done fires at the end;
+     * without one the message is the result and a failure propagates
+     * to the awaiting caller.
      */
-    sim::Task<Message> recvTask(int src, int tag, int context,
-                                CostOverride ov, int dst, int send_tag,
-                                Bytes bytes, PayloadPtr payload);
-
-    /** irecv's root: a root must be a Task<void>. */
-    sim::Task<void> runRecv(sim::PoolPtr<ReqState> st, int src,
-                            int tag, int context, CostOverride ov);
+    sim::Task<Message> recvTask(sim::PoolPtr<ReqState> st, int src,
+                                int tag, int context, CostOverride ov,
+                                int dst, int send_tag, Bytes bytes,
+                                PayloadPtr payload);
 
     /** Report a completed send to the probe (if anyone listens). */
     void sendDone(int dst, Bytes bytes, stats::SendPath path, Time start);

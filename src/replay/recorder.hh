@@ -9,7 +9,8 @@
  *     machine::Machine m(cfg, p);
  *     replay::Recorder rec(p);
  *     rec.attach(m);
- *     m.spawnAll(...);
+ *     auto program = [&](int rank) -> sim::Task<void> { ... };
+ *     m.spawnAll([&](int rank) { return program(rank); }); // see machine.hh
  *     m.run();
  *     rec.writeFile("app.trace");
  * @endcode

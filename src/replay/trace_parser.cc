@@ -212,14 +212,10 @@ parseCollective(const LineCtx &ctx, const mpi::CollOp &row,
         if (key == "root" && row.rooted) {
             a.root = static_cast<int>(parseInt(ctx, value, "root"));
         } else if (key == "algo") {
-            bool was = throwOnError(true);
-            try {
-                a.algo = machine::algoFromName(value);
-            } catch (const FatalError &) {
-                throwOnError(was);
+            std::optional<Algo> algo = machine::algoFromKey(value);
+            if (!algo)
                 ctx.fail("unknown algorithm '" + value + "'");
-            }
-            throwOnError(was);
+            a.algo = *algo;
             if (a.algo != Algo::Default && a.algo != Algo::Auto &&
                 !row.find(a.algo))
                 ctx.fail(row.missing(a.algo));

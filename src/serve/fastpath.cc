@@ -7,11 +7,7 @@ namespace ccsim::serve {
 harness::MeasureOptions
 FastPath::calibrationOptions()
 {
-    harness::MeasureOptions opt;
-    opt.iterations = 3;
-    opt.repetitions = 1;
-    opt.warmup = 1;
-    return opt;
+    return harness::MeasureOptions::sweep();
 }
 
 const std::vector<int> &

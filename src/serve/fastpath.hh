@@ -41,9 +41,9 @@ namespace ccsim::serve {
 class FastPath
 {
   public:
-    /** Procedure knobs of the calibration sweep: small (k = 3, one
-     *  repetition) because the simulator is deterministic — the same
-     *  knobs examples/latency_predictor.cc always used. */
+    /** Procedure knobs of the calibration sweep: the sweep preset
+     *  (MeasureOptions::sweep()), small because the simulator is
+     *  deterministic. */
     static harness::MeasureOptions calibrationOptions();
 
     /** Machine sizes / message lengths of the calibration grid. */

@@ -45,14 +45,12 @@ Simulator::~Simulator()
 }
 
 void
-Simulator::spawn(Task<void> task)
+Simulator::start(std::coroutine_handle<> handle,
+                 detail::PromiseBase &promise)
 {
-    if (!task.valid())
-        panic("Simulator::spawn: empty task");
-    auto handle = std::exchange(task.handle_, nullptr);
-    handle.promise().sim = this;
-    handle.promise().slot = live_.size();
-    live_.push_back(Live{handle, tasks_spawned_++});
+    promise.sim = this;
+    promise.slot = live_.size();
+    live_.push_back(Live{handle, &promise, tasks_spawned_++});
     // Start the lazily-created coroutine; it runs until its first
     // blocking point.
     handle.resume();
@@ -68,7 +66,7 @@ detail::finishRoot(PromiseBase &root) noexcept
         s.failure_index_ = index;
     }
     s.live_[root.slot] = s.live_.back();
-    s.live_[root.slot].handle.promise().slot = root.slot;
+    s.live_[root.slot].promise->slot = root.slot;
     s.live_.pop_back();
 }
 

@@ -29,6 +29,7 @@
 
 #include "sim/event_queue.hh"
 #include "sim/task.hh"
+#include "util/logging.hh"
 #include "util/units.hh"
 
 namespace ccsim::sim {
@@ -81,8 +82,8 @@ suspendWith(F f)
 /**
  * One-shot broadcast trigger.  Coroutines co_await wait(); fire()
  * releases all current and future waiters (awaiting a fired trigger
- * completes immediately).  Used for rendezvous handshakes and the
- * hardwired barrier service.
+ * completes immediately).  Used for request completion, rendezvous
+ * handshakes and the active-message collectives' per-rank releases.
  */
 class Trigger
 {
@@ -120,9 +121,10 @@ class Trigger
     Simulator &sim_;
     bool fired_ = false;
     /** Inline slot for the overwhelmingly common single waiter
-     *  (request completion, rendezvous CTS/DATA); only a broadcast
-     *  fan-out (hardware barrier) spills into the vector, whose
-     *  storage is pooled. */
+     *  (request completion, rendezvous CTS/DATA); only several
+     *  coroutines awaiting one trigger spill into the vector, whose
+     *  storage is pooled.  The hardware barrier parks its ranks
+     *  itself and does not fan out through a Trigger. */
     std::coroutine_handle<> first_ = nullptr;
     std::vector<std::coroutine_handle<>,
                 PoolAlloc<std::coroutine_handle<>>>
@@ -147,13 +149,6 @@ class Simulator
 
     /** The underlying event queue. */
     EventQueue &queue() { return queue_; }
-
-    /** Schedule a callback @p delay after now. */
-    void
-    schedule(Time delay, EventQueue::Callback cb)
-    {
-        queue_.schedule(now() + delay, std::move(cb));
-    }
 
     /** Schedule a callback at absolute time @p when. */
     void
@@ -187,9 +182,17 @@ class Simulator
      * Root a task into the simulator.  The task starts running at the
      * current time (it executes until its first block immediately).
      * The simulator takes over the frame and frees it as soon as the
-     * task finishes.
+     * task finishes; a value the task returns is dropped with it.
      */
-    void spawn(Task<void> task);
+    template <typename T>
+    void
+    spawn(Task<T> task)
+    {
+        if (!task.valid())
+            panic("Simulator::spawn: empty task");
+        auto handle = std::exchange(task.handle_, nullptr);
+        start(handle, handle.promise());
+    }
 
     /**
      * Run until the event queue drains.  Rethrows the exception that
@@ -217,12 +220,20 @@ class Simulator
   private:
     friend void detail::finishRoot(detail::PromiseBase &root) noexcept;
 
-    /** An unfinished root and its spawn index. */
+    /** An unfinished root: its type-erased handle (to destroy it),
+     *  its promise (to move its slot on a swap-remove) and its spawn
+     *  index. */
     struct Live
     {
-        std::coroutine_handle<Task<void>::promise_type> handle;
+        std::coroutine_handle<> handle;
+        detail::PromiseBase *promise;
         std::uint64_t index;
     };
+
+    /** List @p promise's root @p handle as unfinished and run it to
+     *  its first suspension. */
+    void start(std::coroutine_handle<> handle,
+               detail::PromiseBase &promise);
 
     EventQueue queue_;
     /** Unfinished roots in no particular order: a finished root's

@@ -8,9 +8,10 @@
  * transfers control straight back to the awaiting parent.  Exceptions
  * thrown inside a task are captured and rethrown from the parent's
  * co_await.  Tasks are move-only and own their coroutine frame until
- * Simulator::spawn takes it over: a spawned root has no parent, and
- * its final awaiter hands any exception to the simulator and frees
- * the frame the moment the root finishes.
+ * Simulator::spawn takes it over.  Any Task<T> can be a root: it has
+ * no parent, and its final awaiter hands any exception to the
+ * simulator and frees the frame, and with it any value the root
+ * returned, the moment the root finishes.
  *
  * Rank programs block by co_awaiting primitives (delays, message
  * arrivals, barrier releases) that park the coroutine handle and
@@ -33,9 +34,6 @@
 namespace ccsim::sim {
 
 class Simulator;
-
-template <typename T>
-class Task;
 
 namespace detail {
 
@@ -110,6 +108,31 @@ struct PromiseBase
     void unhandled_exception() { exception = std::current_exception(); }
 };
 
+/** The result half of a Task<T>'s promise: the value co_return
+ *  hands over, moved out by the awaiting parent. */
+template <typename T>
+struct Result
+{
+    std::optional<T> value;
+
+    template <typename U>
+    void
+    return_value(U &&v)
+    {
+        value.emplace(std::forward<U>(v));
+    }
+
+    T take() { return std::move(*value); }
+};
+
+/** A Task<void> hands over nothing. */
+template <>
+struct Result<void>
+{
+    void return_void() const noexcept {}
+    void take() const noexcept {}
+};
+
 } // namespace detail
 
 /**
@@ -119,30 +142,21 @@ template <typename T>
 class Task
 {
   public:
-    struct promise_type : detail::PromiseBase
+    struct promise_type : detail::PromiseBase, detail::Result<T>
     {
-        std::optional<T> value;
-
         Task
         get_return_object()
         {
             return Task(
                 std::coroutine_handle<promise_type>::from_promise(*this));
         }
-
-        template <typename U>
-        void
-        return_value(U &&v)
-        {
-            value.emplace(std::forward<U>(v));
-        }
     };
 
     Task() = default;
 
-    Task(Task &&other) noexcept : handle_(other.handle_)
+    Task(Task &&other) noexcept
+        : handle_(std::exchange(other.handle_, nullptr))
     {
-        other.handle_ = nullptr;
     }
 
     Task &
@@ -150,8 +164,7 @@ class Task
     {
         if (this != &other) {
             destroy();
-            handle_ = other.handle_;
-            other.handle_ = nullptr;
+            handle_ = std::exchange(other.handle_, nullptr);
         }
         return *this;
     }
@@ -183,10 +196,10 @@ class Task
         T
         await_resume() const
         {
-            auto &p = handle.promise();
+            promise_type &p = handle.promise();
             if (p.exception)
                 std::rethrow_exception(p.exception);
-            return std::move(*p.value);
+            return p.take();
         }
     };
 
@@ -202,96 +215,6 @@ class Task
     std::coroutine_handle<promise_type> handle() const { return handle_; }
 
   private:
-    explicit Task(std::coroutine_handle<promise_type> h) : handle_(h) {}
-
-    void
-    destroy()
-    {
-        if (handle_) {
-            handle_.destroy();
-            handle_ = nullptr;
-        }
-    }
-
-    std::coroutine_handle<promise_type> handle_ = nullptr;
-};
-
-/** Specialization for coroutines that produce no value. */
-template <>
-class Task<void>
-{
-  public:
-    struct promise_type : detail::PromiseBase
-    {
-        Task
-        get_return_object()
-        {
-            return Task(
-                std::coroutine_handle<promise_type>::from_promise(*this));
-        }
-
-        void return_void() const noexcept {}
-    };
-
-    Task() = default;
-
-    Task(Task &&other) noexcept : handle_(other.handle_)
-    {
-        other.handle_ = nullptr;
-    }
-
-    Task &
-    operator=(Task &&other) noexcept
-    {
-        if (this != &other) {
-            destroy();
-            handle_ = other.handle_;
-            other.handle_ = nullptr;
-        }
-        return *this;
-    }
-
-    Task(const Task &) = delete;
-    Task &operator=(const Task &) = delete;
-
-    ~Task() { destroy(); }
-
-    bool valid() const { return handle_ != nullptr; }
-    bool done() const { return handle_ && handle_.done(); }
-
-    struct Awaiter
-    {
-        std::coroutine_handle<promise_type> handle;
-
-        bool await_ready() const noexcept { return false; }
-
-        std::coroutine_handle<>
-        await_suspend(std::coroutine_handle<> parent) const noexcept
-        {
-            handle.promise().continuation = parent;
-            return handle;
-        }
-
-        void
-        await_resume() const
-        {
-            auto &p = handle.promise();
-            if (p.exception)
-                std::rethrow_exception(p.exception);
-        }
-    };
-
-    Awaiter
-    operator co_await() &&
-    {
-        if (!handle_)
-            panic("co_await on an empty Task");
-        return Awaiter{handle_};
-    }
-
-    std::coroutine_handle<promise_type> handle() const { return handle_; }
-
-  private:
     friend class Simulator;
 
     explicit Task(std::coroutine_handle<promise_type> h) : handle_(h) {}
@@ -299,10 +222,8 @@ class Task<void>
     void
     destroy()
     {
-        if (handle_) {
-            handle_.destroy();
-            handle_ = nullptr;
-        }
+        if (handle_)
+            std::exchange(handle_, nullptr).destroy();
     }
 
     std::coroutine_handle<promise_type> handle_ = nullptr;

@@ -218,6 +218,68 @@ TEST(AmColl, RepeatedRoundsStayConsistent)
         EXPECT_EQ(sums[static_cast<size_t>(it)], 36 * (it + 1));
 }
 
+TEST(AmColl, WideMachinesAndHighRootsComplete)
+{
+    // A handler's argument carries only the round number, so neither
+    // a root above 255 nor a tree mask above 511 (p > 512) can spill
+    // into it and strand ranks.
+    const machine::MachineConfig cfg = machine::t3dConfig();
+    auto bcast = [&cfg](int p, int root) {
+        Machine m(cfg, p);
+        AmWorld world(m, amParamsFor(cfg));
+        int delivered = 0;
+        auto prog = [&](int rank) -> sim::Task<void> {
+            std::vector<std::int64_t> v{root, 42};
+            msg::PayloadPtr data =
+                rank == root ? msg::makePayload(v) : nullptr;
+            auto out = co_await world.bcast(rank, 16, root, data);
+            if (msg::payloadAs<std::int64_t>(out) == v)
+                ++delivered;
+        };
+        for (int r = 0; r < p; ++r)
+            m.sim().spawn(prog(r));
+        m.run();
+        EXPECT_EQ(delivered, p) << "p " << p << ", root " << root;
+    };
+    bcast(300, 299);
+    bcast(1024, 0);
+
+    {
+        constexpr int kP = 300;
+        Machine m(cfg, kP);
+        AmWorld world(m, amParamsFor(cfg),
+                      mpi::makeCombiner(mpi::ReduceOp::Sum,
+                                        mpi::Datatype::I64));
+        std::int64_t got = -1;
+        auto prog = [&](int rank) -> sim::Task<void> {
+            std::vector<std::int64_t> v{rank + 1};
+            auto out = co_await world.reduce(rank, 8, kP - 1,
+                                             msg::makePayload(v));
+            if (rank == kP - 1)
+                got = msg::payloadAs<std::int64_t>(out)[0];
+        };
+        for (int r = 0; r < kP; ++r)
+            m.sim().spawn(prog(r));
+        m.run();
+        EXPECT_EQ(got, std::int64_t(kP) * (kP + 1) / 2);
+    }
+
+    {
+        constexpr int kP = 1024;
+        Machine m(cfg, kP);
+        AmWorld world(m, amParamsFor(cfg));
+        int passed = 0;
+        auto prog = [&](int rank) -> sim::Task<void> {
+            co_await world.barrier(rank);
+            ++passed;
+        };
+        for (int r = 0; r < kP; ++r)
+            m.sim().spawn(prog(r));
+        m.run();
+        EXPECT_EQ(passed, kP);
+    }
+}
+
 TEST(AmColl, FasterThanMpiForShortCollectives)
 {
     // The experiment the paper proposes: AM strips the matching /

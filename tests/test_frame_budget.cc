@@ -4,10 +4,11 @@
  * FramePool (blocks handed out, from the freelist or the heap), and
  * how many bytes, the simulator spends per unit of simulated work.
  * Coroutine frames dominate host time at large p, so these bounds
- * keep the frameless awaiters (Transport::busy, Transport::wait), the
- * by-reference collective context, one frame per send and per
- * receive, and the event queue's recycled callback slots from
- * quietly growing frames back.
+ * keep the frameless awaiters (Transport::busy, Transport::wait,
+ * HardwareBarrier::arrive), the by-reference collective context, one
+ * frame per send and per receive (an isend or irecv included), and
+ * the event queue's recycled callback slots from quietly growing
+ * frames back.
  */
 
 #include <cstdint>
@@ -144,6 +145,61 @@ TEST(FrameBudget, CollectiveCallFrames)
     };
     EXPECT_LE(per_call(false), 4.2) << "through Comm::bcast";
     EXPECT_LE(per_call(true), 4.2) << "through runCollectiveOnce";
+}
+
+/**
+ * Frame-pool operations per nonblocking pair: an isend is its send
+ * frame and an irecv its receive frame, each spawned as a root
+ * directly (no wrapper root), and wait() is an awaiter.
+ */
+TEST(FrameBudget, IrecvPairFrames)
+{
+    constexpr int kPairs = 1000;
+    Machine m(machine::sp2Config(), 2);
+    msg::Transport &tx = m.node(0);
+    msg::Transport &rx = m.node(1);
+    auto sender = [&tx]() -> sim::Task<void> {
+        for (int i = 0; i < kPairs; ++i)
+            co_await tx.wait(tx.isend(1, 0, 0, 64));
+    };
+    auto receiver = [&rx]() -> sim::Task<void> {
+        for (int i = 0; i < kPairs; ++i)
+            co_await rx.wait(rx.irecv(0, 0, 0));
+    };
+    const std::uint64_t before = poolOps();
+    m.sim().spawn(sender());
+    m.sim().spawn(receiver());
+    m.run();
+    const double per_pair =
+        static_cast<double>(poolOps() - before) / kPairs;
+    EXPECT_LE(per_pair, 2.5) << per_pair << " frame-pool operations per pair";
+}
+
+/**
+ * Frame-pool operations per hardware-barrier arrival: an arrival
+ * parks its rank through an awaiter, and the last one schedules one
+ * release event.  The ranks are spawned, and have reached their first
+ * arrival, before the count starts.
+ */
+TEST(FrameBudget, HardwareBarrierArrivalTakesNoFrame)
+{
+    constexpr int kP = 64;
+    constexpr int kEpisodes = 50;
+    Machine m(machine::t3dConfig(), kP);
+    machine::HardwareBarrier &hw = *m.hwBarrier();
+    auto rank = [&hw](int r) -> sim::Task<void> {
+        for (int i = 0; i < kEpisodes; ++i)
+            co_await hw.arrive(r);
+    };
+    for (int r = 0; r < kP; ++r)
+        m.sim().spawn(rank(r));
+    const std::uint64_t before = poolOps();
+    m.run();
+    EXPECT_EQ(hw.episodes(), static_cast<std::uint64_t>(kEpisodes));
+    const double per_arrival = static_cast<double>(poolOps() - before) /
+                               (kP * kEpisodes);
+    EXPECT_LE(per_arrival, 0.1)
+        << per_arrival << " frame-pool operations per arrival";
 }
 
 } // namespace

@@ -221,6 +221,52 @@ TEST(Simulator, EarliestSpawnedFailureIsRethrown)
     }
 }
 
+TEST(Simulator, AValueTaskCanBeARoot)
+{
+    auto payload = std::make_shared<int>(7);
+    auto value = [&payload](Simulator &s,
+                            bool fail) -> Task<std::shared_ptr<int>> {
+        co_await s.delay(1 * US);
+        if (fail)
+            throw std::runtime_error("value root failed");
+        co_return payload;
+    };
+    {
+        // Runs to completion; the value is dropped with the frame.
+        Simulator s;
+        s.spawn(value(s, false));
+        s.run();
+        EXPECT_EQ(s.pendingTasks(), 0u);
+        EXPECT_EQ(s.tasksSpawned(), 1u);
+        EXPECT_EQ(payload.use_count(), 1);
+    }
+    {
+        // A throwing value root's exception surfaces from run().
+        Simulator s;
+        s.spawn(value(s, true));
+        try {
+            s.run();
+            ADD_FAILURE() << "run() did not rethrow";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "value root failed");
+        }
+    }
+    {
+        // An unfinished value root is freed with the simulator.
+        auto held = std::make_shared<int>(0);
+        {
+            Simulator s;
+            auto stuck = [&s](std::shared_ptr<int> keep) -> Task<int> {
+                co_await suspendWith([](std::coroutine_handle<>) {});
+                co_return *keep;
+            };
+            s.spawn(stuck(held));
+            EXPECT_EQ(held.use_count(), 2);
+        }
+        EXPECT_EQ(held.use_count(), 1);
+    }
+}
+
 TEST(Simulator, EventLimitGuards)
 {
     throwOnError(true);

@@ -548,8 +548,7 @@ cmdSweep(int argc, char **argv)
     spec.sizes = harness::paperMachineSizes(cfg.name);
     spec.lengths = harness::paperMessageLengths();
     spec.algos = {algo};
-    spec.options.iterations = 3;
-    spec.options.repetitions = 1;
+    spec.options = harness::MeasureOptions::sweep();
 
     harness::SweepRunner runner = resolveRunner(o);
     auto results = runner.run(spec);
@@ -803,10 +802,9 @@ cmdTune(int argc, char **argv)
     parse_list("lengths", lengths);
     grid.sizes.assign(sizes.begin(), sizes.end());
     grid.lengths.assign(lengths.begin(), lengths.end());
-    // The figure benches' quick procedure: cheap, and every point
-    // doubles as a warm memo-cache entry for later sweeps.
-    grid.options.iterations = 3;
-    grid.options.repetitions = 1;
+    // The sweep procedure: cheap, and every point doubles as a warm
+    // memo-cache entry for later sweeps.
+    grid.options = harness::MeasureOptions::sweep();
     // Under faults one universe is anecdote; average a few by
     // default so the winner map reflects the fault process, not one
     // roll of it.
