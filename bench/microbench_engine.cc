@@ -47,6 +47,40 @@ BM_EventQueueScheduleRun(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(1024)->Arg(65536);
 
+/** The shape of a p = 16384 dissemination round: every rank's event
+ *  at one instant, each rescheduling itself once, 1 us later, for 8
+ *  rounds.  Lockstep collectives pile events onto few instants like
+ *  this; the spread-out case above does not. */
+void
+BM_EventQueueLockstepRounds(benchmark::State &state)
+{
+    constexpr int kRanks = 16384;
+    constexpr int kRounds = 8;
+    struct Step
+    {
+        sim::EventQueue *q;
+        int rounds_left;
+
+        void
+        operator()() const
+        {
+            if (rounds_left > 1)
+                q->schedule(q->lastFired() + 1 * US,
+                            Step{q, rounds_left - 1});
+        }
+    };
+    for (auto _ : state) {
+        sim::EventQueue q;
+        for (int r = 0; r < kRanks; ++r)
+            q.schedule(1 * US, Step{&q, kRounds});
+        while (!q.empty())
+            q.runNext();
+        benchmark::DoNotOptimize(q.fired());
+    }
+    state.SetItemsProcessed(state.iterations() * kRanks * kRounds);
+}
+BENCHMARK(BM_EventQueueLockstepRounds);
+
 /** Callback cost when the capture fits SmallFn's inline buffer —
  *  the common case for simulator-internal callbacks.  The SmallFn
  *  sits in a slot the queue recycles, so after the first wave a

@@ -47,10 +47,6 @@ Machine::Machine(ConfigHandle config, int p)
         network_->setProbe(&makeProbe());
         fabric_->setProbe(probe_.get());
     }
-    // Pending-event high water scales with the node count (each rank
-    // keeps a few wire/resume events in flight); pre-size the
-    // calendar so sweeps at large p skip the early growth phase.
-    sim_.queue().reserve(static_cast<std::size_t>(p) * 8);
     if (config_->hardware_barrier)
         hw_barrier_ = std::make_unique<HardwareBarrier>(
             sim_, p, config_->hardware_barrier_latency);

@@ -231,8 +231,9 @@ class Transport
      *
      * The CPU timeline is charged when busy() is called; the returned
      * awaiter suspends the caller until the charge ends.  co_await it
-     * at once: every caller does, so the resumption is scheduled at
-     * the same (time, seq) as if the charge ran inside the co_await.
+     * at once: every caller does, so the resumption takes the same
+     * place in the event order as if the charge ran inside the
+     * co_await.
      */
     sim::DelayAwaiter busy(Time cost);
 

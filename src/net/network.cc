@@ -10,14 +10,14 @@
 namespace ccsim::net {
 
 Network::Network(std::unique_ptr<Topology> topo, const NetworkParams &params)
-    : topo_(std::move(topo)), params_(params)
+    : topo_(std::move(topo))
 {
     if (!topo_)
         panic("Network: null topology");
-    if (params_.link_bandwidth_mbs <= 0)
+    if (params.link_bandwidth_mbs <= 0)
         fatal("Network: link bandwidth must be positive, got %g MB/s",
-              params_.link_bandwidth_mbs);
-    if (params_.hop_latency < 0 || params_.packet_overhead < 0)
+              params.link_bandwidth_mbs);
+    if (params.hop_latency < 0 || params.packet_overhead < 0)
         fatal("Network: negative hop latency or packet overhead");
     // Routes name links by LinkId, so a fabric with more links than
     // it can number would walk wrapped-around ids.
@@ -30,7 +30,7 @@ Network::Network(std::unique_ptr<Topology> topo, const NetworkParams &params)
             topo_->name().c_str(), topo_->numLinks(), kMaxLinks)));
     links_.reset(topo_->numLinks());
     class_params_.assign(
-        static_cast<std::size_t>(topo_->numLinkClasses()), params_);
+        static_cast<std::size_t>(topo_->numLinkClasses()), params);
     classed_ = topo_->numLinkClasses() > 1;
 }
 
@@ -50,8 +50,6 @@ Network::setLinkClassParams(int cls, const NetworkParams &p)
               "packet overhead",
               cls);
     class_params_[static_cast<std::size_t>(cls)] = p;
-    if (cls == 0)
-        params_ = p; // class 0 is the base wire
 }
 
 const NetworkParams &
@@ -73,13 +71,14 @@ Network::transfer(int src, int dst, Bytes bytes, Time now)
               static_cast<long long>(bytes));
 
     ++route_walks_;
+    const NetworkParams &base = class_params_[0];
 
     // Uniform wiring: one serialisation time for the whole route.
     // Multi-class wiring computes the gating (slowest-link)
     // serialisation and per-class hop latency during the walk.
     Time ser = classed_ ? 0
-                        : transferTime(bytes + params_.packet_overhead,
-                                       params_.link_bandwidth_mbs);
+                        : transferTime(bytes + base.packet_overhead,
+                                       base.link_bandwidth_mbs);
     Time hops_delay = 0;
 
     // The one walk: record the route and find the contention window —
@@ -98,7 +97,7 @@ Network::transfer(int src, int dst, Bytes bytes, Time now)
                                   cp.link_bandwidth_mbs));
             hops_delay += cp.hop_latency;
         }
-        if (params_.contention) {
+        if (base.contention) {
             const Time f = links_.get(static_cast<std::size_t>(l)).free;
             if (f > start) {
                 start = f;
@@ -113,7 +112,7 @@ Network::transfer(int src, int dst, Bytes bytes, Time now)
     route_hops_ += path_len;
     if (!classed_)
         hops_delay =
-            params_.hop_latency * static_cast<Time>(path_len);
+            base.hop_latency * static_cast<Time>(path_len);
 
     if (slowdown_hook_) {
         // A degraded link slows the whole cut-through worm: the
@@ -130,7 +129,7 @@ Network::transfer(int src, int dst, Bytes bytes, Time now)
     for (LinkId l : route_) {
         const auto i = static_cast<std::size_t>(l);
         Link &k = links_.slot(i);
-        if (params_.contention)
+        if (base.contention)
             k.free = start + ser;
         k.busy += ser;
         if (probe_)

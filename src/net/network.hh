@@ -102,7 +102,8 @@ class Network
     Time transferVia(int src, int via, int dst, Bytes bytes, Time now);
 
     const Topology &topology() const { return *topo_; }
-    const NetworkParams &params() const { return params_; }
+    /** The base wire's parameters: link class 0's. */
+    const NetworkParams &params() const { return class_params_[0]; }
 
     /**
      * Override the physical parameters of link class @p cls (see
@@ -203,10 +204,9 @@ class Network
 
   private:
     std::unique_ptr<Topology> topo_;
-    NetworkParams params_;
-    /** Per-link-class params; index by Topology::linkClass.  Size 1
-     *  for uniform topologies — then the single entry is params_ and
-     *  the classed arithmetic is bypassed entirely. */
+    /** Per-link-class params; index by Topology::linkClass.  Entry 0
+     *  is the base wire.  Size 1 for uniform topologies — then the
+     *  classed arithmetic is bypassed entirely. */
     std::vector<NetworkParams> class_params_;
     bool classed_ = false;
 

@@ -2,39 +2,52 @@
  * @file
  * The discrete-event queue at the heart of the simulator.
  *
- * Events are (time, sequence, callback) triples kept in a calendar
- * queue: a window of fixed-width time buckets walked by a cursor,
- * with a spillover list for events beyond the window.  Scheduling
- * appends to a bucket unsorted in O(1); a bucket is sorted lazily,
- * once, when the cursor reaches it.  The sequence number makes
- * ordering *stable*: two events scheduled for the same simulated
- * instant fire in the order they were scheduled, which keeps runs
- * bit-reproducible regardless of queue internals.  (The previous
- * implementation was a binary heap; profiling showed sift-up/down
- * entry shuffling near the top of the sweep profile, and the
- * calendar layout turns the common schedule patterns — "resume at
- * now" and "deliver a short delay ahead" — into plain appends.)
+ * Events are (time, callback) pairs kept in a radix heap over
+ * picosecond time: the monotone priority queue of Ahuja, Mehlhorn,
+ * Orlin and Tarjan (1990).  It is exact here because simulated time
+ * is monotone.  Scheduling before the last fired time panics, so that
+ * time, the *base*, bounds every pending event from below.  Bucket 0
+ * holds the events at the base itself, and bucket b >= 1 those whose
+ * time first differs from the base at bit b - 1; 64 buckets cover
+ * every non-negative Time.  Scheduling appends to the event's bucket.
+ * When bucket 0 runs dry, the earliest time in the lowest non-empty
+ * bucket becomes the new base, and that bucket's entries move, in
+ * order, to lower buckets.  An entry moves at most once per bit, and
+ * a burst at one instant (a lockstep stage of ranks) moves in one
+ * refill.
  *
  * Ordering contract (pinned by the byte-identity determinism
- * suites): runNext() fires pending events in ascending (time, seq)
- * order, where seq is assignment order.  Scheduling before the last
- * fired time panics, so simulated time is monotone; the calendar
- * exploits that by never revisiting a bucket it has walked past
- * within a window.
+ * suites): runNext() fires pending events in ascending time order,
+ * and the events of one instant in the order they were scheduled, so
+ * runs are bit-reproducible.  The radix layout keeps that order by
+ * construction, with no sequence number and no sort:
  *
- * An entry is 32 bytes and trivially copyable: (time, seq, fire,
- * arg).  Most events resume a parked coroutine, and those entries
- * hold the coroutine handle itself.  Any other callback is a
- * sim::SmallFn held in a slot that the queue recycles through its
- * own freelist, so scheduling one costs no allocation after warm-up,
- * and sorting, bucket growth and pops move plain words instead of
- * relocating callables.  Slots and bucket storage come from the
- * thread-local frame pool only on a miss.
+ *  - A bucket's index depends only on the event's time and the base,
+ *    and buckets are only appended to, so between refills the
+ *    entries of one time share a bucket in schedule order.
+ *  - A refill sets the base to the earliest time in the lowest
+ *    non-empty bucket b.  That time agrees with the old base on every
+ *    bit from b up, so every entry in a bucket above b keeps its
+ *    bucket index.  Only bucket b's entries move, front to back.
+ *
+ * Hence all entries of one time sit in one bucket, in schedule order,
+ * and bucket 0, which holds one time only, fires front to back.
+ *
+ * An entry is 24 bytes and trivially copyable: (when, fire, arg).
+ * Most events resume a parked coroutine, and those entries hold the
+ * coroutine handle itself.  Any other callback is a sim::SmallFn held
+ * in a slot that the queue recycles through its own freelist, so
+ * scheduling one costs no allocation after warm-up, and refills and
+ * pops move plain words instead of relocating callables.  Slots and
+ * bucket storage come from the thread-local frame pool only on a
+ * miss; buckets keep their storage across refills.
  */
 
 #ifndef CCSIM_SIM_EVENT_QUEUE_HH
 #define CCSIM_SIM_EVENT_QUEUE_HH
 
+#include <array>
+#include <bit>
 #include <coroutine>
 #include <cstdint>
 #include <type_traits>
@@ -46,7 +59,7 @@
 
 namespace ccsim::sim {
 
-/** Stable-ordered time-sorted event queue (calendar queue). */
+/** Stable-ordered time-sorted event queue (radix heap). */
 class EventQueue
 {
   public:
@@ -82,13 +95,6 @@ class EventQueue
      */
     void resumeNow(std::coroutine_handle<> h);
 
-    /**
-     * Capacity hint: the caller expects up to @p events pending at
-     * once.  Only effective while the queue is empty (the bucket
-     * mapping cannot change mid-flight).
-     */
-    void reserve(std::size_t events);
-
     /** True when no events remain. */
     bool empty() const { return size_ == 0; }
 
@@ -122,13 +128,12 @@ class EventQueue
     struct Entry
     {
         Time when;
-        std::uint64_t seq;
         Fire fire;
         void *arg;
     };
     static_assert(std::is_trivially_copyable_v<Entry> &&
-                      sizeof(Entry) <= 32,
-                  "an event entry is four plain words");
+                      sizeof(Entry) <= 24,
+                  "an event entry is three plain words");
 
     /** A scheduled callback's storage.  While parked on the freelist
      *  the link word is the active member. */
@@ -144,51 +149,35 @@ class EventQueue
     /** Bucket storage draws from the thread-local frame pool. */
     using Bucket = std::vector<Entry, PoolAlloc<Entry>>;
 
-    /** True when @p a fires strictly before @p b. */
-    static bool
-    earlier(const Entry &a, const Entry &b)
-    {
-        if (a.when != b.when)
-            return a.when < b.when;
-        return a.seq < b.seq;
-    }
+    /** Bucket 0 and one per bit of a non-negative Time. */
+    static constexpr int kBuckets = 64;
 
-    /** Bucket index of @p when; entries before the window origin
-     *  clamp to bucket 0 (they sort first inside it anyway). */
-    std::size_t
-    bucketOf(Time when) const
+    /** Bucket of @p when against base @p base (when >= base >= 0):
+     *  0 for the base itself, else one past the highest bit in which
+     *  the two differ. */
+    static int
+    bucketOf(Time when, Time base)
     {
-        if (when <= origin_)
-            return 0;
-        return static_cast<std::size_t>((when - origin_) >> width_bits_);
+        return std::bit_width(static_cast<std::uint64_t>(when ^ base));
     }
 
     void insert(Entry e);
-    void insertSortedCur(Entry e);
-    void ensureSortedCur();
-    void settle();
-    void advanceWindow();
+    void refill();
 
     static void resume(EventQueue &q, void *addr);
     static void runSlot(EventQueue &q, void *slot);
     /** Destroy @p s's callback and park the slot on the freelist. */
     void releaseSlot(Slot *s) noexcept;
 
-    std::vector<Bucket> buckets_;
-    std::vector<unsigned char> sorted_; //!< per-bucket "is sorted" flag
-    Bucket overflow_;                   //!< events beyond the window
-    std::size_t nb_ = 0;                //!< bucket count (power of two)
-    int width_bits_ = 18;               //!< log2 bucket width (ps)
-    Time origin_ = 0;                   //!< window start time
-    std::size_t cur_ = 0;               //!< cursor bucket
-    std::size_t pos_ = 0;               //!< consumed prefix of cur_
+    std::array<Bucket, kBuckets> buckets_;
+    std::uint64_t occupied_ = 0; //!< bit b: buckets_[b] holds pending
+    std::size_t head_ = 0;       //!< fired prefix of buckets_[0]
     std::size_t size_ = 0;
-    Slot *free_slots_ = nullptr;        //!< recycled callback slots
+    Slot *free_slots_ = nullptr; //!< recycled callback slots
 
-    std::uint64_t next_seq_ = 0;
     std::uint64_t fired_ = 0;
     std::size_t max_depth_ = 0;
-    Time last_fired_ = 0;
+    Time last_fired_ = 0; //!< also the radix base
 };
 
 } // namespace ccsim::sim

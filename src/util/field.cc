@@ -1,5 +1,6 @@
 #include "util/field.hh"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace ccsim {
@@ -25,7 +26,7 @@ parseWhole(const std::string &text, double &out)
     try {
         std::size_t pos = 0;
         const double v = std::stod(text, &pos);
-        if (pos != text.size())
+        if (pos != text.size() || !std::isfinite(v))
             return false;
         out = v;
         return true;

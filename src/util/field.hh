@@ -14,6 +14,7 @@
 #ifndef CCSIM_UTIL_FIELD_HH
 #define CCSIM_UTIL_FIELD_HH
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -49,8 +50,9 @@ struct Field
 };
 
 /** std::stoll / std::stod over the whole of @p text: false when it
- *  is malformed, out of range or has trailing characters (@p out is
- *  then unchanged).  The one number parser of every text grammar. */
+ *  is malformed, out of range, not finite (`nan`, `inf`) or has
+ *  trailing characters (@p out is then unchanged).  The one number
+ *  parser of every text grammar. */
 bool parseWhole(const std::string &text, long long &out);
 bool parseWhole(const std::string &text, double &out);
 
@@ -58,8 +60,9 @@ bool parseWhole(const std::string &text, double &out);
  * Parse @p text into @p out, spelled in @p unit.  Returns nullptr on
  * success, else the kind of value that was expected ("numeric",
  * "integer" or "boolean") for the caller's error message; @p out is
- * then unchanged.  Integers parse as `long long` and convert, so a
- * negative seed wraps as it always has.
+ * then unchanged.  A time whose picosecond count does not fit in Time
+ * is a bad numeric value.  Integers parse as `long long` and convert,
+ * so a negative seed wraps as it always has.
  */
 template <class T>
 const char *
@@ -79,7 +82,8 @@ readField(const std::string &text, T &out, Unit unit)
             return "numeric";
     } else if (unit != Unit::Plain) {
         double d = 0;
-        if (!parseWhole(text, d))
+        const double ps_per_unit = unit == Unit::Micros ? 1e6 : 1e3;
+        if (!parseWhole(text, d) || std::fabs(d * ps_per_unit) >= 0x1p63)
             return "numeric";
         out = unit == Unit::Micros ? microseconds(d) : nanoseconds(d);
     } else {

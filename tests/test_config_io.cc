@@ -192,6 +192,14 @@ TEST(ConfigIo, ErrorsAreFatal)
     EXPECT_THROW(load("base = VAX\n"), FatalError);
     // Validation runs on load: hardware algo without hardware.
     EXPECT_THROW(load("barrier.algorithm = hardware\n"), FatalError);
+    // Non-finite numbers, and times past Time's picosecond range, are
+    // bad numbers: they never reach the simulator.
+    for (const char *doc :
+         {"link_bandwidth_mbs = nan\n", "copy_bandwidth_mbs = nan\n",
+          "coprocessor_overlap = nan\n", "reduce_bandwidth_mbs = nan\n",
+          "link_bandwidth_mbs = inf\n", "hop_latency_ns = -inf\n",
+          "hop_latency_ns = 1e300\n", "hop_latency_ns = -1e300\n"})
+        EXPECT_THROW(load(doc), ConfigError) << doc;
     throwOnError(false);
 }
 

@@ -1,6 +1,7 @@
 /** @file Unit tests for the discrete-event queue. */
 
 #include <algorithm>
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -156,16 +157,15 @@ TEST(EventQueue, CallbacksFiringDuringRunNextKeepOrder)
 
 TEST(EventQueue, ReanchoredWindowAcceptsEarlierFutureEvents)
 {
-    // After the calendar window advances past a gap, its origin jumps
-    // to the earliest spilled event.  A schedule that lands *between*
-    // the current time and the jumped origin clamps to the first
-    // bucket and must still fire in global time order.
+    // A far event sits in a high bucket, but the base moves only when
+    // an event fires.  A schedule that lands *between* the current
+    // time and the far event must still fire first.
     EventQueue q;
     std::vector<Time> fired;
     const Time far = Time(1) << 40;
     q.schedule(100, [&] { fired.push_back(100); });
     q.schedule(far, [&] { fired.push_back(far); });
-    q.runNext(); // fires 100; the window re-anchors at `far`
+    q.runNext(); // fires 100; `far` is the only entry left
     q.schedule(200, [&] { fired.push_back(200); });
     while (!q.empty())
         q.runNext();
@@ -174,9 +174,9 @@ TEST(EventQueue, ReanchoredWindowAcceptsEarlierFutureEvents)
 
 TEST(EventQueue, WideTimeSpreadRollsOverInOrder)
 {
-    // Enough spillover (>= 64 entries) over a huge span to trigger
-    // the bucket-width re-fit on window advance.  Scheduled in
-    // reverse time order to stress the move-back and overflow paths.
+    // 128 events about 2^33 ps apart, scheduled in reverse time order,
+    // share the high buckets: each refill must split its bucket in
+    // time order, however the entries arrived.
     EventQueue q;
     std::vector<Time> expect;
     Time t = 1000;
@@ -196,8 +196,9 @@ TEST(EventQueue, WideTimeSpreadRollsOverInOrder)
 
 TEST(EventQueue, StableAcrossBucketRollover)
 {
-    // Same-instant events must keep insertion order even when their
-    // instant sits past several window advances.
+    // Same-instant events far ahead of the current time start in a
+    // high bucket and move down through refills; they must keep
+    // insertion order.
     EventQueue q;
     std::vector<int> order;
     const Time far = (Time(1) << 30) + 17;
@@ -209,28 +210,71 @@ TEST(EventQueue, StableAcrossBucketRollover)
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
+/** Deterministic xorshift64 stream for the reference loads. */
+struct XorShift
+{
+    std::uint64_t s = 0x9e3779b97f4a7c15ull;
+
+    std::uint64_t
+    operator()()
+    {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        return s;
+    }
+};
+
+/**
+ * The order contract as a reference: a load notes every event in
+ * schedule order, and the queue must fire them in the stable sort of
+ * that order by time.
+ */
+class ReferenceOrder
+{
+  public:
+    /** Note an event about to be scheduled at @p when; returns its
+     *  id, which the event reports through fire() when it runs. */
+    int
+    note(Time when)
+    {
+        const int id = static_cast<int>(scheduled_.size());
+        scheduled_.emplace_back(when, id);
+        return id;
+    }
+
+    void fire(int id) { fired_.push_back(id); }
+
+    /** Fire order is a stable sort of schedule order by time. */
+    void
+    check() const
+    {
+        ASSERT_EQ(fired_.size(), scheduled_.size());
+        std::vector<std::pair<Time, int>> expect = scheduled_;
+        std::stable_sort(expect.begin(), expect.end(),
+                         [](const auto &a, const auto &b) {
+                             return a.first < b.first;
+                         });
+        for (std::size_t i = 0; i < expect.size(); ++i)
+            ASSERT_EQ(fired_[i], expect[i].second) << "at position " << i;
+    }
+
+  private:
+    std::vector<std::pair<Time, int>> scheduled_; //!< (when, id)
+    std::vector<int> fired_;
+};
+
 TEST(EventQueue, MatchesReferenceOrderUnderRandomLoad)
 {
-    // Deterministic random schedule, including events scheduled from
-    // callbacks, checked against the (time, seq) contract: fire order
-    // is a stable sort of schedule order by time.
+    // 2,000 times below 10^5 ps; a third of the callbacks schedule a
+    // follow-up up to 5,000 ps later.
     EventQueue q;
-    std::uint64_t rng = 0x9e3779b97f4a7c15ull;
-    auto next = [&rng] {
-        rng ^= rng << 13;
-        rng ^= rng >> 7;
-        rng ^= rng << 17;
-        return rng;
-    };
-    std::vector<std::pair<Time, int>> scheduled; // (when, id)
-    std::vector<int> fired;
-    int id = 0;
+    XorShift next;
+    ReferenceOrder ref;
     std::function<void(Time)> add = [&](Time when) {
-        int my = id++;
-        scheduled.emplace_back(when, my);
+        const int my = ref.note(when);
         q.schedule(when, [&, my, when] {
-            fired.push_back(my);
-            // A third of the callbacks schedule a follow-up.
+            ref.fire(my);
             if (next() % 3 == 0)
                 add(when + static_cast<Time>(next() % 5000));
         });
@@ -239,44 +283,135 @@ TEST(EventQueue, MatchesReferenceOrderUnderRandomLoad)
         add(static_cast<Time>(next() % 100000));
     while (!q.empty())
         q.runNext();
-
-    ASSERT_EQ(fired.size(), scheduled.size());
-    std::vector<std::pair<Time, int>> expect = scheduled;
-    std::stable_sort(expect.begin(), expect.end(),
-                     [](const auto &a, const auto &b) {
-                         return a.first < b.first;
-                     });
-    // Callback-scheduled events interleave with pending ones, so the
-    // stable sort must account for *when* each was scheduled: seq
-    // order equals id order here because add() is the only scheduler.
-    for (std::size_t i = 0; i < expect.size(); ++i)
-        EXPECT_EQ(fired[i], expect[i].second) << "at position " << i;
+    ref.check();
 }
 
-TEST(EventQueue, ReserveIsTransparent)
+TEST(EventQueue, MatchesReferenceOrderUnderLockstepBursts)
 {
-    // reserve() is a capacity hint: a reserved and an unreserved
-    // queue must fire an identical schedule identically.
-    EventQueue plain;
-    EventQueue hinted;
-    hinted.reserve(4096);
-    std::vector<Time> fp, fh;
-    for (int i = 0; i < 500; ++i) {
-        Time when = (i * 37) % 1000 + 1;
-        plain.schedule(when, [&fp, when] { fp.push_back(when); });
-        hinted.schedule(when, [&fh, when] { fh.push_back(when); });
+    // Lockstep stages: two bursts of 4,096 events, each at one
+    // instant, the way a dissemination round releases its ranks.
+    // Every event reschedules itself for five generations, at +0 (the
+    // instant it is draining) or at one of a few fixed delays, so
+    // bursts split and merge again at shared instants.
+    constexpr int kBurst = 4096;
+    constexpr int kGenerations = 5;
+    static constexpr Time kDelays[] = {0, 1 * US, 1 * US, 3 * US + 7,
+                                       40 * NS};
+    EventQueue q;
+    ReferenceOrder ref;
+    std::function<void(Time, int, int)> add = [&](Time when, int rank,
+                                                  int gen) {
+        const int my = ref.note(when);
+        q.schedule(when, [&, my, when, rank, gen] {
+            ref.fire(my);
+            if (gen < kGenerations)
+                add(when + kDelays[(rank + gen) % 5], rank, gen + 1);
+        });
+    };
+    for (const Time start : {1 * NS, 2 * US + 1 * NS})
+        for (int r = 0; r < kBurst; ++r)
+            add(start, r, 0);
+    while (!q.empty())
+        q.runNext();
+    ref.check();
+}
+
+TEST(EventQueue, MatchesReferenceOrderUnderWideDelays)
+{
+    // Delays of every magnitude up to 2^40 ps from a base just below
+    // 2^61, so entries fill the high buckets and move down through
+    // many refills.  One delay in four is an exact power of two:
+    // equal times then meet far ahead as well as near.
+    const Time base = (Time(1) << 61) - 12345;
+    EventQueue q;
+    XorShift next;
+    ReferenceOrder ref;
+    auto delay = [&next]() -> Time {
+        const std::uint64_t r = next();
+        const int bits = static_cast<int>(r % 41);
+        if ((r >> 6) % 4 == 0)
+            return Time(1) << bits;
+        return static_cast<Time>((r >> 8) &
+                                 ((std::uint64_t(1) << bits) - 1));
+    };
+    std::function<void(Time)> add = [&](Time when) {
+        const int my = ref.note(when);
+        q.schedule(when, [&, my, when] {
+            ref.fire(my);
+            if (next() % 3 == 0)
+                add(when + delay());
+        });
+    };
+    for (int i = 0; i < 2000; ++i)
+        add(base + delay());
+    while (!q.empty())
+        q.runNext();
+    ref.check();
+}
+
+/** Parks the awaiting coroutine until @p when: through resumeNow at
+ *  the current instant, else through resumeAt. */
+struct WakeAt
+{
+    EventQueue &q;
+    Time when;
+
+    bool await_ready() const noexcept { return false; }
+
+    void
+    await_suspend(std::coroutine_handle<> h) const
+    {
+        if (when == q.lastFired())
+            q.resumeNow(h);
+        else
+            q.resumeAt(when, h);
     }
-    while (!plain.empty())
-        plain.runNext();
-    while (!hinted.empty())
-        hinted.runNext();
-    EXPECT_EQ(fp, fh);
+
+    void await_resume() const noexcept {}
+};
+
+TEST(EventQueue, MatchesReferenceOrderWithCoroutineResumes)
+{
+    // Ranks parked through resumeAt and resumeNow, the way they wait
+    // on the wire and on each other, interleaved with callbacks at
+    // the same instants.
+    constexpr int kRanks = 256;
+    constexpr int kSteps = 12;
+    static constexpr Time kDelays[] = {0, 0, 5 * NS, 1 * US, 1 * US,
+                                       2 * US + 3};
+    EventQueue q;
+    XorShift next;
+    ReferenceOrder ref;
+    auto pick = [&next] { return kDelays[next() % 6]; };
+    auto rank = [&](int started) -> Task<void> {
+        ref.fire(started);
+        for (int s = 0; s < kSteps; ++s) {
+            if (next() % 2 == 0) {
+                const Time at = q.lastFired() + pick();
+                const int cb = ref.note(at);
+                q.schedule(at, [&ref, cb] { ref.fire(cb); });
+            }
+            const Time when = q.lastFired() + pick();
+            const int my = ref.note(when);
+            co_await WakeAt{q, when};
+            ref.fire(my);
+        }
+    };
+    std::vector<Task<void>> ranks;
+    for (int r = 0; r < kRanks; ++r) {
+        const Time start = static_cast<Time>(r % 4) * US;
+        ranks.push_back(rank(ref.note(start)));
+        q.resumeAt(start, ranks.back().handle());
+    }
+    while (!q.empty())
+        q.runNext();
+    ref.check();
 }
 
 TEST(EventQueue, ResumesAndCallbacksAtOneInstantFireInScheduleOrder)
 {
     // A resume holds only its handle and a callback holds a slot, but
-    // both take their place in the one (time, seq) order.
+    // both take their place in the one order: by time, then schedule.
     EventQueue q;
     std::vector<int> order;
     auto record = [&order](int id) -> Task<void> {
@@ -307,7 +442,7 @@ TEST(EventQueue, PendingCallbacksAreDestroyedWithTheQueue)
         EventQueue q;
         q.schedule(10, [token] {});
         q.schedule(20, [token] {});
-        q.schedule(1000 * MS, [token] {}); // beyond the window
+        q.schedule(1000 * MS, [token] {}); // in a high bucket
         EXPECT_EQ(token.use_count(), 4);
         q.runNext();
         EXPECT_EQ(token.use_count(), 3);

@@ -90,6 +90,16 @@ TEST_F(FaultSpecTest, ParseFaultSpecRejectsUnknownKey)
     EXPECT_THROW(parseFaultSpec("straggler"), FatalError);
 }
 
+TEST_F(FaultSpecTest, ParseFaultSpecRejectsNonFiniteNumbers)
+{
+    // A rate check written as `x < 0 || x > 1` lets NaN through, so
+    // the parser turns non-finite values away as bad numbers.
+    for (const char *spec :
+         {"drop=nan", "delay=nan", "straggler=nan", "degrade=inf",
+          "backoff=-inf", "delay_us=1e300"})
+        EXPECT_THROW(parseFaultSpec(spec), FatalError) << spec;
+}
+
 TEST_F(FaultSpecTest, MixSeedIsDeterministicAndSpreads)
 {
     EXPECT_EQ(mixSeed(1, 0), mixSeed(1, 0));
