@@ -71,7 +71,6 @@
 #include "replay/replayer.hh"
 #include "replay/trace_parser.hh"
 #include "serve/backfill.hh"
-#include "serve/cache.hh"
 #include "serve/client.hh"
 #include "serve/fastpath.hh"
 #include "serve/protocol.hh"

@@ -3,15 +3,21 @@
 #include <algorithm>
 #include <bit>
 #include <charconv>
+#include <cinttypes>
 #include <concepts>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <mutex>
+#include <sstream>
 #include <string_view>
 #include <type_traits>
 #include <unordered_map>
 
 #include "model/fit.hh"
 #include "tuning/selection_table.hh"
+#include "util/error.hh"
+#include "util/field.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
 #include "util/stats.hh"
@@ -39,19 +45,75 @@ using machine::Coll;
  * Cached values hold just the three reported times: fault counters
  * are zero and the metrics snapshot empty for every eligible point,
  * so a rebuilt Measurement is byte-identical to a simulated one.
+ *
+ * It is also the `ccsim serve` daemon's answer tier, which bounds
+ * and persists it.  The bound's recency list runs through the values:
+ * unordered_map nodes never move, so an insert allocates only the key
+ * and the node.
  */
+struct MemoValue;
+using MemoEntry = std::pair<const std::string, MemoValue>;
+
 struct MemoValue
 {
     Time max_time = 0;
     Time min_time = 0;
     Time mean_time = 0;
+    MemoEntry *hotter = nullptr; //!< next more recently used entry
+    MemoEntry *colder = nullptr; //!< next less recently used entry
 };
 
+/** The store; every member function runs with mu held. */
 struct MemoCache
 {
     std::mutex mu;
     std::unordered_map<std::string, MemoValue> map;
+    MemoEntry *hottest = nullptr;
+    MemoEntry *coldest = nullptr;
+    std::size_t max_entries = 0; //!< 0 = unbounded
     MemoStats stats;
+
+    void
+    unlink(MemoEntry &e)
+    {
+        MemoValue &v = e.second;
+        (v.hotter ? v.hotter->second.colder : hottest) = v.colder;
+        (v.colder ? v.colder->second.hotter : coldest) = v.hotter;
+    }
+
+    /** Make @p e the most recently used entry; @p fresh when it is
+     *  not linked yet. */
+    void
+    touch(MemoEntry &e, bool fresh = false)
+    {
+        if (!fresh)
+            unlink(e);
+        e.second.hotter = nullptr;
+        e.second.colder = hottest;
+        (hottest ? hottest->second.hotter : coldest) = &e;
+        hottest = &e;
+    }
+
+    void
+    evictOverflow()
+    {
+        while (max_entries > 0 && map.size() > max_entries) {
+            MemoEntry &victim = *coldest;
+            unlink(victim);
+            map.erase(map.find(victim.first));
+            ++stats.evictions;
+        }
+    }
+
+    /** Store @p v under @p key as the most recently used entry.  A key
+     *  already present keeps its value: the point is deterministic. */
+    void
+    insert(std::string key, const MemoValue &v)
+    {
+        auto [it, fresh] = map.try_emplace(std::move(key), v);
+        touch(*it, fresh);
+        evictOverflow();
+    }
 };
 
 MemoCache &
@@ -59,6 +121,25 @@ memoCache()
 {
     static MemoCache cache;
     return cache;
+}
+
+/** A point's Measurement from its coordinates and three times: how a
+ *  simulation and a memo hit both build theirs, so they agree byte
+ *  for byte. */
+Measurement
+pointResult(const machine::MachineConfig &cfg, int p, Coll op, Bytes m,
+            Algo algo, const MemoValue &times)
+{
+    Measurement out;
+    out.machine = cfg.name;
+    out.op = op;
+    out.algo = algo;
+    out.m = m;
+    out.p = p;
+    out.max_time = times.max_time;
+    out.min_time = times.min_time;
+    out.mean_time = times.mean_time;
+    return out;
 }
 
 bool
@@ -187,8 +268,8 @@ std::string
 memoKey(const machine::MachineConfig &cfg, int p, Coll op, Bytes m,
         Algo algo, const MeasureOptions &opt)
 {
-    // The memo and serve caches keep thousands of keys, so the key
-    // leaves the scratch buffer at its exact size.
+    // The memo keeps thousands of keys, so the key leaves the scratch
+    // buffer at its exact size.
     thread_local std::string scratch(1024, '\0');
     KeyWriter key(scratch);
     // Everything a saved document holds, in its order, but the
@@ -230,6 +311,22 @@ measurePointCacheable(const machine::MachineConfig &cfg,
     return memoEligible(cfg, opt);
 }
 
+std::optional<Measurement>
+memoLookup(const std::string &key, const machine::MachineConfig &cfg,
+           int p, Coll op, Bytes m, Algo algo)
+{
+    MemoCache &c = memoCache();
+    std::unique_lock<std::mutex> lock(c.mu);
+    auto it = c.map.find(key);
+    if (it == c.map.end())
+        return std::nullopt;
+    ++c.stats.hits;
+    c.touch(*it);
+    const MemoValue times = it->second;
+    lock.unlock();
+    return pointResult(cfg, p, op, m, algo, times);
+}
+
 MemoStats
 memoStats()
 {
@@ -252,7 +349,136 @@ memoClear()
     MemoCache &c = memoCache();
     std::lock_guard<std::mutex> lock(c.mu);
     c.map.clear();
+    c.hottest = c.coldest = nullptr;
     c.stats = MemoStats{};
+}
+
+void
+memoSetMaxEntries(std::size_t max)
+{
+    MemoCache &c = memoCache();
+    std::lock_guard<std::mutex> lock(c.mu);
+    c.max_entries = max;
+    c.evictOverflow();
+}
+
+std::size_t
+memoMaxEntries()
+{
+    MemoCache &c = memoCache();
+    std::lock_guard<std::mutex> lock(c.mu);
+    return c.max_entries;
+}
+
+namespace {
+
+/**
+ * Memo-file header: "<magic> <format> key=<point-key version> <n>",
+ * the shape of the daemon's former query-cache file.  Format v3 holds
+ * only what the memo keeps, so a v2 file reads as another format.
+ */
+constexpr const char *kMemoFileMagic = "ccsim-query-cache";
+constexpr const char *kMemoFileFormat = "v3";
+
+[[noreturn]] void
+badMemoFile(const std::string &path, std::size_t line, const char *what)
+{
+    throw ConfigError(path + ":" + std::to_string(line) +
+                      ": bad cache file: " + what);
+}
+
+/** An entry's record line, "max|min|mean". */
+MemoValue
+parseRecord(const std::string &path, std::size_t line,
+            const std::string &rec)
+{
+    MemoValue v;
+    std::size_t at = 0;
+    for (Time *t : {&v.max_time, &v.min_time, &v.mean_time}) {
+        const std::size_t bar =
+            t == &v.mean_time ? rec.size() : rec.find('|', at);
+        long long n = 0;
+        if (bar == std::string::npos ||
+            !parseWhole(rec.substr(at, bar - at), n))
+            badMemoFile(path, line, "bad entry record");
+        *t = n;
+        at = bar + 1;
+    }
+    return v;
+}
+
+} // namespace
+
+std::size_t
+memoSave(const std::string &path)
+{
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    if (!f)
+        throw FatalError("cannot write cache file " + path);
+    MemoCache &c = memoCache();
+    std::lock_guard<std::mutex> lock(c.mu);
+    std::fprintf(f, "%s %s key=%s %zu\n", kMemoFileMagic,
+                 kMemoFileFormat, kPointKeyVersion, c.map.size());
+    // Least recently used first, so a load in file order rebuilds the
+    // recency and a bound keeps the hottest entries.
+    for (const MemoEntry *e = c.coldest; e; e = e->second.hotter)
+        std::fprintf(f, "%s\n%" PRId64 "|%" PRId64 "|%" PRId64 "\n",
+                     e->first.c_str(), e->second.max_time,
+                     e->second.min_time, e->second.mean_time);
+    const bool write_failed = std::ferror(f) != 0;
+    if (std::fclose(f) != 0 || write_failed)
+        throw FatalError("write failed for cache file " + path);
+    return c.map.size();
+}
+
+std::size_t
+memoLoad(const std::string &path)
+{
+    std::ifstream in(path);
+    if (!in)
+        return 0; // first start: nothing persisted yet
+
+    std::size_t line = 0;
+    auto getLine = [&](std::string &out) {
+        if (!std::getline(in, out))
+            return false;
+        ++line;
+        if (!out.empty() && out.back() == '\r')
+            out.pop_back();
+        return true;
+    };
+
+    std::string text;
+    if (!getLine(text))
+        badMemoFile(path, 1, "empty file");
+    std::istringstream header(text);
+    std::string magic, format, key_version, extra;
+    std::size_t n = 0;
+    if (!(header >> magic >> format) || magic != kMemoFileMagic ||
+        (format == kMemoFileFormat &&
+         (!(header >> key_version >> n) || header >> extra ||
+          !key_version.starts_with("key="))))
+        badMemoFile(path, line, "bad header");
+    if (format != kMemoFileFormat ||
+        key_version != std::string("key=") + kPointKeyVersion) {
+        // Another build's format or key encoding: not one entry could
+        // ever hit, so start cold; the daemon's clean stop rewrites
+        // the file.
+        warn("%s: cache file of another format or key version (%s); "
+             "starting with a cold cache",
+             path.c_str(), text.c_str());
+        return 0;
+    }
+
+    MemoCache &c = memoCache();
+    std::lock_guard<std::mutex> lock(c.mu);
+    for (std::size_t i = 0; i < n; ++i) {
+        std::string key, rec;
+        if (!getLine(key) || !getLine(rec))
+            badMemoFile(path, line, "truncated entry");
+        c.insert(std::move(key), parseRecord(path, line, rec));
+    }
+    return n;
 }
 
 sim::Task<void>
@@ -277,22 +503,9 @@ measureOnePoint(const machine::MachineConfig &cfg, int p, Coll op,
     std::string key;
     if (memo) {
         key = memoKey(cfg, p, op, m, algo, opt);
-        MemoCache &c = memoCache();
-        std::lock_guard<std::mutex> lock(c.mu);
-        auto it = c.map.find(key);
-        if (it != c.map.end()) {
-            ++c.stats.hits;
-            Measurement out;
-            out.machine = cfg.name;
-            out.op = op;
-            out.algo = algo;
-            out.m = m;
-            out.p = p;
-            out.max_time = it->second.max_time;
-            out.min_time = it->second.min_time;
-            out.mean_time = it->second.mean_time;
-            return out;
-        }
+        if (std::optional<Measurement> hit =
+                memoLookup(key, cfg, p, op, m, algo))
+            return *std::move(hit);
     }
 
     // One copy of the config (to pin collect_metrics), then a
@@ -358,15 +571,10 @@ measureOnePoint(const machine::MachineConfig &cfg, int p, Coll op,
         mean_s.add(total / static_cast<double>(p));
     }
 
-    Measurement out;
-    out.machine = cfg.name;
-    out.op = op;
-    out.algo = algo;
-    out.m = m;
-    out.p = p;
-    out.max_time = static_cast<Time>(max_s.mean());
-    out.min_time = static_cast<Time>(min_s.mean());
-    out.mean_time = static_cast<Time>(mean_s.mean());
+    Measurement out = pointResult(
+        cfg, p, op, m, algo,
+        {static_cast<Time>(max_s.mean()), static_cast<Time>(min_s.mean()),
+         static_cast<Time>(mean_s.mean())});
     if (const auto *fi = mach.faultInjector()) {
         const fault::FaultReport &fr = fi->report();
         out.fault_drops = fr.drops;
@@ -376,17 +584,16 @@ measureOnePoint(const machine::MachineConfig &cfg, int p, Coll op,
     }
     out.metrics = mach.metricsSnapshot(); // empty when metrics are off
 
-    if (memo) {
+    {
         MemoCache &c = memoCache();
         std::lock_guard<std::mutex> lock(c.mu);
-        ++c.stats.misses;
-        c.map.emplace(std::move(key),
-                      MemoValue{out.max_time, out.min_time,
-                                out.mean_time});
-    } else {
-        MemoCache &c = memoCache();
-        std::lock_guard<std::mutex> lock(c.mu);
-        ++c.stats.bypassed;
+        if (memo) {
+            ++c.stats.misses;
+            c.insert(std::move(key),
+                     {out.max_time, out.min_time, out.mean_time});
+        } else {
+            ++c.stats.bypassed;
+        }
     }
     return out;
 }

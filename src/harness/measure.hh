@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -223,19 +224,20 @@ constexpr Bytes kStartupMessageBytes = 4;
 /**
  * Version tag that leads every measurePointKey() string.  Bumped
  * whenever the key encoding or its field list changes, so keys from
- * an older build never alias new ones; persisted key stores (the
- * `ccsim serve` cache file) record it and start cold on a mismatch.
+ * an older build never alias new ones; the memo file (memoSave(),
+ * `ccsim serve --cache-file`) records it and loads nothing on a
+ * mismatch.
  */
 inline constexpr char kPointKeyVersion[] = "v5";
 
 /**
  * Canonical cache key of one measurement point — the memo-key
- * canonicalization of DESIGN.md §4.11, public so other result caches
- * (the `ccsim serve` query cache) key on exactly the bytes the memo
- * cache does and their hits stay byte-identical with fresh
- * simulation.  Algo::Auto is resolved through cfg.selection before
- * the key is formed, so an auto query shares its key (and cached
- * result) with the same point under the explicit algorithm.  The
+ * canonicalization of DESIGN.md §4.11, public so the `ccsim serve`
+ * daemon looks its answers up in the memo (memoLookup()), coalesces
+ * backfill jobs and keys fast-path fits on exactly the memo's bytes.
+ * Algo::Auto is resolved through cfg.selection before the key is
+ * formed, so an auto query shares its key (and cached result) with
+ * the same point under the explicit algorithm.  The
  * machine part is every field a saved config document holds
  * (machine::forEachField), fault block included, except the name:
  * two identically parameterized machines are the same machine, and
@@ -253,9 +255,20 @@ std::string measurePointKey(const machine::MachineConfig &cfg, int p,
 bool measurePointCacheable(const machine::MachineConfig &cfg,
                            const MeasureOptions &opt);
 
-/** Hit/miss/bypass counters of the measureCollective memo cache
- *  (bypassed = ineligible points: faults, skew, metrics collection,
- *  or memoize = false). */
+/** The memo's answer for the point keyed @p key (its
+ *  measurePointKey() under a concrete @p algo), or nullopt; never
+ *  simulates.  measureCollective's own hit path: a hit refreshes the
+ *  entry's recency, counts in memoStats() and is byte-identical to
+ *  simulating the point. */
+std::optional<Measurement> memoLookup(const std::string &key,
+                                      const machine::MachineConfig &cfg,
+                                      int p, machine::Coll op, Bytes m,
+                                      machine::Algo algo);
+
+/** Memo statistics: hits (answers the memo gave, to measureCollective
+ *  or memoLookup()), misses (points simulated and stored), bypassed
+ *  (ineligible points: faults, skew, metrics collection, or
+ *  memoize = false) and evictions (entries dropped by the bound). */
 using MemoStats = stats::CacheStats;
 
 /** Process-wide memo statistics (monotonic; thread-safe). */
@@ -264,8 +277,28 @@ MemoStats memoStats();
 /** Number of distinct points currently cached. */
 std::size_t memoSize();
 
-/** Drop every cached point and zero the statistics. */
+/** Drop every cached point and zero the statistics; the bound stays. */
 void memoClear();
+
+/** Cap the memo at @p max entries (0, the default, = unbounded): the
+ *  least recently used are evicted, at once and on later inserts. */
+void memoSetMaxEntries(std::size_t max);
+
+/** The bound memoSetMaxEntries() set (0 = unbounded). */
+std::size_t memoMaxEntries();
+
+/** Write every entry to @p path, least recently used first, and
+ *  return the count: a header `ccsim-query-cache v3
+ *  key=<kPointKeyVersion> <n>`, then per entry its key and a
+ *  `max|min|mean` line in picoseconds.  FatalError when unwritable. */
+std::size_t memoSave(const std::string &path);
+
+/** Insert a memoSave() file's entries in order, so a bound keeps the
+ *  hottest, and return the count.  A missing file loads nothing, and
+ *  so does one of another format or key version (with one warning):
+ *  its keys could never hit.  A malformed file is a ConfigError
+ *  naming the line. */
+std::size_t memoLoad(const std::string &path);
 
 /** The paper's standard sweeps. */
 std::vector<int> paperMachineSizes(const std::string &machine_name);

@@ -7,8 +7,7 @@
 
 namespace ccsim::serve {
 
-BackfillQueue::BackfillQueue(QueryCache &cache, int jobs)
-    : cache_(cache), runner_(jobs)
+BackfillQueue::BackfillQueue(int jobs) : runner_(jobs)
 {
     collector_ = std::thread([this] { collectorLoop(); });
 }
@@ -60,7 +59,7 @@ BackfillQueue::prefetch(const BackfillJob &job)
     if (max_pending_ > 0 && pending_.size() >= max_pending_)
         return; // opportunistic work never displaces the bound
     auto j = std::make_shared<Job>();
-    j->spec = job; // no tickets: completion publishes only the cache
+    j->spec = job; // no tickets: completion fills only the memo
     live_keys_.emplace(job.key, j);
     pending_.push_back(std::move(j));
     work_cv_.notify_one();
@@ -92,7 +91,7 @@ BackfillQueue::waitFor(std::uint64_t ticket, int timeout_ms)
         return r;
     }
     // Deadline missed: abandon the ticket.  The simulation still
-    // completes (and still feeds the cache); publish drops the
+    // completes (and still feeds the memo); publish drops the
     // per-ticket result instead of retaining it forever.
     abandoned_.insert(ticket);
     return std::nullopt;
@@ -251,8 +250,6 @@ BackfillQueue::runBatch(std::vector<std::shared_ptr<Job>> batch)
             r.message = e.what();
             r.exit_code = kUserExit;
         }
-        if (!r.failed && job.cacheable)
-            cache_.insert(job.key, r.meas);
     });
 
     {

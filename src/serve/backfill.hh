@@ -9,9 +9,11 @@
  * A single collector thread gathers whatever is pending, runs the
  * batch through SweepRunner::runTasks (so `--jobs K` bounds simulation
  * parallelism exactly like `ccsim sweep --jobs K` does, independent of
- * how many clients are connected), stores each result in the shared
- * QueryCache, and publishes per-ticket outcomes.  Clients either
- * wait() (blocking delivery) or poll() later (ticket delivery).
+ * how many clients are connected), and publishes per-ticket outcomes.
+ * measureCollective stores every eligible point it simulates in the
+ * harness memo, the daemon's answer tier, so a finished job needs no
+ * store of its own.  Clients either wait() (blocking delivery) or
+ * poll() later (ticket delivery).
  *
  * Submissions of a key already pending or in flight coalesce onto the
  * existing job — ten clients asking for the same uncached point cost
@@ -56,7 +58,6 @@
 
 #include "harness/sweep.hh"
 #include "machine/machine_config.hh"
-#include "serve/cache.hh"
 
 namespace ccsim::serve {
 
@@ -69,8 +70,7 @@ struct BackfillJob
     Bytes m = 0;
     machine::Algo algo = machine::Algo::Default; //!< concrete
     harness::MeasureOptions options;
-    std::string key;       //!< measurePointKey (coalescing identity)
-    bool cacheable = true; //!< store the result in the QueryCache
+    std::string key; //!< measurePointKey (coalescing identity)
 };
 
 /** Outcome of one ticket. */
@@ -92,7 +92,7 @@ class BackfillQueue
   public:
     /** @p jobs as SweepRunner takes it (0 = hardware concurrency,
      *  1 = inline serial reference). */
-    BackfillQueue(QueryCache &cache, int jobs);
+    explicit BackfillQueue(int jobs);
 
     /** stop()s (draining) if still running. */
     ~BackfillQueue();
@@ -115,7 +115,7 @@ class BackfillQueue
 
     /**
      * Fire-and-forget submit: no ticket, the only observable outcome
-     * is the QueryCache entry.  The auto tier's "answer fast now,
+     * is the memo entry.  The auto tier's "answer fast now,
      * upgrade the cache in the background" path.  Quietly a no-op
      * while stopping (opportunistic work races shutdown by design)
      * or when the key is already live.
@@ -128,7 +128,7 @@ class BackfillQueue
     /**
      * wait() with a deadline: the result if it lands within
      * @p timeout_ms, else nullopt — and the ticket is ABANDONED: its
-     * simulation still runs (and still feeds the cache), but the
+     * simulation still runs (and still feeds the memo), but the
      * per-ticket result is discarded at publish time rather than
      * retained for a waiter that gave up.  timeout_ms <= 0 blocks
      * like wait().
@@ -179,7 +179,6 @@ class BackfillQueue
     void collectorLoop();
     void runBatch(std::vector<std::shared_ptr<Job>> batch);
 
-    QueryCache &cache_;
     harness::SweepRunner runner_;
 
     mutable std::mutex mu_;

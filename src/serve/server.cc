@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include <arpa/inet.h>
@@ -13,6 +14,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "harness/measure.hh"
 #include "machine/config_io.hh"
 #include "tuning/selection_table.hh"
 #include "util/error.hh"
@@ -86,9 +88,9 @@ sendAll(int fd, const std::string &data)
 } // namespace
 
 Server::Server(ServerOptions opts)
-    : opts_(opts), backfill_(cache_, opts.jobs)
+    : opts_(opts), backfill_(opts.jobs)
 {
-    cache_.setMaxEntries(opts_.cache_max);
+    harness::memoSetMaxEntries(opts_.cache_max);
     backfill_.setMaxPending(opts_.backfill_max);
 }
 
@@ -162,18 +164,15 @@ Server::handlePredict(const Request &req)
     const std::string key =
         harness::measurePointKey(*cfg, req.p, req.op, req.m, algo, opt);
 
-    if (cacheable) {
-        harness::Measurement meas;
-        if (cache_.lookup(key, meas)) {
-            {
-                std::lock_guard<std::mutex> lock(metrics_mu_);
-                ++tier_cache_;
-            }
-            return okResponse(Answer::of(meas, AnswerTier::Cache));
-        }
-    } else {
-        cache_.recordBypass();
+    std::optional<harness::Measurement> hit;
+    if (cacheable)
+        hit = harness::memoLookup(key, *cfg, req.p, req.op, req.m, algo);
+    {
+        std::lock_guard<std::mutex> lock(metrics_mu_);
+        ++(!cacheable ? cache_bypassed_ : hit ? tier_cache_ : cache_misses_);
     }
+    if (hit)
+        return okResponse(Answer::of(*hit, AnswerTier::Cache));
 
     BackfillJob job;
     job.cfg = cfg;
@@ -183,7 +182,6 @@ Server::handlePredict(const Request &req)
     job.algo = algo;
     job.options = opt;
     job.key = key;
-    job.cacheable = cacheable;
 
     switch (req.tier) {
       case TierChoice::Fast: {
@@ -224,7 +222,7 @@ Server::handlePredict(const Request &req)
 
     // Blocking delivery, bounded by the request deadline (or the
     // server default).  On expiry the simulation keeps running and
-    // still feeds the cache; this client gets the fast answer now.
+    // still feeds the memo; this client gets the fast answer now.
     int deadline = req.deadline_ms > 0 ? req.deadline_ms
                                        : opts_.deadline_ms;
     std::optional<BackfillResult> got =
@@ -287,8 +285,8 @@ Server::handleLine(const std::string &line)
           case Verb::Health: {
             HealthInfo h;
             h.draining = stop_ || shutdown_requested_;
-            h.cache_size = cache_.size();
-            h.cache_max = cache_.maxEntries();
+            h.cache_size = harness::memoSize();
+            h.cache_max = harness::memoMaxEntries();
             h.backfill_depth = backfill_.queueDepth();
             h.backfill_max = backfill_.maxPending();
             h.shed = backfill_.shed();
@@ -347,7 +345,6 @@ Server::metricsSnapshot() const
 {
     stats::MetricsSnapshot snap;
 
-    const stats::CacheStats cs = cache_.stats();
     const stats::CacheStats fs = fastpath_.stats();
     snap.counters["serve.backfill_batches"] = backfill_.batches();
     snap.counters["serve.backfill_coalesced"] = backfill_.coalesced();
@@ -355,15 +352,17 @@ Server::metricsSnapshot() const
     snap.counters["serve.backfill_failed"] = backfill_.failed();
     snap.counters["serve.backfill_shed"] = backfill_.shed();
     snap.counters["serve.backfill_submitted"] = backfill_.submitted();
-    snap.counters["serve.cache_bypassed"] = cs.bypassed;
-    snap.counters["serve.cache_evictions"] = cs.evictions;
-    snap.counters["serve.cache_hits"] = cs.hits;
-    snap.counters["serve.cache_misses"] = cs.misses;
-    snap.counters["serve.cache_size"] = cache_.size();
+    snap.counters["serve.cache_evictions"] = harness::memoStats().evictions;
+    snap.counters["serve.cache_size"] = harness::memoSize();
     snap.counters["serve.fastpath_evals"] = fs.hits;
     snap.counters["serve.fastpath_fits"] = fs.misses;
+    snap.gauges["serve.cache_max"] =
+        static_cast<double>(harness::memoMaxEntries());
 
     std::lock_guard<std::mutex> lock(metrics_mu_);
+    snap.counters["serve.cache_bypassed"] = cache_bypassed_;
+    snap.counters["serve.cache_hits"] = tier_cache_;
+    snap.counters["serve.cache_misses"] = cache_misses_;
     snap.counters["serve.connections"] = connections_;
     snap.counters["serve.deadline_missed"] = deadline_missed_;
     snap.counters["serve.errors"] = errors_;
@@ -384,8 +383,6 @@ Server::metricsSnapshot() const
         static_cast<double>(backfill_.maxPending());
     snap.gauges["serve.backfill_queue_depth"] =
         static_cast<double>(backfill_.queueDepth());
-    snap.gauges["serve.cache_max"] =
-        static_cast<double>(cache_.maxEntries());
     snap.gauges["serve.connections_hw"] = connections_hw_;
     snap.gauges["serve.jobs"] = backfill_.jobs();
     snap.gauges["serve.qps"] =
@@ -449,7 +446,7 @@ Server::start()
     }
 
     if (!opts_.cache_file.empty()) {
-        std::size_t n = cache_.loadFile(opts_.cache_file);
+        std::size_t n = harness::memoLoad(opts_.cache_file);
         if (opts_.verbose && n > 0)
             std::fprintf(stderr,
                          "ccsim serve: warmed %zu cache entries "
@@ -548,11 +545,11 @@ Server::stop()
     }
     if (started_) {
         started_ = false;
-        // Persist the warmed cache; a failed save must not turn a
+        // Persist the warmed memo; a failed save must not turn a
         // clean drain into a crash, so it only warns.
         if (!opts_.cache_file.empty()) {
             try {
-                cache_.saveFile(opts_.cache_file);
+                harness::memoSave(opts_.cache_file);
             } catch (const Error &e) {
                 std::fprintf(stderr, "ccsim serve: %s\n", e.what());
             }

@@ -5,9 +5,11 @@
  *
  * Tiers, in the order a predict request tries them (docs/SERVE.md):
  *
- *  1. QueryCache — previously simulated points, keyed on the
- *     harness::measurePointKey canonicalization, so hits are
- *     byte-identical to fresh simulation.
+ *  1. Cache — the harness memo (harness::memoLookup), the process's
+ *     one store of simulated points, keyed on measurePointKey, so
+ *     hits are byte-identical to fresh simulation.  The constructor
+ *     sets its process-wide bound from cache_max; start() and stop()
+ *     load and save cache_file.
  *  2. FastPath — fitted closed-form T(m, p) per (machine, op, algo),
  *     microseconds in microseconds out, flagged `approx`.
  *  3. BackfillQueue — exact simulation batched onto a SweepRunner
@@ -41,7 +43,6 @@
 #include <vector>
 
 #include "serve/backfill.hh"
-#include "serve/cache.hh"
 #include "serve/fastpath.hh"
 #include "serve/protocol.hh"
 #include "stats/snapshot.hh"
@@ -58,7 +59,7 @@ struct ServerOptions
     bool verbose = false;  //!< log one line per request to stderr
 
     // Hardening knobs (DESIGN.md §4.14).
-    std::size_t cache_max = 65536; //!< QueryCache bound (0 = none)
+    std::size_t cache_max = 65536; //!< memo bound (0 = none)
     std::string cache_file; //!< load at start(), save at stop()
     int deadline_ms = 0;    //!< default blocking-exact deadline
                             //!< (0 = wait forever); per-request
@@ -106,7 +107,6 @@ class Server
     stats::MetricsSnapshot metricsSnapshot() const;
 
     // Direct tier access for tests and the example.
-    QueryCache &cache() { return cache_; }
     FastPath &fastPath() { return fastpath_; }
     BackfillQueue &backfill() { return backfill_; }
 
@@ -121,7 +121,6 @@ class Server
     void connectionLoop(int fd);
 
     ServerOptions opts_;
-    QueryCache cache_;
     FastPath fastpath_;
     BackfillQueue backfill_;
 
@@ -135,7 +134,9 @@ class Server
     std::uint64_t predicts_ = 0;
     std::uint64_t polls_ = 0;
     std::uint64_t errors_ = 0;
-    std::uint64_t tier_cache_ = 0;
+    std::uint64_t tier_cache_ = 0; //!< also the cache hits
+    std::uint64_t cache_misses_ = 0;
+    std::uint64_t cache_bypassed_ = 0;
     std::uint64_t tier_fast_ = 0;
     std::uint64_t tier_exact_ = 0;
     std::uint64_t pending_issued_ = 0;

@@ -1,11 +1,13 @@
 /**
  * @file
- * CacheStats: the common counter triple every caching layer in the
- * simulator reports — hits (served from the cache), misses (computed
- * and stored), and bypassed (not eligible for caching at all).  Used
- * by the harness's collective-measurement memo cache; the network's
- * route cache and the transport's slot pools expose the same idea
- * through their own counters and fold into MetricsSnapshot keys.
+ * CacheStats: the counters every caching layer in the simulator
+ * reports — hits (served from the cache), misses (computed and
+ * stored), bypassed (not eligible for caching at all) and evictions
+ * (dropped by a bound).  Used by the harness's measurement memo,
+ * which is also the `ccsim serve` daemon's answer store, and by the
+ * serve fast path's fit store; the transport's slot pools expose the
+ * same idea through their own counters and fold into MetricsSnapshot
+ * keys.
  */
 
 #ifndef CCSIM_STATS_CACHE_STATS_HH

@@ -118,21 +118,6 @@ Options::getInt(const std::string &name, long long fallback) const
     return v;
 }
 
-double
-Options::getDouble(const std::string &name, double fallback) const
-{
-    auto it = values_.find(name);
-    if (it == values_.end()) {
-        declared(name);
-        return fallback;
-    }
-    double v = 0;
-    if (!parseWhole(it->second, v))
-        fatal("bad number for --%s: '%s'", name.c_str(),
-              it->second.c_str());
-    return v;
-}
-
 std::vector<std::string>
 Options::getList(const std::string &name,
                  const std::string &fallback) const

@@ -72,9 +72,6 @@ class Options
     /** fatal() when present but not an integer. */
     long long getInt(const std::string &name, long long fallback) const;
 
-    /** fatal() when present but not a number. */
-    double getDouble(const std::string &name, double fallback) const;
-
     /** Comma-split value; empty items dropped. */
     std::vector<std::string>
     getList(const std::string &name,

@@ -2,7 +2,8 @@
  * @file
  * The measureCollective memo cache: cached results must be
  * bit-identical to re-simulated ones, ineligible points must bypass
- * the cache, and the statistics must account for every lookup.
+ * the cache, the statistics must account for every lookup, and a
+ * bound must evict the least recently used point.
  */
 
 #include <set>
@@ -303,6 +304,7 @@ TEST(MeasureMemo, SignedZeroesGetDistinctKeys)
 TEST(MeasureMemo, ClearDropsEntriesAndZeroesStats)
 {
     memoClear();
+    memoSetMaxEntries(5);
     measureCollective(machine::t3dConfig(), 4, machine::Coll::Barrier,
                       0);
     EXPECT_EQ(memoSize(), 1u);
@@ -312,6 +314,33 @@ TEST(MeasureMemo, ClearDropsEntriesAndZeroesStats)
     EXPECT_EQ(s.hits, 0u);
     EXPECT_EQ(s.misses, 0u);
     EXPECT_EQ(s.bypassed, 0u);
+    EXPECT_EQ(memoMaxEntries(), 5u) << "the bound outlives a clear";
+    memoSetMaxEntries(0);
+}
+
+TEST(MeasureMemo, ABoundEvictsTheLeastRecentlyUsedPoint)
+{
+    memoClear();
+    memoSetMaxEntries(2);
+    const auto cfg = machine::t3dConfig();
+    auto barrier = [&](int p) {
+        return measureCollective(cfg, p, machine::Coll::Barrier, 0);
+    };
+    const Measurement first = barrier(2);
+    barrier(4);
+    barrier(2); // a hit makes p = 2 the most recent again
+    barrier(8); // evicts p = 4
+    EXPECT_EQ(memoSize(), 2u);
+    const Measurement hit = barrier(2);
+    barrier(4); // simulated again, evicting p = 8
+
+    // An evicted point re-simulates; a kept one answers unchanged.
+    MemoStats s = memoStats();
+    EXPECT_EQ(s.hits, 2u);
+    EXPECT_EQ(s.misses, 4u);
+    EXPECT_EQ(s.evictions, 2u);
+    expectIdentical(first, hit);
+    memoSetMaxEntries(0);
 }
 
 } // namespace

@@ -2,9 +2,10 @@
  * @file
  * The prediction service: protocol strictness (malformed queries are
  * typed error responses, never dropped connections), cache-hit
- * byte-identity with direct simulation, fast-tier tolerance against
- * the exact tier, ticketed backfill, and concurrent-client
- * determinism at different --jobs levels.
+ * byte-identity with direct simulation, the memo's bound and file as
+ * the cache tier, fast-tier tolerance against the exact tier,
+ * ticketed backfill, and concurrent-client determinism at different
+ * --jobs levels.
  */
 
 #include <algorithm>
@@ -22,7 +23,6 @@
 #include "harness/measure.hh"
 #include "machine/config_io.hh"
 #include "serve/backfill.hh"
-#include "serve/cache.hh"
 #include "serve/client.hh"
 #include "serve/fastpath.hh"
 #include "serve/protocol.hh"
@@ -171,6 +171,7 @@ TEST(ServeServer, AlgorithmTheOperationLacksIsAConfigErrorOnBothTiers)
 
 TEST(ServeServer, CacheHitIsByteIdenticalToDirectSimulation)
 {
+    harness::memoClear(); // the first answer must be simulated
     Server server;
     const std::string q =
         "predict machine=T3D op=bcast p=8 m=1024 tier=exact";
@@ -189,6 +190,7 @@ TEST(ServeServer, CacheHitIsByteIdenticalToDirectSimulation)
 
 TEST(ServeServer, AutoAlgoSharesTheCacheEntryWithItsExplicitTwin)
 {
+    harness::memoClear(); // the first answer must be simulated
     Server server;
     // T3D bcast resolves Algo::Auto to the machine default
     // (binomial); the explicit spelling must hit the same entry.
@@ -224,8 +226,9 @@ TEST(ServeServer, FastTierTracksExactWithinTolerance)
             *cfg, pt.op, machine::Algo::Auto, pt.p, pt.m);
         auto exact =
             harness::measureCollective(*cfg, pt.p, pt.op, pt.m);
-        // The documented envelope: within a factor of two across the
-        // calibration region (in practice a few percent).
+        // A sanity check on three T3D points, not an error bound: the
+        // fit misses by more elsewhere in the calibration region
+        // (docs/SERVE.md), and a measured bound is ROADMAP item 2.
         EXPECT_GT(fast, exact.us() / 2.0)
             << collName(pt.op) << " p=" << pt.p << " m=" << pt.m;
         EXPECT_LT(fast, exact.us() * 2.0)
@@ -261,6 +264,7 @@ TEST(ServeServer, FastPathFitIsFitMachineModel)
 
 TEST(ServeServer, TicketFlowDeliversTheExactAnswer)
 {
+    harness::memoClear(); // a stored point would answer at once
     Server server;
     std::string pending = server.handleLine(
         "predict machine=SP2 op=barrier p=8 tier=exact wait=ticket");
@@ -286,6 +290,7 @@ TEST(ServeServer, TicketFlowDeliversTheExactAnswer)
 
 TEST(ServeServer, MetricsCountPerTierHits)
 {
+    harness::memoClear(); // the first answer must be simulated
     Server server;
     server.handleLine(
         "predict machine=T3D op=barrier p=4 tier=exact");
@@ -303,8 +308,8 @@ TEST(ServeServer, MetricsCountPerTierHits)
 
 TEST(ServeBackfill, CoalescesDuplicateKeysIntoOneSimulation)
 {
-    QueryCache cache;
-    BackfillQueue queue(cache, 1);
+    harness::memoClear(); // the slow point must really simulate
+    BackfillQueue queue(1);
 
     // Keep the single worker busy on a slow point first so the two
     // duplicate submissions below are both pending at once — without
@@ -340,171 +345,217 @@ TEST(ServeBackfill, CoalescesDuplicateKeysIntoOneSimulation)
     EXPECT_FALSE(r1.failed);
     EXPECT_EQ(r1.meas.max_time, r2.meas.max_time);
     EXPECT_GE(queue.coalesced(), 1u);
-    EXPECT_TRUE(cache.contains(job.key));
+    EXPECT_TRUE(harness::memoLookup(job.key, *job.cfg, job.p, job.op,
+                                    job.m, job.algo));
 }
 
 // ---- hardening: LRU bound, persistence, shedding, health -----------
 
-/** A fabricated-but-well-formed cache value (real measurements are
- *  not needed to exercise the store itself). */
+/** Puts the memo's bound back as it found it on scope exit. */
+struct MemoBoundGuard
+{
+    std::size_t saved = harness::memoMaxEntries();
+    ~MemoBoundGuard() { harness::memoSetMaxEntries(saved); }
+};
+
+/**
+ * The daemon's cache tier is the process-wide harness memo, so these
+ * tests drive the memo's bound and file directly.  Each starts with
+ * an empty, unbounded memo and leaves the bound as it found it.
+ */
+class ServeCache : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        harness::memoClear();
+        harness::memoSetMaxEntries(0);
+    }
+
+  private:
+    MemoBoundGuard bound_;
+};
+
+/** T3D's barrier at @p p, a tiny real point for the store tests. */
 harness::Measurement
-syntheticPoint(int p, Bytes m, Time t)
+barrierPoint(int p)
 {
-    harness::Measurement meas;
-    meas.machine = "T3D";
-    meas.op = machine::Coll::Bcast;
-    meas.algo = machine::Algo::Binomial;
-    meas.p = p;
-    meas.m = m;
-    meas.max_time = t;
-    meas.min_time = t / 2;
-    meas.mean_time = (t + t / 2) / 2;
-    return meas;
+    return harness::measureCollective(*machine::sharedPreset("T3D"), p,
+                                      machine::Coll::Barrier, 0);
 }
 
-TEST(ServeCache, LruBoundEvictsTheLeastRecentlyAnsweredEntry)
+/** The memo's answer for @p meas's point (a lookup: it refreshes the
+ *  entry's recency). */
+std::optional<harness::Measurement>
+lookup(const harness::Measurement &meas)
 {
-    QueryCache cache;
-    cache.setMaxEntries(2);
-    cache.insert("a", syntheticPoint(4, 64, 1000));
-    cache.insert("b", syntheticPoint(8, 64, 2000));
-
-    harness::Measurement out;
-    ASSERT_TRUE(cache.lookup("a", out)); // "a" is hot again
-    cache.insert("c", syntheticPoint(16, 64, 3000));
-
-    EXPECT_TRUE(cache.contains("a"));
-    EXPECT_FALSE(cache.contains("b")) << "b was the coldest entry";
-    EXPECT_TRUE(cache.contains("c"));
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.stats().evictions, 1u);
+    const machine::MachineConfig &cfg =
+        *machine::sharedPreset(meas.machine);
+    return harness::memoLookup(
+        harness::measurePointKey(cfg, meas.p, meas.op, meas.m, meas.algo),
+        cfg, meas.p, meas.op, meas.m, meas.algo);
 }
 
-TEST(ServeCache, ShrinkingTheBoundEvictsImmediately)
+/** The header of a current memo file holding @p n entries. */
+std::string
+memoFileHeader(int n)
 {
-    QueryCache cache;
-    for (int i = 0; i < 4; ++i)
-        cache.insert("k" + std::to_string(i),
-                     syntheticPoint(4, 64, 1000 + i));
-    cache.setMaxEntries(1);
-    EXPECT_EQ(cache.size(), 1u);
-    EXPECT_TRUE(cache.contains("k3")) << "hottest entry survives";
-    EXPECT_EQ(cache.stats().evictions, 3u);
+    return std::string("ccsim-query-cache v3 key=") +
+           harness::kPointKeyVersion + " " + std::to_string(n) + "\n";
 }
 
-TEST(ServeCache, SaveLoadRoundTripsEveryField)
+TEST_F(ServeCache, LruBoundEvictsTheLeastRecentlyAnsweredEntry)
+{
+    harness::memoSetMaxEntries(2);
+    const harness::Measurement a = barrierPoint(2);
+    const harness::Measurement b = barrierPoint(4);
+
+    ASSERT_TRUE(lookup(a)); // "a" is hot again
+    const harness::Measurement c = barrierPoint(8);
+
+    EXPECT_TRUE(lookup(a));
+    EXPECT_FALSE(lookup(b)) << "b was the coldest entry";
+    EXPECT_TRUE(lookup(c));
+    EXPECT_EQ(harness::memoSize(), 2u);
+    EXPECT_EQ(harness::memoStats().evictions, 1u);
+}
+
+TEST_F(ServeCache, ShrinkingTheBoundEvictsImmediately)
+{
+    harness::Measurement hottest;
+    for (int p : {2, 4, 8, 16})
+        hottest = barrierPoint(p);
+    harness::memoSetMaxEntries(1);
+    EXPECT_EQ(harness::memoSize(), 1u);
+    EXPECT_TRUE(lookup(hottest)) << "hottest entry survives";
+    EXPECT_EQ(harness::memoStats().evictions, 3u);
+}
+
+TEST_F(ServeCache, SaveLoadRoundTripsEveryField)
 {
     const std::string path = "/tmp/ccsim_cache_roundtrip.txt";
     std::remove(path.c_str());
 
-    QueryCache cache;
-    harness::Measurement in = syntheticPoint(8, 4096, 123456789);
-    cache.insert("point-a", in);
-    cache.insert("point-b", syntheticPoint(16, 64, 777));
-    EXPECT_EQ(cache.saveFile(path), 2u);
+    const harness::Measurement in = harness::measureCollective(
+        *machine::sharedPreset("T3D"), 8, machine::Coll::Bcast, 4096);
+    barrierPoint(16);
+    EXPECT_EQ(harness::memoSave(path), 2u);
 
-    QueryCache fresh;
-    EXPECT_EQ(fresh.loadFile(path), 2u);
-    harness::Measurement out;
-    ASSERT_TRUE(fresh.lookup("point-a", out));
-    EXPECT_EQ(out.machine, in.machine);
-    EXPECT_EQ(out.op, in.op);
-    EXPECT_EQ(out.algo, in.algo);
-    EXPECT_EQ(out.p, in.p);
-    EXPECT_EQ(out.m, in.m);
-    EXPECT_EQ(out.max_time, in.max_time);
-    EXPECT_EQ(out.min_time, in.min_time);
-    EXPECT_EQ(out.mean_time, in.mean_time);
+    harness::memoClear();
+    EXPECT_EQ(harness::memoLoad(path), 2u);
+    std::optional<harness::Measurement> out = lookup(in);
+    ASSERT_TRUE(out);
+    EXPECT_EQ(out->machine, in.machine);
+    EXPECT_EQ(out->op, in.op);
+    EXPECT_EQ(out->algo, in.algo);
+    EXPECT_EQ(out->p, in.p);
+    EXPECT_EQ(out->m, in.m);
+    EXPECT_EQ(out->max_time, in.max_time);
+    EXPECT_EQ(out->min_time, in.min_time);
+    EXPECT_EQ(out->mean_time, in.mean_time);
     std::remove(path.c_str());
 }
 
-TEST(ServeCache, BoundedReloadKeepsTheHottestEntries)
+TEST_F(ServeCache, BoundedReloadKeepsTheHottestEntries)
 {
     const std::string path = "/tmp/ccsim_cache_bounded.txt";
     std::remove(path.c_str());
 
-    QueryCache cache;
-    cache.insert("cold", syntheticPoint(4, 64, 1));
-    cache.insert("warm", syntheticPoint(8, 64, 2));
-    cache.insert("hot", syntheticPoint(16, 64, 3));
-    cache.saveFile(path); // written hottest first
+    const harness::Measurement cold = barrierPoint(2);
+    const harness::Measurement warm = barrierPoint(4);
+    const harness::Measurement hot = barrierPoint(8);
+    harness::memoSave(path); // written hottest first
 
-    QueryCache fresh;
-    fresh.setMaxEntries(2);
-    fresh.loadFile(path); // replayed oldest first into the bound
-    EXPECT_TRUE(fresh.contains("hot"));
-    EXPECT_TRUE(fresh.contains("warm"));
-    EXPECT_FALSE(fresh.contains("cold"));
+    harness::memoClear();
+    harness::memoSetMaxEntries(2);
+    harness::memoLoad(path); // replayed oldest first into the bound
+    EXPECT_TRUE(lookup(hot));
+    EXPECT_TRUE(lookup(warm));
+    EXPECT_FALSE(lookup(cold));
     std::remove(path.c_str());
 }
 
-TEST(ServeCache, MissingFileLoadsNothingAndGarbageIsAConfigError)
+TEST_F(ServeCache, MissingFileLoadsNothingAndGarbageIsAConfigError)
 {
-    QueryCache cache;
-    EXPECT_EQ(cache.loadFile("/tmp/ccsim_no_such_cache_file"), 0u);
-    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(harness::memoLoad("/tmp/ccsim_no_such_cache_file"), 0u);
+    EXPECT_EQ(harness::memoSize(), 0u);
 
     const std::string path = "/tmp/ccsim_cache_garbage.txt";
     {
         std::ofstream f(path);
         f << "not a cache file\n";
     }
-    EXPECT_THROW(cache.loadFile(path), ccsim::ConfigError);
+    EXPECT_THROW(harness::memoLoad(path), ccsim::ConfigError);
 
-    // A current header over a broken record is still malformed.
+    // A current header over a broken record is still malformed, and
+    // the error names the record's line.
     {
         std::ofstream f(path);
-        f << "ccsim-query-cache v2 key=" << harness::kPointKeyVersion
-          << " 1\nsome-key\nT3D|bcast|binomial|8|sixty-four|1|1|1\n";
+        f << memoFileHeader(1) << "some-key\n1|sixty-four|1\n";
     }
-    EXPECT_THROW(cache.loadFile(path), ccsim::ConfigError);
+    try {
+        harness::memoLoad(path);
+        ADD_FAILURE() << "no error for a broken record";
+    } catch (const ccsim::ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find(path + ":3:"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(harness::memoSize(), 0u);
     std::remove(path.c_str());
 }
 
-TEST(ServeCache, AStaleVersionFileStartsCold)
+TEST_F(ServeCache, AStaleVersionFileStartsCold)
 {
     // Files of an older format or key encoding hold keys that can
     // never hit: they load nothing, without failing the start-up.
+    // v2 is the former query cache's format, whose entries carried a
+    // whole Measurement.
     const std::string path = "/tmp/ccsim_cache_stale.txt";
-    const char *stale[] = {
+    const std::string stale[] = {
         "ccsim-query-cache v1 1\n",
         "ccsim-query-cache v2 key=v2 1\n",
+        "ccsim-query-cache v2 key=v5 1\n",
+        "ccsim-query-cache v3 key=v4 1\n",
     };
-    for (const char *header : stale) {
+    for (const std::string &header : stale) {
         {
             std::ofstream f(path);
             f << header << "v2|1|4|...\n"
               << "T3D|bcast|binomial|8|64|1000|500|750\n";
         }
-        QueryCache cache;
-        EXPECT_EQ(cache.loadFile(path), 0u) << header;
-        EXPECT_EQ(cache.size(), 0u) << header;
+        EXPECT_EQ(harness::memoLoad(path), 0u) << header;
+        EXPECT_EQ(harness::memoSize(), 0u) << header;
     }
     std::remove(path.c_str());
 }
 
-TEST(ServeCache, KeysLongerThanALineBufferSurviveSaveAndLoad)
+TEST_F(ServeCache, KeysLongerThanALineBufferSurviveSaveAndLoad)
 {
     const std::string path = "/tmp/ccsim_cache_long_key.txt";
-    std::remove(path.c_str());
 
     machine::MachineConfig cfg = machine::t3dConfig();
     cfg.topo_spec = "hier:2x4/" + std::string(5000, 'x');
     const std::string key =
         harness::measurePointKey(cfg, 8, machine::Coll::Bcast, 64);
     ASSERT_GT(key.size(), 4096u);
+    {
+        std::ofstream f(path);
+        f << memoFileHeader(2) << key << "\n4242|2121|3181\n"
+          << "short\n1|1|1\n";
+    }
+    ASSERT_EQ(harness::memoLoad(path), 2u);
+    ASSERT_EQ(harness::memoSave(path), 2u);
 
-    QueryCache cache;
-    cache.insert(key, syntheticPoint(8, 64, 4242));
-    cache.insert("short", syntheticPoint(4, 64, 1));
-    ASSERT_EQ(cache.saveFile(path), 2u);
-
-    QueryCache fresh;
-    EXPECT_EQ(fresh.loadFile(path), 2u);
-    harness::Measurement out;
-    ASSERT_TRUE(fresh.lookup(key, out));
-    EXPECT_EQ(out.max_time, 4242);
-    EXPECT_TRUE(fresh.contains("short"));
+    harness::memoClear();
+    EXPECT_EQ(harness::memoLoad(path), 2u);
+    auto out = harness::memoLookup(key, cfg, 8, machine::Coll::Bcast, 64,
+                                   machine::Algo::Binomial);
+    ASSERT_TRUE(out);
+    EXPECT_EQ(out->max_time, 4242);
+    EXPECT_TRUE(harness::memoLookup("short", cfg, 4, machine::Coll::Bcast,
+                                    64, machine::Algo::Binomial));
     std::remove(path.c_str());
 }
 
@@ -525,8 +576,7 @@ jobFor(const machine::ConfigHandle &cfg, machine::Coll op, int p,
 
 TEST(ServeBackfill, AStoppedQueueShedsInsteadOfAccepting)
 {
-    QueryCache cache;
-    BackfillQueue queue(cache, 1);
+    BackfillQueue queue(1);
     queue.stop();
 
     std::uint64_t ticket = 0;
@@ -538,8 +588,8 @@ TEST(ServeBackfill, AStoppedQueueShedsInsteadOfAccepting)
 
 TEST(ServeBackfill, TheBoundShedsNewKeysButStillCoalescesLiveOnes)
 {
-    QueryCache cache;
-    BackfillQueue queue(cache, 1);
+    harness::memoClear(); // the heavy point must really simulate
+    BackfillQueue queue(1);
     auto cfg = machine::sharedPreset("T3D");
 
     // A heavy point occupies the single-threaded runner; until it
@@ -572,6 +622,7 @@ TEST(ServeBackfill, TheBoundShedsNewKeysButStillCoalescesLiveOnes)
 
 TEST(ServeServer, HealthVerbReportsDaemonState)
 {
+    harness::memoClear(); // the daemon's store starts empty
     ServerOptions opts;
     opts.cache_max = 128;
     opts.backfill_max = 7;
@@ -662,6 +713,7 @@ TEST(ServeServer, CacheFileWarmsTheNextStart)
         "predict machine=T3D op=bcast p=8 m=1024 tier=exact";
 
     std::string first;
+    harness::memoClear(); // the first answer must be simulated
     {
         Server server(opts);
         server.start();
@@ -669,6 +721,9 @@ TEST(ServeServer, CacheFileWarmsTheNextStart)
         server.stop(); // persists the cache
     }
 
+    // One store per process: empty it, so the second answer can only
+    // come from the file.
+    harness::memoClear();
     Server server(opts);
     server.start(); // warms from the file
     std::string warmed = server.handleLine(q);
@@ -682,6 +737,41 @@ TEST(ServeServer, CacheFileWarmsTheNextStart)
     first.replace(at, std::string("\"tier\":\"exact\"").size(),
                   "\"tier\":\"cache\"");
     EXPECT_EQ(warmed, first);
+}
+
+TEST(ServeServer, CacheMaxBoundsTheWholeStore)
+{
+    // The memo is the process's one store of answers, so --cache-max
+    // bounds what the daemon keeps, not only what tier 1 answers from.
+    harness::memoClear();
+    MemoBoundGuard bound;
+    ServerOptions opts;
+    opts.cache_max = 8;
+    Server server(opts);
+    for (int p = 2; p <= 101; ++p) {
+        const std::string resp = server.handleLine(
+            "predict machine=T3D op=barrier p=" + std::to_string(p) +
+            " tier=exact");
+        EXPECT_NE(resp.find("\"tier\":\"exact\""), std::string::npos)
+            << resp;
+        ASSERT_LE(harness::memoSize(), 8u) << "after p=" << p;
+    }
+    EXPECT_EQ(
+        server.metricsSnapshot().counters.at("serve.cache_evictions"),
+        92u);
+}
+
+TEST(ServeServer, APointMeasuredInProcessIsACacheHit)
+{
+    // measureCollective stores what it simulates in the same memo the
+    // daemon answers from, so a fresh daemon answers it from tier 1.
+    harness::memoClear();
+    const harness::Measurement meas = harness::measureCollective(
+        *machine::sharedPreset("T3D"), 8, machine::Coll::Bcast, 2048);
+    Server server;
+    EXPECT_EQ(server.handleLine(
+                  "predict machine=T3D op=bcast p=8 m=2048 tier=exact"),
+              okResponse(Answer::of(meas, AnswerTier::Cache)));
 }
 
 // ---- fault state keys requests apart ------------------------------

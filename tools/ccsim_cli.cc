@@ -81,8 +81,8 @@
  *         exact simulation backfill pool of --jobs workers.  SIGINT
  *         or a client 'shutdown' drains the queue and exits 0,
  *         removing --port-file again.  --cache-max bounds the result
- *         cache (LRU eviction); --cache-file persists it across
- *         restarts; --deadline-ms bounds blocking exact answers and
+ *         cache, the process's one store of simulated points (LRU
+ *         eviction); --cache-file persists it across restarts; --deadline-ms bounds blocking exact answers and
  *         --backfill-max bounds the queue — past either limit the
  *         daemon sheds to the approximate tier with "shed":true on
  *         the wire instead of stalling or growing without bound.
@@ -901,7 +901,8 @@ cmdServe(int argc, char **argv)
     o.value("jobs", "backfill simulation workers (default 1)", "N");
     o.value("port-file", "write the bound port to FILE", "FILE");
     o.value("cache-max",
-            "result-cache entry bound, LRU evicted (0 = unbounded)",
+            "bound on the simulated points kept, calibration included; "
+            "LRU evicted (0 = unbounded)",
             "N");
     o.value("cache-file", "persist the result cache here across "
             "restarts", "FILE");
