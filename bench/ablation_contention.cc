@@ -8,6 +8,11 @@
  * path-reservation occupancy model, and (2) how the three
  * topologies (omega, torus, mesh) compare when every *other*
  * parameter is identical — isolating the wiring from the software.
+ *
+ * The "hottest link" column re-runs one contended call with metrics
+ * on and reports the busiest link's exact share of that run: its wire
+ * serialisation time over the simulated makespan, from the metrics
+ * snapshot's link table.
  */
 
 #include <cstdio>
@@ -85,9 +90,11 @@ main(int argc, char **argv)
                 double infl =
                     off.us() > 0 ? on.us() / off.us() : 0.0;
 
-                // Re-run one call with the machine kept alive to read
-                // the link-utilization summary.
-                machine::Machine live(base, p);
+                // Re-run one call with metrics on to read the busiest
+                // link's share of it.
+                auto live_cfg = base;
+                live_cfg.collect_metrics = true;
+                machine::Machine live(live_cfg, p);
                 auto prog = [&](int rank) -> sim::Task<void> {
                     mpi::Comm comm(live, rank);
                     co_await comm.alltoall(m);
@@ -95,12 +102,12 @@ main(int argc, char **argv)
                 for (int r = 0; r < p; ++r)
                     live.sim().spawn(prog(r));
                 live.run();
-                auto util = live.network().utilization(
-                    live.sim().now());
+                const double hottest =
+                    live.metricsSnapshot().maxLinkUtil();
 
                 t.row({base.name, std::to_string(p), usCell(on.us()),
                        usCell(off.us()), formatF(infl, 2) + "x",
-                       formatF(util.max * 100.0, 0) + "% busy"});
+                       formatF(hottest * 100.0, 0) + "% busy"});
             }
         }
         t.print(std::cout);

@@ -56,8 +56,8 @@ Probe &
 Machine::makeProbe()
 {
     if (!probe_)
-        probe_ = std::make_unique<Probe>(*network_,
-                                         config_->collect_metrics);
+        probe_ = std::make_unique<Probe>(
+            network_->topology().numLinks(), config_->collect_metrics);
     return *probe_;
 }
 
@@ -123,14 +123,14 @@ Machine::metricsSnapshot()
             stats::HistogramSnapshot::of(c.time_us);
     }
 
-    snap.counters["net.messages"] = network_->messages();
+    const stats::LinkMetrics &lm = probe_->links;
+    snap.counters["net.messages"] = lm.transfers;
     snap.counters["net.payload_bytes"] =
-        static_cast<std::uint64_t>(network_->totalBytes());
-    // net.route_cache_hits / net.route_cache_misses are gone with
-    // the route cache itself (routes are analytic now); these count
-    // the streaming walks instead.
-    snap.counters["net.route.walks"] = network_->routeWalks();
-    snap.counters["net.route.hops"] = network_->routeHops();
+        static_cast<std::uint64_t>(lm.payload_bytes);
+    // A transfer is one route walk (routes are analytic; there is no
+    // route cache to hit or miss).
+    snap.counters["net.route.walks"] = lm.transfers;
+    snap.counters["net.route.hops"] = lm.hops;
 
     // Completion-slot pool effectiveness.  The pools are the
     // fabric's, one per machine, and their counters derive only from
@@ -164,15 +164,12 @@ Machine::metricsSnapshot()
             toMicros(fr.degradation.absorbed_delay);
     }
 
-    const stats::LinkMetrics &lm = probe_->links;
     snap.counters["net.stalled_transfers"] = lm.stalled_transfers;
-    // Only touched occupancy pages are visited — per-link rows stay
-    // O(links used) even on million-link fabrics.
-    network_->forEachTouchedLink([&](net::LinkId l, Time busy) {
-        const auto i = static_cast<std::size_t>(l);
-        const Bytes b = lm.bytes.get(i);
+    // Only touched pages are visited — per-link rows stay O(links
+    // used) even on million-link fabrics.
+    lm.load.forEach([&](std::size_t i, const stats::LinkLoad &k) {
         const Time stall = lm.stall.get(i);
-        if (b == 0 && stall == 0)
+        if (k.bytes == 0 && stall == 0)
             return;
         // Zero-padded ids keep the name-sorted link table in numeric
         // order.
@@ -180,8 +177,8 @@ Machine::metricsSnapshot()
         std::snprintf(label, sizeof(label), "link%05zu", i);
         stats::LinkRow row;
         row.link = label;
-        row.bytes = static_cast<std::uint64_t>(b);
-        row.busy_us = toMicros(busy);
+        row.bytes = static_cast<std::uint64_t>(k.bytes);
+        row.busy_us = toMicros(k.busy);
         row.stall_us = toMicros(stall);
         row.util =
             snap.horizon_us > 0.0 ? row.busy_us / snap.horizon_us : 0.0;

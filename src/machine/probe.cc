@@ -1,13 +1,6 @@
 #include "machine/probe.hh"
 
-#include "net/network.hh"
-
 namespace ccsim::machine {
-
-Probe::Probe(const net::Network &net, bool metrics)
-    : stats::Probe(net.topology().numLinks(), metrics), net_(net)
-{
-}
 
 void
 Probe::collEnd(int node, Coll op, Time start, Time end)
@@ -21,7 +14,7 @@ Probe::collEnd(int node, Coll op, Time start, Time end)
     // sampled once per collective (at global rank 0).
     if (trace && node == 0) {
         trace->recordCounter(end, "net.payload_bytes",
-                             static_cast<double>(net_.totalBytes()));
+                             static_cast<double>(links.payload_bytes));
         trace->recordCounter(end, "net.stall_us",
                              toMicros(links.total_stall));
     }

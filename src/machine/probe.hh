@@ -35,10 +35,6 @@
 #include "stats/probe.hh"
 #include "util/units.hh"
 
-namespace ccsim::net {
-class Network;
-}
-
 namespace ccsim::machine {
 
 /** What an mpi::Comm call asks for (one replay trace action each). */
@@ -102,8 +98,9 @@ class CallListener
 class Probe final : public stats::Probe
 {
   public:
-    /** The probe of a machine whose network is @p net. */
-    Probe(const net::Network &net, bool metrics);
+    /** Built like stats::Probe: the fabric's link count and the
+     *  metrics switch. */
+    using stats::Probe::Probe;
 
     CallListener *listener = nullptr; //!< call consumer, or null
     std::array<stats::CollOpMetrics, kNumColl> coll; //!< by Coll
@@ -139,9 +136,6 @@ class Probe final : public stats::Probe
     /** Point boundary: zero the metric groups and tell the
      *  listener.  Simulated state is untouched. */
     void reset();
-
-  private:
-    const net::Network &net_;
 };
 
 } // namespace ccsim::machine

@@ -28,7 +28,7 @@ Network::Network(std::unique_ptr<Topology> topo, const NetworkParams &params)
             "topology '%s' has %zu links, more than the %zu a link id "
             "can number",
             topo_->name().c_str(), topo_->numLinks(), kMaxLinks)));
-    links_.reset(topo_->numLinks());
+    free_.reset(topo_->numLinks());
     class_params_.assign(
         static_cast<std::size_t>(topo_->numLinkClasses()), params);
     classed_ = topo_->numLinkClasses() > 1;
@@ -70,7 +70,6 @@ Network::transfer(int src, int dst, Bytes bytes, Time now)
         panic("Network::transfer: negative size %lld",
               static_cast<long long>(bytes));
 
-    ++route_walks_;
     const NetworkParams &base = class_params_[0];
 
     // Uniform wiring: one serialisation time for the whole route.
@@ -98,7 +97,7 @@ Network::transfer(int src, int dst, Bytes bytes, Time now)
             hops_delay += cp.hop_latency;
         }
         if (base.contention) {
-            const Time f = links_.get(static_cast<std::size_t>(l)).free;
+            const Time f = free_.get(static_cast<std::size_t>(l));
             if (f > start) {
                 start = f;
                 constraining = l;
@@ -109,7 +108,6 @@ Network::transfer(int src, int dst, Bytes bytes, Time now)
     if (path_len == 0)
         panic("Network::transfer: empty route from %d to %d", src,
               dst);
-    route_hops_ += path_len;
     if (!classed_)
         hops_delay =
             base.hop_latency * static_cast<Time>(path_len);
@@ -125,26 +123,19 @@ Network::transfer(int src, int dst, Bytes bytes, Time now)
                 std::llround(static_cast<double>(ser) * worst));
     }
 
-    // Commit the reservation.
+    // Commit the reservation, handing each hop to the probe in the
+    // same pass.
     for (LinkId l : route_) {
         const auto i = static_cast<std::size_t>(l);
-        Link &k = links_.slot(i);
         if (base.contention)
-            k.free = start + ser;
-        k.busy += ser;
+            free_.slot(i) = start + ser;
         if (probe_)
-            probe_->linkBytes(i, bytes);
+            probe_->linkHop(i, bytes, ser);
     }
-
-    ++messages_;
-    total_bytes_ += bytes;
-    total_link_busy_ += ser * static_cast<Time>(path_len);
-
-    // The wait from arrival to grant, charged to the link whose
+    // The wait from arrival to grant is charged to the link whose
     // occupancy set the start time.
-    if (probe_ && constraining >= 0)
-        probe_->linkStall(static_cast<std::size_t>(constraining),
-                          start - now);
+    if (probe_)
+        probe_->transfer(path_len, bytes, constraining, start - now);
 
     return start + hops_delay + ser;
 }
@@ -157,42 +148,6 @@ Network::transferVia(int src, int via, int dst, Bytes bytes, Time now)
               "endpoints %d -> %d", via, src, dst);
     Time relay = transfer(src, via, bytes, now);
     return transfer(via, dst, bytes, relay);
-}
-
-Network::Utilization
-Network::utilization(Time horizon) const
-{
-    Utilization u;
-    if (horizon <= 0)
-        return u;
-    double sum = 0.0;
-    links_.forEach([&](std::size_t i, const Link &k) {
-        Time busy = std::min(k.free, horizon);
-        if (busy <= 0)
-            return;
-        ++u.links_used;
-        double frac = static_cast<double>(busy) /
-                      static_cast<double>(horizon);
-        sum += frac;
-        if (frac > u.max) {
-            u.max = frac;
-            u.hottest = static_cast<LinkId>(i);
-        }
-    });
-    if (links_.size() > 0)
-        u.mean = sum / static_cast<double>(links_.size());
-    return u;
-}
-
-void
-Network::reset()
-{
-    links_.clear();
-    route_walks_ = 0;
-    route_hops_ = 0;
-    messages_ = 0;
-    total_bytes_ = 0;
-    total_link_busy_ = 0;
 }
 
 } // namespace ccsim::net

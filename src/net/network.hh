@@ -25,9 +25,10 @@
  * cache was O(p^2) memory and capped the simulator around p ~ 10^4;
  * with analytic walks plus lazily-paged link records (LazyArray), a
  * Network's footprint is O(links touched), and p = 10^5..10^6 rank
- * machines are simulable.  A link's record holds both its next free
- * time and its accumulated busy time, so a hop touches one cache
- * line.
+ * machines are simulable.  A link's record is only its next free
+ * time: the Network keeps no counters.  What transfers carried (per
+ * link bytes and busy time, hops, payload, grant stalls) is counted
+ * by an attached stats::Probe, fed from the same commit pass.
  *
  * Heterogeneous links: a multi-class topology (Hierarchical's
  * intra-chip / intra-node / inter-node wiring) can be given per-class
@@ -40,7 +41,6 @@
 #ifndef CCSIM_NET_NETWORK_HH
 #define CCSIM_NET_NETWORK_HH
 
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -73,7 +73,7 @@ struct NetworkParams
     bool contention = true;
 };
 
-/** An interconnect instance: topology + link occupancy + stats. */
+/** An interconnect instance: topology + link occupancy. */
 class Network
 {
   public:
@@ -117,74 +117,17 @@ class Network
     /** Effective parameters of link class @p cls. */
     const NetworkParams &linkClassParams(int cls) const;
 
-    /** Total messages injected. */
-    std::uint64_t messages() const { return messages_; }
-
-    /** Total payload bytes moved (excluding packet overhead). */
-    Bytes totalBytes() const { return total_bytes_; }
-
-    /** Sum over links of busy time (for utilization reports). */
-    Time totalLinkBusy() const { return total_link_busy_; }
-
-    /** Forget all link occupancy and stats (fresh measurement run).
-     *  O(links touched), not O(total links).  An attached probe keeps
-     *  its own state. */
-    void reset();
-
-    /** Route walks performed (one per transfer; the streaming
-     *  successor of the old route-cache hit/miss counters). */
-    std::uint64_t routeWalks() const { return route_walks_; }
-
-    /** Total links enumerated across all route walks. */
-    std::uint64_t routeHops() const { return route_hops_; }
-
-    /** Utilization summary over a time horizon. */
-    struct Utilization
-    {
-        double mean = 0.0;     //!< mean busy fraction over all links
-        double max = 0.0;      //!< busiest link's fraction
-        LinkId hottest = -1;   //!< id of the busiest link
-        int links_used = 0;    //!< links that carried any traffic
-    };
+    /** Forget all link occupancy (fresh measurement run).  O(links
+     *  touched), not O(total links).  An attached probe keeps its own
+     *  state. */
+    void reset() { free_.clear(); }
 
     /**
-     * Busy fractions up to @p horizon (e.g.\ the simulator's final
-     * time).  Approximates each link's busy time by its last
-     * reservation end clamped to the horizon — exact when traffic is
-     * back-to-back, an upper bound otherwise; intended for relative
-     * comparisons (which links are hot), not absolute accounting.
-     */
-    Utilization utilization(Time horizon) const;
-
-    /**
-     * Exact accumulated wire serialisation time of one link (unlike
-     * utilization(), which approximates by last reservation end).
-     * Always maintained; reset() clears it.
-     */
-    Time
-    linkBusy(LinkId l) const
-    {
-        return links_.get(static_cast<std::size_t>(l)).busy;
-    }
-
-    /**
-     * Visit fn(LinkId, Time busy) for every link whose occupancy page
-     * has been touched, in ascending id order — the O(links touched)
-     * iteration backing per-link reports at extreme scale.
-     */
-    template <typename Fn>
-    void
-    forEachTouchedLink(Fn &&fn) const
-    {
-        links_.forEach([&](std::size_t i, const Link &k) {
-            fn(static_cast<LinkId>(i), k.busy);
-        });
-    }
-
-    /**
-     * Report per-link payload bytes and grant stalls to @p probe
-     * (null: nobody listens; the default).  Observation only —
-     * attaching a probe never changes any transfer time.
+     * Report each transfer to @p probe (null: nobody listens; the
+     * default): every hop's payload bytes and serialisation time from
+     * the commit pass, then the transfer's hop count, payload and
+     * grant stall.  Observation only — attaching a probe never
+     * changes any transfer time.
      */
     void setProbe(stats::Probe *probe) { probe_ = probe; }
 
@@ -210,24 +153,12 @@ class Network
     std::vector<NetworkParams> class_params_;
     bool classed_ = false;
 
-    /** One directed link's occupancy. */
-    struct Link
-    {
-        Time free = 0; //!< end of its last reservation (contention)
-        Time busy = 0; //!< accumulated wire serialisation time
-    };
-    LazyArray<Link> links_;
+    /** Per directed link: the end of its last reservation. */
+    LazyArray<Time> free_;
     /** The route of the transfer in progress (reused scratch). */
     std::vector<LinkId> route_;
     LinkSlowdownHook slowdown_hook_;
     stats::Probe *probe_ = nullptr;
-
-    std::uint64_t route_walks_ = 0;
-    std::uint64_t route_hops_ = 0;
-
-    std::uint64_t messages_ = 0;
-    Bytes total_bytes_ = 0;
-    Time total_link_busy_ = 0;
 };
 
 } // namespace ccsim::net

@@ -200,9 +200,6 @@ std::string healthResponse(const HealthInfo &h);
 /** {"status":"ok","shutdown":true} */
 std::string shutdownResponse();
 
-/** JSON string-body escaping (quotes, backslashes, control chars). */
-std::string jsonEscape(const std::string &s);
-
 } // namespace ccsim::serve
 
 #endif // CCSIM_SERVE_PROTOCOL_HH

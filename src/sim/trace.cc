@@ -1,5 +1,6 @@
 #include "sim/trace.hh"
 
+#include "util/json.hh"
 #include "util/logging.hh"
 
 namespace ccsim::sim {
@@ -65,7 +66,7 @@ Trace::writeChromeJson(std::ostream &os) const
         first = false;
         const std::string &name =
             s.label.empty() ? spanKindName(s.kind) : s.label;
-        os << "\n  {\"name\": \"" << name << "\""
+        os << "\n  {\"name\": \"" << jsonEscape(name) << "\""
            << ", \"ph\": \"X\""
            << ", \"ts\": " << toMicros(s.start)
            << ", \"dur\": " << toMicros(s.duration())
@@ -78,7 +79,7 @@ Trace::writeChromeJson(std::ostream &os) const
         if (!first)
             os << ",";
         first = false;
-        os << "\n  {\"name\": \"" << c.name << "\""
+        os << "\n  {\"name\": \"" << jsonEscape(c.name) << "\""
            << ", \"ph\": \"C\""
            << ", \"ts\": " << toMicros(c.when)
            << ", \"pid\": 0"

@@ -115,8 +115,11 @@ CollOpMetrics::reset()
 void
 LinkMetrics::reset()
 {
-    bytes.clear();
+    load.clear();
     stall.clear();
+    transfers = 0;
+    hops = 0;
+    payload_bytes = 0;
     total_stall = 0;
     stalled_transfers = 0;
 }

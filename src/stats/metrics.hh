@@ -163,18 +163,29 @@ struct CollOpMetrics
     void reset();
 };
 
+/** One link's traffic, side by side so a hop updates one record. */
+struct LinkLoad
+{
+    Bytes bytes = 0; //!< payload bytes carried
+    Time busy = 0;   //!< wire serialisation time
+};
+
 /**
- * What the network records: payload bytes per link, and the grant
- * stall of every transfer that waited, charged to the link whose
- * occupancy set its start — "who is the bottleneck", the paper's
- * contention question.  Lazily paged, so the tables cost O(links
- * touched) even on million-link fabrics.
+ * What the network records: per link, the payload bytes it carried
+ * and the time it spent serialising them; per transfer, its hops and
+ * payload; and the grant stall of every transfer that waited, charged
+ * to the link whose occupancy set its start — "who is the
+ * bottleneck", the paper's contention question.  Lazily paged, so the
+ * tables cost O(links touched) even on million-link fabrics.
  */
 struct LinkMetrics
 {
-    LazyArray<Bytes> bytes; //!< payload bytes carried per link
-    LazyArray<Time> stall;  //!< wait time charged to each link
-    Time total_stall = 0;   //!< sum of per-transfer waits
+    LazyArray<LinkLoad> load; //!< bytes and busy time per link
+    LazyArray<Time> stall;    //!< wait time charged to each link
+    std::uint64_t transfers = 0; //!< transfers (one route walk each)
+    std::uint64_t hops = 0;      //!< links crossed, over all transfers
+    Bytes payload_bytes = 0;     //!< payload, over all transfers
+    Time total_stall = 0;        //!< sum of per-transfer waits
     std::uint64_t stalled_transfers = 0; //!< transfers that waited
 
     void reset();

@@ -5,9 +5,10 @@
  * Every Transport and the Network hold one `stats::Probe *`, null
  * unless something listens, and report at fixed points: a send or a
  * receive completing, a match queue's depth, the injection backlog,
- * and per-link bytes and grant stalls.  (machine::Probe extends this
- * class with the points only mpi::Comm sees.)  The probe hands each
- * point to its consumers:
+ * each hop's bytes and busy time, and each transfer's hops, payload
+ * and grant stall.  (machine::Probe extends this class with the
+ * points only mpi::Comm sees.)  The probe hands each point to its
+ * consumers:
  *
  *  - the metric groups, when built with metrics on: plain field
  *    updates in place, no name lookup and no indirect call;
@@ -23,6 +24,7 @@
 #define CCSIM_STATS_PROBE_HH
 
 #include <cstddef>
+#include <cstdint>
 
 #include "sim/trace.hh"
 #include "stats/metrics.hh"
@@ -55,7 +57,7 @@ class Probe
      *  the metric consumer on. */
     Probe(std::size_t num_links, bool metrics) : metrics(metrics)
     {
-        links.bytes.reset(num_links);
+        links.load.reset(num_links);
         links.stall.reset(num_links);
     }
 
@@ -136,21 +138,31 @@ class Probe
             transport.inject_backlog_us.observe(toMicros(backlog));
     }
 
-    /** @p bytes of payload crossed link @p l.  Reported per hop, so
-     *  it is a bare array update; the Network holds the probe only
-     *  while metrics are on. */
+    /** One hop of a transfer: link @p l carried @p bytes of payload
+     *  and spent @p busy serialising them.  Called from inside the
+     *  Network's commit pass, so it is a bare update of one record;
+     *  the Network holds the probe only while metrics are on. */
     void
-    linkBytes(std::size_t l, Bytes bytes)
+    linkHop(std::size_t l, Bytes bytes, Time busy)
     {
-        links.bytes.slot(l) += bytes;
+        LinkLoad &k = links.load.slot(l);
+        k.bytes += bytes;
+        k.busy += busy;
     }
 
-    /** A transfer waited @p stall for its grant; link @p l's
-     *  occupancy set its start. */
+    /** A transfer of @p bytes crossed @p hops links.  It waited
+     *  @p stall for its grant on link @p constraining, whose
+     *  occupancy set its start; negative when no link held it up. */
     void
-    linkStall(std::size_t l, Time stall)
+    transfer(std::size_t hops, Bytes bytes, std::int64_t constraining,
+             Time stall)
     {
-        links.stall.slot(l) += stall;
+        ++links.transfers;
+        links.hops += hops;
+        links.payload_bytes += bytes;
+        if (constraining < 0)
+            return;
+        links.stall.slot(static_cast<std::size_t>(constraining)) += stall;
         links.total_stall += stall;
         ++links.stalled_transfers;
     }

@@ -5,6 +5,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "util/json.hh"
+
 namespace ccsim::stats {
 
 namespace {
@@ -17,19 +19,6 @@ fmt(double v)
     char buf[40];
     std::snprintf(buf, sizeof(buf), "%.9g", v);
     return buf;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
 }
 
 } // namespace

@@ -72,7 +72,7 @@ Options::parse(int argc, char **argv, int start)
                   usage().c_str());
         }
         if (d->placeholder.empty()) {
-            values_[key] = "1";
+            values_[key].assign(1, '1');
         } else {
             if (i + 1 >= argc)
                 fatal("--%s needs a value\n%s", key.c_str(),

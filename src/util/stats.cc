@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/logging.hh"
-
 namespace ccsim {
 
 void
@@ -58,45 +56,6 @@ void
 RunningStats::reset()
 {
     *this = RunningStats();
-}
-
-void
-SampleStats::add(double x)
-{
-    running_.add(x);
-    samples_.push_back(x);
-    sorted_valid_ = false;
-}
-
-double
-SampleStats::percentile(double q) const
-{
-    if (q < 0.0 || q > 1.0)
-        panic("SampleStats::percentile: q %g outside [0,1]", q);
-    if (samples_.empty())
-        return 0.0;
-    if (!sorted_valid_) {
-        sorted_ = samples_;
-        std::sort(sorted_.begin(), sorted_.end());
-        sorted_valid_ = true;
-    }
-    if (sorted_.size() == 1)
-        return sorted_.front();
-    double pos = q * static_cast<double>(sorted_.size() - 1);
-    auto lo = static_cast<std::size_t>(pos);
-    double frac = pos - static_cast<double>(lo);
-    if (lo + 1 >= sorted_.size())
-        return sorted_.back();
-    return sorted_[lo] * (1.0 - frac) + sorted_[lo + 1] * frac;
-}
-
-void
-SampleStats::reset()
-{
-    running_.reset();
-    samples_.clear();
-    sorted_.clear();
-    sorted_valid_ = false;
 }
 
 } // namespace ccsim

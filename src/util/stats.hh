@@ -1,15 +1,13 @@
 /**
  * @file
- * Small streaming and sample-based statistics helpers used by the
- * measurement harness: min / max / mean / standard deviation and
- * percentiles over collected samples.
+ * A streaming statistics helper used by the measurement harness:
+ * min / max / mean / standard deviation without storing samples.
  */
 
 #ifndef CCSIM_UTIL_STATS_HH
 #define CCSIM_UTIL_STATS_HH
 
 #include <cstddef>
-#include <vector>
 
 namespace ccsim {
 
@@ -53,46 +51,6 @@ class RunningStats
     double m2_ = 0.0;
     double min_ = 0.0;
     double max_ = 0.0;
-};
-
-/**
- * Sample-retaining statistics: everything RunningStats offers plus
- * percentiles and the median.
- */
-class SampleStats
-{
-  public:
-    /** Record one sample. */
-    void add(double x);
-
-    /** Number of recorded samples. */
-    std::size_t count() const { return samples_.size(); }
-
-    double min() const { return running_.min(); }
-    double max() const { return running_.max(); }
-    double mean() const { return running_.mean(); }
-    double stddev() const { return running_.stddev(); }
-
-    /**
-     * Linear-interpolated percentile.
-     * @param q quantile in [0, 1]; 0.5 is the median.
-     */
-    double percentile(double q) const;
-
-    /** Median (50th percentile). */
-    double median() const { return percentile(0.5); }
-
-    /** Read-only access to the raw samples (insertion order). */
-    const std::vector<double> &samples() const { return samples_; }
-
-    /** Reset to the empty state. */
-    void reset();
-
-  private:
-    RunningStats running_;
-    std::vector<double> samples_;
-    mutable std::vector<double> sorted_;
-    mutable bool sorted_valid_ = false;
 };
 
 } // namespace ccsim

@@ -16,7 +16,9 @@
 #include "harness/measure.hh"
 #include "harness/sweep.hh"
 #include "machine/config_io.hh"
+#include "machine/machine.hh"
 #include "machine/machine_config.hh"
+#include "mpi/comm.hh"
 #include "replay/recorder.hh"
 #include "replay/replayer.hh"
 #include "replay/trace_parser.hh"
@@ -240,6 +242,37 @@ TEST(MetricsEndToEnd, SnapshotContents)
     EXPECT_FALSE(s.toCsv().empty());
     EXPECT_FALSE(s.toJson().empty());
     EXPECT_EQ(s.toCsv(), s.toCsv());
+}
+
+/** A link's util is its exact wire time over the horizon: two sends
+ *  an idle millisecond apart count only their serialisation. */
+TEST(MetricsEndToEnd, LinkUtilIsWireTimeOverTheHorizon)
+{
+    machine::MachineConfig cfg = machine::idealConfig();
+    cfg.collect_metrics = true;
+    machine::Machine m(cfg, 2);
+    auto program = [&](int rank) -> sim::Task<void> {
+        mpi::Comm comm(m, rank);
+        if (rank == 0) {
+            co_await comm.send(1, 0, 1024);
+            co_await comm.compute(milliseconds(1));
+            co_await comm.send(1, 0, 1024);
+        } else {
+            co_await comm.recv(0, 0);
+            co_await comm.recv(0, 0);
+        }
+    };
+    m.spawnAll([&](int rank) { return program(rank); });
+    m.run();
+
+    const MetricsSnapshot s = m.metricsSnapshot();
+    const Time wire = transferTime(1024 + cfg.network.packet_overhead,
+                                   cfg.network.link_bandwidth_mbs);
+    ASSERT_EQ(s.links.size(), 1u); // the one wire from 0 to 1
+    EXPECT_EQ(s.links[0].bytes, 2048u);
+    EXPECT_DOUBLE_EQ(s.links[0].busy_us, toMicros(2 * wire));
+    EXPECT_DOUBLE_EQ(s.links[0].util, s.links[0].busy_us / s.horizon_us);
+    EXPECT_LT(s.links[0].util, 0.01);
 }
 
 /** Per-point snapshots are identical at any --jobs level. */

@@ -10,6 +10,7 @@
 #include "net/mesh2d.hh"
 #include "net/network.hh"
 #include "net/torus3d.hh"
+#include "stats/probe.hh"
 #include "util/logging.hh"
 
 namespace ccsim::net {
@@ -27,6 +28,17 @@ simpleParams()
     p.contention = true;
     return p;
 }
+
+/** A metrics-on probe attached to a network, as a Machine attaches
+ *  its own: the probe is where transfers are counted. */
+struct Probed : stats::Probe
+{
+    explicit Probed(Network &net)
+        : stats::Probe(net.topology().numLinks(), true)
+    {
+        net.setProbe(this);
+    }
+};
 
 TEST(Network, LatencyIsHopsPlusSerialization)
 {
@@ -104,15 +116,36 @@ TEST(Network, BusyLinkDelaysNewMessagePastItsRequestTime)
 TEST(Network, StatsAccumulateAndReset)
 {
     Network net(std::make_unique<Mesh2D>(1, 4), simpleParams());
-    net.transfer(0, 3, 1000, 0);
-    net.transfer(1, 0, 500, 0);
-    EXPECT_EQ(net.messages(), 2u);
-    EXPECT_EQ(net.totalBytes(), 1500);
-    EXPECT_GT(net.totalLinkBusy(), 0);
+    Probed p(net);
+    net.transfer(0, 3, 1000, 0); // 3 hops, 10 us each
+    net.transfer(1, 0, 500, 0);  // 1 hop, 5 us
+    EXPECT_EQ(p.links.transfers, 2u);
+    EXPECT_EQ(p.links.payload_bytes, 1500);
+    Time busy = 0;
+    p.links.load.forEach(
+        [&](std::size_t, const stats::LinkLoad &k) { busy += k.busy; });
+    EXPECT_EQ(busy, 3 * (10 * US) + 5 * US);
+    const auto back =
+        static_cast<std::size_t>(net.topology().routeVector(1, 0)[0]);
+    EXPECT_EQ(p.links.load.get(back).bytes, 500);
+    // Network::reset() frees the links; the probe keeps its books
+    // until its own reset.
     net.reset();
-    EXPECT_EQ(net.messages(), 0u);
-    EXPECT_EQ(net.totalBytes(), 0);
-    EXPECT_EQ(net.totalLinkBusy(), 0);
+    EXPECT_EQ(p.links.transfers, 2u);
+    p.reset();
+    EXPECT_EQ(p.links.transfers, 0u);
+    EXPECT_EQ(p.links.payload_bytes, 0);
+    EXPECT_EQ(p.links.load.get(back).bytes, 0);
+}
+
+TEST(Network, ResetFreesEveryLink)
+{
+    Network net(std::make_unique<Mesh2D>(1, 3), simpleParams());
+    net.transfer(0, 2, 10000, 0); // both links busy until 100 us
+    net.transfer(2, 0, 10000, 0);
+    net.reset();
+    EXPECT_EQ(net.transfer(0, 2, 0, 0), 2 * (100 * NS));
+    EXPECT_EQ(net.transfer(2, 1, 0, 0), 100 * NS);
 }
 
 TEST(Network, SelfTransferPanics)
@@ -160,53 +193,34 @@ TEST(Network, TorusBeatsMeshUnderUniformAllToAll)
     EXPECT_LT(ideal, torus);
 }
 
-TEST(Network, UtilizationSummary)
-{
-    Network net(std::make_unique<Mesh2D>(1, 3), simpleParams());
-    // 1000 B over 0->1 (1 link busy 10 us) and 0->2 (2 links).
-    net.transfer(0, 1, 1000, 0);
-    net.transfer(0, 2, 1000, 0);
-    auto u = net.utilization(20 * US);
-    // Link 0->1 is shared by both transfers: busy 20 us of 20.
-    EXPECT_DOUBLE_EQ(u.max, 1.0);
-    EXPECT_EQ(u.links_used, 2);
-    EXPECT_GT(u.mean, 0.0);
-    EXPECT_LT(u.mean, 1.0);
-    EXPECT_GE(u.hottest, 0);
-}
-
-TEST(Network, UtilizationEmptyAndZeroHorizon)
-{
-    Network net(std::make_unique<Mesh2D>(1, 3), simpleParams());
-    auto idle = net.utilization(10 * US);
-    EXPECT_EQ(idle.links_used, 0);
-    EXPECT_DOUBLE_EQ(idle.mean, 0.0);
-    EXPECT_EQ(net.utilization(0).links_used, 0);
-}
-
-TEST(Network, UtilizationClampsToHorizon)
-{
-    Network net(std::make_unique<Mesh2D>(1, 2), simpleParams());
-    net.transfer(0, 1, 100000, 0); // busy until 1 ms
-    auto u = net.utilization(500 * US);
-    EXPECT_DOUBLE_EQ(u.max, 1.0); // clamped, not > 1
-}
-
 TEST(Network, RouteWalkCountersAccumulateAndReset)
 {
+    // A transfer is one route walk; its hops are the links it
+    // crossed.
     Network net(std::make_unique<Mesh2D>(2, 2), simpleParams());
-    EXPECT_EQ(net.routeWalks(), 0u);
-    EXPECT_EQ(net.routeHops(), 0u);
+    Probed p(net);
+    EXPECT_EQ(p.links.transfers, 0u);
+    EXPECT_EQ(p.links.hops, 0u);
     net.transfer(0, 3, 100, 0); // 2 hops
-    EXPECT_EQ(net.routeWalks(), 1u);
-    EXPECT_EQ(net.routeHops(), 2u);
+    EXPECT_EQ(p.links.transfers, 1u);
+    EXPECT_EQ(p.links.hops, 2u);
     net.transfer(0, 1, 100, 0); // 1 hop
     net.transfer(0, 1, 100, 0);
-    EXPECT_EQ(net.routeWalks(), 3u);
-    EXPECT_EQ(net.routeHops(), 4u);
-    net.reset();
-    EXPECT_EQ(net.routeWalks(), 0u);
-    EXPECT_EQ(net.routeHops(), 0u);
+    EXPECT_EQ(p.links.transfers, 3u);
+    EXPECT_EQ(p.links.hops, 4u);
+    p.reset();
+    EXPECT_EQ(p.links.transfers, 0u);
+    EXPECT_EQ(p.links.hops, 0u);
+}
+
+TEST(Network, TransferViaCountsAsTwoTransfers)
+{
+    Network net(std::make_unique<Mesh2D>(1, 4), simpleParams());
+    Probed p(net);
+    net.transferVia(0, 3, 1, 1000, 0); // 0 -> 3 (3 hops), 3 -> 1 (2)
+    EXPECT_EQ(p.links.transfers, 2u);
+    EXPECT_EQ(p.links.hops, 5u);
+    EXPECT_EQ(p.links.payload_bytes, 2000);
 }
 
 TEST(Network, RepeatedTransfersMatchFreshNetworkTimes)
@@ -227,34 +241,56 @@ TEST(Network, RepeatedTransfersMatchFreshNetworkTimes)
 TEST(Network, LinkBusyAccessorTracksSerialisation)
 {
     Network net(std::make_unique<Mesh2D>(1, 3), simpleParams());
+    Probed p(net);
     net.transfer(0, 2, 1000, 0); // links 0->1->2, 10 us each
     std::vector<LinkId> path = net.topology().routeVector(0, 2);
     ASSERT_EQ(path.size(), 2u);
-    EXPECT_EQ(net.linkBusy(path[0]), 10 * US);
-    EXPECT_EQ(net.linkBusy(path[1]), 10 * US);
-    int touched = 0;
-    net.forEachTouchedLink([&](LinkId, Time) { ++touched; });
-    EXPECT_GT(touched, 0);
-    net.reset();
-    EXPECT_EQ(net.linkBusy(path[0]), 0);
+    for (LinkId l : path) {
+        const stats::LinkLoad k =
+            p.links.load.get(static_cast<std::size_t>(l));
+        EXPECT_EQ(k.bytes, 1000);
+        EXPECT_EQ(k.busy, 10 * US);
+    }
+    // Busy time is wire time, not the end of the last reservation: a
+    // second transfer long after the first adds only its own 10 us.
+    net.transfer(0, 1, 1000, 1 * MS);
+    EXPECT_EQ(p.links.load.get(static_cast<std::size_t>(path[0])).busy,
+              20 * US);
+}
+
+TEST(Network, StallIsChargedToTheConstrainingLink)
+{
+    Network net(std::make_unique<Mesh2D>(1, 3), simpleParams());
+    Probed p(net);
+    std::vector<LinkId> path = net.topology().routeVector(0, 2);
+    ASSERT_EQ(path.size(), 2u);
+    net.transfer(1, 2, 10000, 0); // holds link 1->2 until 100 us
+    EXPECT_EQ(net.transfer(0, 2, 0, 0), 100 * US + 2 * (100 * NS));
+    EXPECT_EQ(p.links.stall.get(static_cast<std::size_t>(path[0])), 0);
+    EXPECT_EQ(p.links.stall.get(static_cast<std::size_t>(path[1])),
+              100 * US);
+    EXPECT_EQ(p.links.total_stall, 100 * US);
+    EXPECT_EQ(p.links.stalled_transfers, 1u);
 }
 
 TEST(Network, ConstructionIsLazyAtExtremeScale)
 {
     // The O(1)-memory guard: a million-rank fat tree must construct
-    // a Network without touching any occupancy page, and a transfer
-    // must materialize only the pages its route lands on.
+    // a Network and its probe without touching any link page, and a
+    // transfer must materialize only the pages its route lands on.
     auto ft = FatTree::balancedFor(1 << 20);
     ASSERT_EQ(ft->numNodes(), 1 << 20);
     Network net(std::move(ft), simpleParams());
+    Probed p(net);
     Time t = net.transfer(0, (1 << 20) - 1, 4096, 0);
     EXPECT_GT(t, 0);
     int touched = 0;
-    net.forEachTouchedLink([&](LinkId, Time) { ++touched; });
+    p.links.load.forEach(
+        [&](std::size_t, const stats::LinkLoad &) { ++touched; });
     // One route touches a bounded handful of 4096-entry pages, not
     // the multi-million-link fabric.
     EXPECT_LE(touched, 4096 * 8);
-    EXPECT_GT(net.routeHops(), 0u);
+    EXPECT_GT(p.links.hops, 0u);
 }
 
 TEST(Network, RejectsMoreLinksThanALinkIdCanNumber)

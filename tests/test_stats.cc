@@ -1,11 +1,7 @@
 /** @file Unit tests for statistics accumulators. */
 
-#include <cmath>
-
 #include <gtest/gtest.h>
 
-#include "util/logging.hh"
-#include "util/random.hh"
 #include "util/stats.hh"
 
 namespace ccsim {
@@ -73,80 +69,6 @@ TEST(RunningStats, StableUnderOffset)
         s.add(offset + x);
     EXPECT_NEAR(s.mean(), offset + 2.0, 1e-3);
     EXPECT_NEAR(s.variance(), 2.0 / 3.0, 1e-6);
-}
-
-TEST(SampleStats, PercentileInterpolates)
-{
-    SampleStats s;
-    for (double x : {10.0, 20.0, 30.0, 40.0})
-        s.add(x);
-    EXPECT_DOUBLE_EQ(s.percentile(0.0), 10.0);
-    EXPECT_DOUBLE_EQ(s.percentile(1.0), 40.0);
-    EXPECT_DOUBLE_EQ(s.median(), 25.0);
-    EXPECT_DOUBLE_EQ(s.percentile(1.0 / 3.0), 20.0);
-}
-
-TEST(SampleStats, PercentileSingleSample)
-{
-    SampleStats s;
-    s.add(7.0);
-    EXPECT_DOUBLE_EQ(s.median(), 7.0);
-    EXPECT_DOUBLE_EQ(s.percentile(0.99), 7.0);
-}
-
-TEST(SampleStats, PercentileEmptyIsZero)
-{
-    SampleStats s;
-    EXPECT_DOUBLE_EQ(s.median(), 0.0);
-}
-
-TEST(SampleStats, PercentileOutOfRangePanics)
-{
-    throwOnError(true);
-    SampleStats s;
-    s.add(1.0);
-    EXPECT_THROW(s.percentile(-0.1), PanicError);
-    EXPECT_THROW(s.percentile(1.1), PanicError);
-    throwOnError(false);
-}
-
-TEST(SampleStats, UnsortedInsertionOrderPreserved)
-{
-    SampleStats s;
-    s.add(3.0);
-    s.add(1.0);
-    s.add(2.0);
-    ASSERT_EQ(s.samples().size(), 3u);
-    EXPECT_EQ(s.samples()[0], 3.0);
-    EXPECT_EQ(s.samples()[1], 1.0);
-    EXPECT_EQ(s.samples()[2], 2.0);
-    EXPECT_DOUBLE_EQ(s.median(), 2.0);
-}
-
-TEST(SampleStats, AddAfterPercentileInvalidatesCache)
-{
-    SampleStats s;
-    s.add(1.0);
-    s.add(3.0);
-    EXPECT_DOUBLE_EQ(s.median(), 2.0);
-    s.add(100.0);
-    EXPECT_DOUBLE_EQ(s.median(), 3.0);
-}
-
-TEST(SampleStats, AgreesWithRunningStatsOnRandomData)
-{
-    Rng r(21);
-    SampleStats s;
-    RunningStats w;
-    for (int i = 0; i < 5000; ++i) {
-        double x = r.nextDouble(-10, 10);
-        s.add(x);
-        w.add(x);
-    }
-    EXPECT_DOUBLE_EQ(s.mean(), w.mean());
-    EXPECT_DOUBLE_EQ(s.min(), w.min());
-    EXPECT_DOUBLE_EQ(s.max(), w.max());
-    EXPECT_NEAR(s.stddev(), w.stddev(), 1e-9);
 }
 
 } // namespace

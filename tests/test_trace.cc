@@ -105,6 +105,20 @@ TEST(Trace, PhaseLabelsStampSubsequentSpans)
     EXPECT_EQ(t.spans()[0].label, "");
 }
 
+TEST(Trace, ChromeJsonEscapesLabels)
+{
+    // A phase label is free text: a quote, a backslash or a newline in
+    // it must come out escaped, or the Chrome trace is not JSON.
+    Trace t;
+    t.setPhase(0, "say \"hi\"\\path\nnext");
+    t.record(Span{0, SpanKind::Send, 0, 1 * US, 8, 1, {}});
+    std::ostringstream json;
+    t.writeChromeJson(json);
+    EXPECT_NE(json.str().find(R"("name": "say \"hi\"\\path\nnext")"),
+              std::string::npos)
+        << json.str();
+}
+
 TEST(Trace, MachineIntegrationCapturesTransportActivity)
 {
     machine::Machine m(machine::t3dConfig(), 4);
