@@ -5,11 +5,14 @@
  * holding an inline or heap SmallFn), coroutine spawn/switch cost,
  * network transfer
  * cost (warm vs cold link occupancy, analytic route walks), the
- * memo-key cost of one point, and the end-to-end cost of simulating
- * one collective with metrics off and on.  Host speed of record comes
- * from bench/perf; these isolate one piece each.
+ * memo-key cost of one point, the end-to-end cost of simulating
+ * one collective with metrics off and on, and the lines per second
+ * of the trace parser.  Host speed of record comes from bench/perf;
+ * these isolate one piece each.
  */
 
+#include <algorithm>
+#include <sstream>
 #include <string>
 
 #include <benchmark/benchmark.h>
@@ -23,6 +26,7 @@
 #include "net/network.hh"
 #include "net/omega.hh"
 #include "net/torus3d.hh"
+#include "replay/trace_parser.hh"
 #include "sim/simulator.hh"
 
 namespace {
@@ -334,6 +338,55 @@ BM_SimulateCollectiveMetrics(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * p * (p - 1));
 }
 BENCHMARK(BM_SimulateCollectiveMetrics)->Arg(8)->Arg(32);
+
+/** An np = 64 halo exchange as trace text, in bench/perf
+ *  replay_faults' shape: per rank and iteration one compute, four
+ *  irecvs and four isends on an 8x8 periodic grid, and eight waits. */
+std::string
+haloTraceText()
+{
+    constexpr int kIters = 24;
+    static const char *const kComputeUs[] = {"150.000", "175.000",
+                                             "200.000", "225.000",
+                                             "250.000", "275.000"};
+    std::string t = "# ccsim trace v1\nnp 64\n";
+    for (int r = 0; r < 64; ++r) {
+        const int x = r % 8, y = r / 8;
+        const int nb[4] = {y * 8 + (x + 1) % 8, y * 8 + (x + 7) % 8,
+                           (y + 1) % 8 * 8 + x, (y + 7) % 8 * 8 + x};
+        const std::string rank = std::to_string(r) + " ";
+        for (int it = 0; it < kIters; ++it) {
+            t += rank + "compute " + kComputeUs[it % 6] + "\n";
+            for (int d = 0; d < 4; ++d)
+                t += rank + "irecv " + std::to_string(nb[d ^ 1]) +
+                     " tag=" + std::to_string(d) + "\n";
+            for (int d = 0; d < 4; ++d)
+                t += rank + "isend " + std::to_string(nb[d]) + " " +
+                     std::to_string(2048 << (it % 3)) +
+                     " tag=" + std::to_string(d) + "\n";
+            for (int w = 0; w < 8; ++w)
+                t += rank + "wait\n";
+        }
+    }
+    return t;
+}
+
+/** Parsing that trace (26,114 lines) from memory. */
+void
+BM_TraceParse(benchmark::State &state)
+{
+    const std::string text = haloTraceText();
+    const auto lines = std::count(text.begin(), text.end(), '\n');
+    for (auto _ : state) {
+        std::istringstream in(text);
+        replay::Program prog = replay::TraceParser::parse(in, "halo");
+        benchmark::DoNotOptimize(prog.ranks.data());
+    }
+    state.counters["lines"] =
+        benchmark::Counter(static_cast<double>(lines),
+                           benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_TraceParse)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

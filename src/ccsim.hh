@@ -83,6 +83,7 @@
 #include "tuning/tuner.hh"
 #include "util/cli.hh"
 #include "util/error.hh"
+#include "util/field.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
 #include "util/units.hh"

@@ -399,7 +399,7 @@ parseRecord(const std::string &path, std::size_t line,
             t == &v.mean_time ? rec.size() : rec.find('|', at);
         long long n = 0;
         if (bar == std::string::npos ||
-            !parseWhole(rec.substr(at, bar - at), n))
+            !parseWhole(std::string_view(rec).substr(at, bar - at), n))
             badMemoFile(path, line, "bad entry record");
         *t = n;
         at = bar + 1;

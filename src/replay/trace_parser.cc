@@ -1,15 +1,18 @@
 #include "replay/trace_parser.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <ostream>
+#include <span>
 #include <sstream>
+#include <string_view>
 
 #include "machine/config_io.hh"
 #include "mpi/collectives.hh"
 #include "util/field.hh"
+#include "util/key_value.hh"
 #include "util/logging.hh"
 
 namespace ccsim::replay {
@@ -18,6 +21,7 @@ namespace {
 
 using machine::Algo;
 using machine::Coll;
+using Tokens = std::span<const std::string_view>;
 
 /** One line being parsed, with the context diagnostics need. */
 struct LineCtx
@@ -38,102 +42,126 @@ struct LineCtx
     }
 };
 
+/** Call @p item on each item of the comma list @p tok, in order.  A
+ *  trailing comma ends the list; any other empty item is passed on. */
+template <class F>
+void
+forEachItem(std::string_view tok, F &&item)
+{
+    while (!tok.empty()) {
+        const std::size_t comma = tok.find(',');
+        item(tok.substr(0, comma));
+        if (comma == std::string_view::npos)
+            return;
+        tok.remove_prefix(comma + 1);
+    }
+}
+
 long long
-parseInt(const LineCtx &ctx, const std::string &tok,
-         const std::string &what)
+parseInt(const LineCtx &ctx, std::string_view tok, const char *what)
 {
     long long v = 0;
     if (!parseWhole(tok, v))
-        ctx.fail("bad " + what + " '" + tok + "'");
+        ctx.fail(std::string("bad ") + what + " '" + std::string(tok) +
+                 "'");
     return v;
 }
 
-/** Exact decimal-microsecond parse: digits[.digits{1..6}] -> ps. */
+/** Exact decimal-microsecond parse: digits[.digits{1..6}] -> ps,
+ *  at most the largest Time. */
 Time
-parseMicrosExact(const LineCtx &ctx, const std::string &tok)
+parseMicrosExact(const LineCtx &ctx, std::string_view tok)
 {
-    std::size_t dot = tok.find('.');
-    std::string whole = dot == std::string::npos ? tok
-                                                 : tok.substr(0, dot);
-    std::string frac =
-        dot == std::string::npos ? "" : tok.substr(dot + 1);
+    const std::size_t dot = tok.find('.');
+    const std::string_view whole = tok.substr(0, dot);
+    const std::string_view frac = dot == std::string_view::npos
+                                      ? std::string_view()
+                                      : tok.substr(dot + 1);
     if (whole.empty() || frac.size() > 6 ||
-        (dot != std::string::npos && frac.empty()))
-        ctx.fail("bad duration '" + tok +
+        (dot != std::string_view::npos && frac.empty()))
+        ctx.fail("bad duration '" + std::string(tok) +
                  "' (want decimal us, <= 6 fraction digits)");
-    for (char c : whole)
-        if (!std::isdigit(static_cast<unsigned char>(c)))
-            ctx.fail("bad duration '" + tok + "'");
-    for (char c : frac)
-        if (!std::isdigit(static_cast<unsigned char>(c)))
-            ctx.fail("bad duration '" + tok + "'");
-    frac.resize(6, '0'); // pad to picoseconds
-    long long us = parseInt(ctx, whole, "duration");
-    long long ps_frac = parseInt(ctx, frac, "duration");
+    auto digits = [](std::string_view s) {
+        return std::all_of(s.begin(), s.end(),
+                           [](char c) { return c >= '0' && c <= '9'; });
+    };
+    if (!digits(whole) || !digits(frac))
+        ctx.fail("bad duration '" + std::string(tok) + "'");
+    const long long us = parseInt(ctx, whole, "duration");
+    long long ps_frac = 0; // padded to picoseconds
+    for (std::size_t i = 0; i < 6; ++i)
+        ps_frac = ps_frac * 10 + (i < frac.size() ? frac[i] - '0' : 0);
     using namespace time_literals;
+    constexpr Time kMax = std::numeric_limits<Time>::max();
+    if (us > (kMax - ps_frac) / US)
+        ctx.fail("bad duration '" + std::string(tok) + "' (more than " +
+                 formatMicrosExact(kMax) + " us)");
     return us * US + ps_frac;
 }
 
 std::vector<Bytes>
-parseByteList(const LineCtx &ctx, const std::string &tok)
+parseByteList(const LineCtx &ctx, std::string_view tok)
 {
     std::vector<Bytes> out;
-    std::stringstream ss(tok);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
+    forEachItem(tok, [&](std::string_view item) {
         Bytes b = parseInt(ctx, item, "byte count");
         if (b < 0)
-            ctx.fail("negative byte count in '" + tok + "'");
+            ctx.fail("negative byte count in '" + std::string(tok) +
+                     "'");
         out.push_back(b);
-    }
+    });
     if (out.empty())
         ctx.fail("empty byte-count list");
     return out;
 }
 
 std::vector<int>
-parseRankList(const LineCtx &ctx, const std::string &tok, int np)
+parseRankList(const LineCtx &ctx, std::string_view tok, int np)
 {
     std::vector<int> out;
-    std::stringstream ss(tok);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
+    forEachItem(tok, [&](std::string_view item) {
         long long r = parseInt(ctx, item, "group rank");
         if (r < 0 || r >= np)
-            ctx.fail("group rank " + item + " outside np " +
-                     std::to_string(np));
+            ctx.fail("group rank " + std::string(item) +
+                     " outside np " + std::to_string(np));
         out.push_back(static_cast<int>(r));
-    }
+    });
     if (out.empty())
         ctx.fail("empty group");
     std::vector<int> sorted = out;
     std::sort(sorted.begin(), sorted.end());
     if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end())
-        ctx.fail("duplicate rank in group '" + tok + "'");
+        ctx.fail("duplicate rank in group '" + std::string(tok) + "'");
     return out;
 }
 
 /** Split "key=value"; fail on anything else. */
-std::pair<std::string, std::string>
-splitAttr(const LineCtx &ctx, const std::string &tok)
+std::pair<std::string_view, std::string_view>
+splitAttr(const LineCtx &ctx, std::string_view tok)
 {
     std::size_t eq = tok.find('=');
-    if (eq == std::string::npos || eq == 0 || eq + 1 >= tok.size())
-        ctx.fail("expected key=value attribute, got '" + tok + "'");
+    if (eq == std::string_view::npos || eq == 0 || eq + 1 >= tok.size())
+        ctx.fail("expected key=value attribute, got '" +
+                 std::string(tok) + "'");
     return {tok.substr(0, eq), tok.substr(eq + 1)};
 }
 
+bool
+isAttr(std::string_view tok)
+{
+    return tok.find('=') != std::string_view::npos;
+}
+
 Action
-parsePtp(const LineCtx &ctx, ActionKind kind,
-         const std::vector<std::string> &toks, int np)
+parsePtp(const LineCtx &ctx, ActionKind kind, Tokens toks, int np)
 {
     Action a;
     a.kind = kind;
     a.line = ctx.line;
     std::size_t pos = 0;
 
-    auto needPositional = [&](const char *what) -> const std::string & {
-        if (pos >= toks.size() || toks[pos].find('=') != std::string::npos)
+    auto needPositional = [&](const char *what) {
+        if (pos >= toks.size() || isAttr(toks[pos]))
             ctx.fail(std::string("missing ") + what);
         return toks[pos++];
     };
@@ -176,14 +204,14 @@ parsePtp(const LineCtx &ctx, ActionKind kind,
         else if (key == "rtag" && kind == ActionKind::Sendrecv)
             a.tag2 = static_cast<int>(parseInt(ctx, value, "tag"));
         else
-            ctx.fail("unknown attribute '" + key + "'");
+            ctx.fail("unknown attribute '" + std::string(key) + "'");
     }
     return a;
 }
 
 Action
-parseCollective(const LineCtx &ctx, const mpi::CollOp &row,
-                const std::vector<std::string> &toks, int np)
+parseCollective(const LineCtx &ctx, const mpi::CollOp &row, Tokens toks,
+                int np)
 {
     const bool vector_variant = row.payload == mpi::Payload::Counts;
     Action a;
@@ -194,13 +222,11 @@ parseCollective(const LineCtx &ctx, const mpi::CollOp &row,
     std::size_t pos = 0;
 
     if (vector_variant) {
-        if (pos >= toks.size() ||
-            toks[pos].find('=') != std::string::npos)
+        if (pos >= toks.size() || isAttr(toks[pos]))
             ctx.fail("missing byte-count list");
         a.counts = parseByteList(ctx, toks[pos++]);
     } else if (row.payload != mpi::Payload::None) {
-        if (pos >= toks.size() ||
-            toks[pos].find('=') != std::string::npos)
+        if (pos >= toks.size() || isAttr(toks[pos]))
             ctx.fail("missing message length");
         a.bytes = parseInt(ctx, toks[pos++], "message length");
         if (a.bytes < 0)
@@ -214,7 +240,8 @@ parseCollective(const LineCtx &ctx, const mpi::CollOp &row,
         } else if (key == "algo") {
             std::optional<Algo> algo = machine::algoFromKey(value);
             if (!algo)
-                ctx.fail("unknown algorithm '" + value + "'");
+                ctx.fail("unknown algorithm '" + std::string(value) +
+                         "'");
             a.algo = *algo;
             if (a.algo != Algo::Default && a.algo != Algo::Auto &&
                 !row.find(a.algo))
@@ -222,7 +249,7 @@ parseCollective(const LineCtx &ctx, const mpi::CollOp &row,
         } else if (key == "group") {
             a.group = parseRankList(ctx, value, np);
         } else {
-            ctx.fail("unknown attribute '" + key + "'");
+            ctx.fail("unknown attribute '" + std::string(key) + "'");
         }
     }
 
@@ -278,20 +305,20 @@ TraceParser::parse(std::istream &is, const std::string &name)
     prog.source = name;
     prog.np = 0;
 
+    // One line buffer for the whole stream; the tokens view into it.
     std::string raw;
+    std::vector<std::string_view> toks;
     int lineno = 0;
     while (std::getline(is, raw)) {
         ++lineno;
         LineCtx ctx{&prog.source, lineno, -1};
 
-        std::size_t hash = raw.find('#');
-        if (hash != std::string::npos)
-            raw.resize(hash);
-        std::istringstream ls(raw);
-        std::vector<std::string> toks;
-        std::string t;
-        while (ls >> t)
-            toks.push_back(t);
+        std::string_view rest =
+            std::string_view(raw).substr(0, raw.find('#'));
+        toks.clear();
+        for (std::string_view w = nextWord(rest); !w.empty();
+             w = nextWord(rest))
+            toks.push_back(w);
         if (toks.empty())
             continue;
 
@@ -302,7 +329,8 @@ TraceParser::parse(std::istream &is, const std::string &name)
                 ctx.fail("np wants exactly one value");
             long long np = parseInt(ctx, toks[1], "rank count");
             if (np < 1 || np > 1 << 20)
-                ctx.fail("rank count " + toks[1] + " out of range");
+                ctx.fail("rank count " + std::string(toks[1]) +
+                         " out of range");
             prog.np = static_cast<int>(np);
             prog.ranks.assign(static_cast<std::size_t>(np), {});
             continue;
@@ -312,13 +340,13 @@ TraceParser::parse(std::istream &is, const std::string &name)
 
         long long rank = parseInt(ctx, toks[0], "rank");
         if (rank < 0 || rank >= prog.np)
-            ctx.fail("rank " + toks[0] + " outside np " +
+            ctx.fail("rank " + std::string(toks[0]) + " outside np " +
                      std::to_string(prog.np) + " (rank count mismatch)");
         ctx.rank = static_cast<int>(rank);
         if (toks.size() < 2)
             ctx.fail("missing action keyword");
-        const std::string &kw = toks[1];
-        std::vector<std::string> args(toks.begin() + 2, toks.end());
+        const std::string_view kw = toks[1];
+        const Tokens args = Tokens(toks).subspan(2);
 
         Action a;
         if (kw == "compute") {
@@ -349,7 +377,7 @@ TraceParser::parse(std::istream &is, const std::string &name)
         } else if (std::optional<Coll> op = machine::collFromKey(kw)) {
             a = parseCollective(ctx, mpi::collOp(*op), args, prog.np);
         } else {
-            ctx.fail("unknown collective '" + kw + "'");
+            ctx.fail("unknown collective '" + std::string(kw) + "'");
         }
         prog.ranks[static_cast<std::size_t>(rank)].push_back(
             std::move(a));

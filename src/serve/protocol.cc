@@ -9,6 +9,7 @@
 #include "util/error.hh"
 #include "util/field.hh"
 #include "util/json.hh"
+#include "util/key_value.hh"
 
 namespace ccsim::serve {
 
@@ -24,13 +25,13 @@ badRequest(const std::string &what)
 long long
 parseInt(std::string_view key, std::string_view value)
 {
-    // std::stoll, not std::from_chars: it also takes a leading '+',
-    // which the grammar has always accepted.
-    const std::string text(value);
+    // parseWhole, not bare std::from_chars: it also takes a leading
+    // '+', which the grammar has always accepted.
     long long v = 0;
-    if (!parseWhole(text, v))
+    if (!parseWhole(value, v))
         badRequest("key '" + std::string(key) +
-                   "' wants an integer, got '" + text + "'");
+                   "' wants an integer, got '" + std::string(value) +
+                   "'");
     return v;
 }
 
@@ -40,25 +41,6 @@ parseOp(std::string_view value)
     if (auto op = machine::collFromKey(value))
         return *op;
     badRequest("unknown op '" + std::string(value) + "'");
-}
-
-/** Pop the next word off @p rest; empty at the end of the line.
- *  Words split on the separators `std::istream >> std::string` uses. */
-std::string_view
-nextWord(std::string_view &rest)
-{
-    auto space = [](char c) {
-        return std::isspace(static_cast<unsigned char>(c)) != 0;
-    };
-    std::size_t b = 0;
-    while (b < rest.size() && space(rest[b]))
-        ++b;
-    std::size_t e = b;
-    while (e < rest.size() && !space(rest[e]))
-        ++e;
-    std::string_view word = rest.substr(b, e - b);
-    rest.remove_prefix(e);
-    return word;
 }
 
 /** "%.9g" — the snapshot layer's fixed number formatting. */

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "machine/config_io.hh"
 #include "util/field.hh"
@@ -40,7 +41,8 @@ parseBound(const std::string &token, const char *prefix, int lineno)
         configFatal("selection line %d: expected '%s<int>', got '%s'",
                     lineno, prefix, token.c_str());
     long long v = 0;
-    if (!parseWhole(token.substr(pre.size()), v) || v < 0)
+    if (!parseWhole(std::string_view(token).substr(pre.size()), v) ||
+        v < 0)
         configFatal("selection line %d: bad bound '%s'", lineno,
                     token.c_str());
     return v;

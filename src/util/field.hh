@@ -49,11 +49,13 @@ struct Field
     bool omitted = false;    //!< a saved document leaves it out
 };
 
-/** std::stoll / std::stod over the whole of @p text: false when it
- *  is malformed, out of range, not finite (`nan`, `inf`) or has
- *  trailing characters (@p out is then unchanged).  The one number
- *  parser of every text grammar. */
-bool parseWhole(const std::string &text, long long &out);
+/** A number over the whole of @p text: false when it is malformed,
+ *  out of range, not finite (`nan`, `inf`) or has trailing characters
+ *  (@p out is then unchanged).  An integer is optional leading white
+ *  space, an optional `+` or `-` and base-10 digits that fit in 64
+ *  bits, read by std::from_chars; a double is what std::strtod reads.
+ *  The one number parser of every text grammar. */
+bool parseWhole(std::string_view text, long long &out);
 bool parseWhole(const std::string &text, double &out);
 
 /**

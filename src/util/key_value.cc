@@ -29,6 +29,24 @@ trim(const std::string &s)
     return s.substr(b, e - b);
 }
 
+std::string_view
+nextWord(std::string_view &rest)
+{
+    // The C locale's white space, read without a call per character.
+    auto space = [](char c) {
+        return c == ' ' || (c >= '\t' && c <= '\r');
+    };
+    std::size_t b = 0;
+    while (b < rest.size() && space(rest[b]))
+        ++b;
+    std::size_t e = b;
+    while (e < rest.size() && !space(rest[e]))
+        ++e;
+    std::string_view word = rest.substr(b, e - b);
+    rest.remove_prefix(e);
+    return word;
+}
+
 std::string
 lowered(std::string s)
 {

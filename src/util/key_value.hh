@@ -1,7 +1,8 @@
 /**
  * @file
  * The reader of ccsim's `key = value` documents (machine config
- * files, selection tables) and the text helpers their parsers share.
+ * files, selection tables) and the text helpers their parsers, the
+ * trace parser and the serve wire share.
  *
  * A document is read line by line: `#` starts a comment, blank lines
  * are skipped, and every other line is one setting.  The key ends at
@@ -15,6 +16,7 @@
 
 #include <istream>
 #include <string>
+#include <string_view>
 
 namespace ccsim {
 
@@ -26,6 +28,11 @@ namespace ccsim {
 
 /** @p s without leading and trailing white space. */
 std::string trim(const std::string &s);
+
+/** Pop the next word off @p rest; empty at the end of the text.
+ *  Words split on the separators `std::istream >> std::string` uses:
+ *  space, tab, newline, CR, VT and FF. */
+std::string_view nextWord(std::string_view &rest);
 
 /** @p s in ASCII lower case: names (presets, fixed tables, flags)
  *  match case-insensitively through this one fold. */

@@ -1,5 +1,9 @@
 /** @file Tests for the record/replay subsystem (src/replay/). */
 
+#include <cctype>
+#include <fstream>
+#include <iterator>
+#include <limits>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -14,6 +18,7 @@
 #include "replay/trace_parser.hh"
 #include "tuning/selection_table.hh"
 #include "util/logging.hh"
+#include "util/random.hh"
 
 namespace ccsim::replay {
 namespace {
@@ -44,22 +49,26 @@ parseError(const std::string &text)
 
 // ---- parser -----------------------------------------------------------
 
+/** One line of every action kind (the grammar fuzzer draws from it
+ *  too). */
+const char *const kEveryKind = "# ccsim trace v1\n"
+                               "np 4\n"
+                               "0 compute 125.5\n"
+                               "0 send 1 4096 tag=7\n"
+                               "1 recv 0 tag=7\n"
+                               "1 isend 2 64\n"
+                               "2 irecv -1 tag=-1\n"
+                               "1 wait\n"
+                               "2 wait\n"
+                               "3 sendrecv 0 3 512 stag=1 rtag=2\n"
+                               "0 barrier\n"
+                               "1 bcast 1024 root=1 algo=binomial\n"
+                               "2 gatherv 4,8,12,16 root=2\n"
+                               "3 alltoall 65536 group=1,3\n";
+
 TEST(TraceParser, ParsesEveryActionKind)
 {
-    Program p = parseText("# ccsim trace v1\n"
-                          "np 4\n"
-                          "0 compute 125.5\n"
-                          "0 send 1 4096 tag=7\n"
-                          "1 recv 0 tag=7\n"
-                          "1 isend 2 64\n"
-                          "2 irecv -1 tag=-1\n"
-                          "1 wait\n"
-                          "2 wait\n"
-                          "3 sendrecv 0 3 512 stag=1 rtag=2\n"
-                          "0 barrier\n"
-                          "1 bcast 1024 root=1 algo=binomial\n"
-                          "2 gatherv 4,8,12,16 root=2\n"
-                          "3 alltoall 65536 group=1,3\n");
+    Program p = parseText(kEveryKind);
     EXPECT_EQ(p.np, 4);
     EXPECT_EQ(p.actions(), 12u);
 
@@ -146,6 +155,21 @@ TEST(TraceParser, DiagnosticsCarryFileLineAndRank)
     EXPECT_NE(parseError("np 2\n0 compute 1.1234567\n")
                   .find("6 fraction digits"),
               std::string::npos);
+
+    // A duration whose picosecond count overflows the clock; the
+    // largest one that fits parses.
+    e = parseError("np 2\n0 barrier\n0 compute 10000000000000\n");
+    EXPECT_NE(e.find("t.trace:3: rank 0: bad duration '10000000000000' "
+                     "(more than 9223372036854.775807 us)"),
+              std::string::npos)
+        << e;
+    EXPECT_NE(parseError("np 1\n0 compute 9223372036854.775808\n")
+                  .find("more than 9223372036854.775807 us"),
+              std::string::npos);
+    EXPECT_EQ(parseText("np 1\n0 compute 9223372036854.775807\n")
+                  .ranks[0][0]
+                  .duration,
+              std::numeric_limits<Time>::max());
 }
 
 TEST(TraceParser, AlgorithmTheOperationLacksIsATraceError)
@@ -210,6 +234,203 @@ TEST(TraceParser, WriteParseRoundTripIsExact)
     writeProgram(p2, out2);
     EXPECT_EQ(out.str(), out2.str());
     EXPECT_EQ(p2.actions(), p.actions());
+}
+
+// ---- grammar fuzzer -----------------------------------------------------
+
+using Doc = std::vector<std::vector<std::string>>; //!< tokens per line
+
+/** Where mutant lines come from: kEveryKind and the three bundled
+ *  traces, one line list each, without their np lines. */
+std::vector<std::vector<std::string>>
+fuzzSources()
+{
+    std::vector<std::vector<std::string>> sources;
+    auto add = [&](std::istream &in) {
+        sources.emplace_back();
+        std::string line;
+        while (std::getline(in, line))
+            if (line.rfind("np ", 0) != 0)
+                sources.back().push_back(line);
+    };
+    std::istringstream every(kEveryKind);
+    add(every);
+    for (const char *w : {"stencil2d_p16", "summa_p16", "stap_p16"}) {
+        std::ifstream f(std::string(CCSIM_WORKLOAD_DIR) + "/" + w +
+                        ".trace");
+        add(f);
+        EXPECT_GT(sources.back().size(), 100u) << w;
+    }
+    return sources;
+}
+
+/** One seeded edit of @p doc: delete, duplicate or swap a token,
+ *  replace a digit run with an extreme number, or insert or overwrite
+ *  one separator-like character. */
+void
+mutate(Rng &rng, Doc &doc)
+{
+    static const char *const kNumbers[] = {
+        "0", "-1", "+7", "9223372036854775807", "9223372036854775808",
+        "99999999999999999999", "10000000000000"};
+    static const char kChars[] = {'#', ',', '=', '.', '+', '-', '\t', '\r'};
+    auto pick = [&rng](std::size_t n) {
+        return static_cast<std::size_t>(rng.nextBounded(n));
+    };
+    std::vector<std::string> &line = doc[pick(doc.size())];
+    if (line.empty())
+        return;
+    const std::size_t at = pick(line.size());
+    switch (pick(6)) {
+      case 0:
+        line.erase(line.begin() + static_cast<std::ptrdiff_t>(at));
+        break;
+      case 1: {
+        const std::string copy = line[at];
+        line.insert(line.begin() + static_cast<std::ptrdiff_t>(at), copy);
+        break;
+      }
+      case 2:
+        std::swap(line[at], line[pick(line.size())]);
+        break;
+      case 3: {
+        std::string &tok = line[at];
+        std::vector<std::size_t> starts;
+        for (std::size_t i = 0; i < tok.size(); ++i)
+            if (std::isdigit(static_cast<unsigned char>(tok[i])) &&
+                (i == 0 ||
+                 !std::isdigit(static_cast<unsigned char>(tok[i - 1]))))
+                starts.push_back(i);
+        if (starts.empty())
+            break;
+        const std::size_t b = starts[pick(starts.size())];
+        std::size_t e = b;
+        while (e < tok.size() &&
+               std::isdigit(static_cast<unsigned char>(tok[e])))
+            ++e;
+        tok.replace(b, e - b, kNumbers[pick(std::size(kNumbers))]);
+        break;
+      }
+      case 4:
+        line[at].insert(pick(line[at].size() + 1), 1,
+                        kChars[pick(std::size(kChars))]);
+        break;
+      default:
+        line[at][pick(line[at].size())] = kChars[pick(std::size(kChars))];
+        break;
+    }
+}
+
+/** Mutant @p i of @p seed: an np line and up to 20 source lines, with
+ *  up to three edits. */
+std::string
+fuzzMutant(const std::vector<std::vector<std::string>> &sources,
+           std::uint64_t seed, int i)
+{
+    Rng rng(seed * 1000003 + static_cast<std::uint64_t>(i));
+    Doc doc{{"np", rng.nextBool(0.25) ? "4" : "16"}};
+    for (auto n = rng.nextBounded(21); n > 0; --n) {
+        const auto &src = sources[rng.nextBounded(sources.size())];
+        std::istringstream words(src[rng.nextBounded(src.size())]);
+        doc.emplace_back();
+        for (std::string w; words >> w;)
+            doc.back().push_back(w);
+    }
+    for (auto n = rng.nextBounded(4); n > 0; --n)
+        mutate(rng, doc);
+    std::string text;
+    for (const auto &line : doc) {
+        for (std::size_t k = 0; k < line.size(); ++k)
+            text += (k ? " " : "") + line[k];
+        text += '\n';
+    }
+    return text;
+}
+
+/** What is wrong with how the parser took @p text: "" when it parsed
+ *  a valid Program that rewrites to a fixed point, or raised a
+ *  TraceError naming the source. */
+std::string
+fuzzVerdict(const std::string &text, bool &parsed)
+{
+    const std::string name = "fuzz.trace";
+    Program p;
+    parsed = false;
+    try {
+        p = parseText(text, name);
+    } catch (const TraceError &e) {
+        if (std::string(e.what()).rfind(name, 0) != 0)
+            return std::string("diagnostic without the source: ") +
+                   e.what();
+        return "";
+    } catch (const std::exception &e) {
+        return std::string("not a TraceError: ") + e.what();
+    }
+    parsed = true;
+    auto inside = [&](int v, int lo, int n) { return v >= lo && v < n; };
+    for (const auto &rank : p.ranks)
+        for (const Action &a : rank) {
+            const int comm = a.group.empty()
+                                 ? p.np
+                                 : static_cast<int>(a.group.size());
+            bool ok = a.duration >= 0;
+            switch (a.kind) {
+              case ActionKind::Send:
+              case ActionKind::Isend:
+                ok = ok && inside(a.peer, 0, p.np);
+                break;
+              case ActionKind::Recv:
+              case ActionKind::Irecv:
+                ok = ok && inside(a.peer, -1, p.np);
+                break;
+              case ActionKind::Sendrecv:
+                ok = ok && inside(a.peer, 0, p.np) &&
+                     inside(a.peer2, 0, p.np);
+                break;
+              case ActionKind::Coll:
+                ok = ok && inside(a.root, 0, comm);
+                for (int g : a.group)
+                    ok = ok && inside(g, 0, p.np);
+                break;
+              default:
+                break;
+            }
+            if (!ok)
+                return "line " + std::to_string(a.line) +
+                       " parsed out of range";
+        }
+    std::ostringstream once, twice;
+    writeProgram(p, once);
+    try {
+        writeProgram(parseText(once.str(), name), twice);
+    } catch (const std::exception &e) {
+        return std::string("rewritten text fails: ") + e.what() + "\n" +
+               once.str();
+    }
+    if (once.str() != twice.str())
+        return "rewrite is not a fixed point:\n" + once.str() + "---\n" +
+               twice.str();
+    return "";
+}
+
+TEST(TraceParser, SeededMutantsParseOrRaiseATraceError)
+{
+    const auto sources = fuzzSources();
+    const bool was = throwOnError(true);
+    int parsed = 0, rejected = 0;
+    for (std::uint64_t seed : {1u, 2u, 3u})
+        for (int i = 0; i < 2000; ++i) {
+            const std::string text = fuzzMutant(sources, seed, i);
+            bool ok = false;
+            const std::string verdict = fuzzVerdict(text, ok);
+            ASSERT_EQ(verdict, "")
+                << "seed " << seed << " mutant " << i << ":\n" << text;
+            ++(ok ? parsed : rejected);
+        }
+    throwOnError(was);
+    // Both outcomes are common, so neither half goes untested.
+    EXPECT_GT(parsed, 600);
+    EXPECT_GT(rejected, 600);
 }
 
 // ---- record -> replay -------------------------------------------------

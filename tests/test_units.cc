@@ -1,7 +1,12 @@
 /** @file Unit tests for time/byte unit helpers. */
 
+#include <optional>
+#include <stdexcept>
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "util/field.hh"
 #include "util/logging.hh"
 #include "util/units.hh"
 
@@ -96,6 +101,56 @@ TEST(Units, FormatBytes)
     EXPECT_EQ(formatBytes(64 * KiB), "64 KB");
     EXPECT_EQ(formatBytes(1536), "1.5 KB");
     EXPECT_EQ(formatBytes(MiB), "1 MB");
+}
+
+/** std::stoll over the whole text: what parseWhole(long long) read
+ *  before it moved to std::from_chars. */
+std::optional<long long>
+stollWhole(const std::string &text)
+{
+    try {
+        std::size_t pos = 0;
+        const long long v = std::stoll(text, &pos);
+        if (pos == text.size())
+            return v;
+    } catch (const std::exception &) {
+    }
+    return std::nullopt;
+}
+
+TEST(ParseWhole, IntegersReadAsStollReadThem)
+{
+    const struct
+    {
+        const char *text;
+        std::optional<long long> want;
+    } rows[] = {
+        {" 5", 5},
+        {"+5", 5},
+        {"-0", 0},
+        {"5 ", std::nullopt},
+        {"", std::nullopt},
+        {"+", std::nullopt},
+        {"0x10", std::nullopt},
+        {"9223372036854775807", 9223372036854775807LL},
+        {"9223372036854775808", std::nullopt},
+        {"-9223372036854775808", -9223372036854775807LL - 1},
+        {"\t\r\v\f\n+007", 7},
+        {" ", std::nullopt},
+        {"+-5", std::nullopt},
+        {"-+5", std::nullopt},
+        {"+ 5", std::nullopt},
+        {"--5", std::nullopt},
+        {"1e3", std::nullopt},
+        {"12,", std::nullopt},
+    };
+    for (const auto &row : rows) {
+        long long got = 42;
+        const bool ok = parseWhole(row.text, got);
+        EXPECT_EQ(ok, row.want.has_value()) << '"' << row.text << '"';
+        EXPECT_EQ(got, row.want.value_or(42)) << '"' << row.text << '"';
+        EXPECT_EQ(stollWhole(row.text), row.want) << '"' << row.text << '"';
+    }
 }
 
 } // namespace

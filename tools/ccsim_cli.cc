@@ -2,7 +2,8 @@
  * @file
  * ccsim — command-line driver for the simulation study.
  *
- * Subcommands:
+ * Subcommands (`ccsim --help`, `-h` or `help` lists them; each
+ * subcommand's `--help` gives its options):
  *
  *     ccsim machines
  *         List the built-in machine presets and their parameters.
@@ -788,13 +789,12 @@ cmdTune(int argc, char **argv)
             grid.ops.push_back(*op);
         }
     }
-    auto parse_list = [&](const char *name, auto &out) {
+    auto parse_list = [&](const char *name, std::vector<long long> &out) {
         for (const std::string &s : o.getList(name)) {
-            try {
-                out.push_back(std::stoll(s));
-            } catch (const std::exception &) {
+            long long v = 0;
+            if (!parseWhole(s, v))
                 fatal("bad --%s entry '%s'", name, s.c_str());
-            }
+            out.push_back(v);
         }
     };
     std::vector<long long> sizes, lengths;
@@ -1120,10 +1120,17 @@ run(int argc, char **argv)
         all += c.name;
     }
 
+    const std::string usage =
+        "usage: ccsim <command> [options]\ncommands: " + all;
     if (argc < 2)
-        fatal("usage: ccsim <command> [options]\ncommands: %s",
-              all.c_str());
+        fatal("%s", usage.c_str());
     std::string command = argv[1];
+    if (command == "--help" || command == "-h" || command == "help") {
+        std::printf("%s\n'ccsim <command> --help' lists a command's "
+                    "options\n",
+                    usage.c_str());
+        return 0;
+    }
     for (const Subcommand &c : kCommands)
         if (command == c.name)
             return c.entry(argc, argv);
