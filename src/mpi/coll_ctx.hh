@@ -10,7 +10,8 @@
  * algorithm works unchanged on sub-communicators.
  *
  * The cost helpers (entry, stage, arith) and wait charge or park at
- * once and return frameless awaiters; co_await them where they are
+ * once, and the message helpers build a transport operation; all of
+ * them return frameless awaiters, so co_await them where they are
  * called.  Algorithms share one context by reference (see
  * collectives.hh).
  */
@@ -93,7 +94,7 @@ struct CollCtx
     }
 
     /** Send @p bytes to communicator rank @p to. */
-    sim::Task<void>
+    msg::SendAwaiter
     send(int to, Bytes bytes, msg::PayloadPtr payload = nullptr) const
     {
         if (probe)
@@ -103,7 +104,7 @@ struct CollCtx
     }
 
     /** Receive from communicator rank @p from (kAnySource allowed). */
-    sim::Task<msg::Message>
+    msg::RecvAwaiter
     recv(int from) const
     {
         int src = from == msg::kAnySource ? from : global(from);
@@ -136,7 +137,7 @@ struct CollCtx
     }
 
     /** Concurrent exchange with two (possibly equal) partners. */
-    sim::Task<msg::Message>
+    msg::RecvAwaiter
     sendrecv(int to, Bytes bytes, int from,
              msg::PayloadPtr payload = nullptr) const
     {

@@ -87,7 +87,7 @@ Comm::subgroup(const std::vector<int> &members) const
     return Comm(*mach_, my_new_rank, new_size, std::move(group), ctx);
 }
 
-sim::Task<void>
+msg::SendAwaiter
 Comm::send(int dst, int tag, Bytes bytes, msg::PayloadPtr payload) const
 {
     int g = globalRank(dst);
@@ -97,7 +97,7 @@ Comm::send(int dst, int tag, Bytes bytes, msg::PayloadPtr payload) const
                             std::move(payload));
 }
 
-sim::Task<msg::Message>
+msg::RecvAwaiter
 Comm::recv(int src, int tag) const
 {
     int g = src == msg::kAnySource ? src : globalRank(src);
@@ -130,7 +130,7 @@ Comm::wait(msg::Request req) const
     return transport().wait(std::move(req));
 }
 
-sim::Task<msg::Message>
+msg::RecvAwaiter
 Comm::sendrecv(int dst, int send_tag, Bytes bytes, int src, int recv_tag,
                msg::PayloadPtr payload) const
 {

@@ -75,17 +75,16 @@ class Comm
 
     // ---- point-to-point ------------------------------------------------
 
-    sim::Task<void> send(int dst, int tag, Bytes bytes,
-                         msg::PayloadPtr payload = nullptr) const;
-    sim::Task<msg::Message> recv(int src, int tag) const;
+    msg::SendAwaiter send(int dst, int tag, Bytes bytes,
+                          msg::PayloadPtr payload = nullptr) const;
+    msg::RecvAwaiter recv(int src, int tag) const;
     msg::Request isend(int dst, int tag, Bytes bytes,
                        msg::PayloadPtr payload = nullptr) const;
     msg::Request irecv(int src, int tag) const;
     msg::WaitAwaiter wait(msg::Request req) const;
-    sim::Task<msg::Message> sendrecv(int dst, int send_tag, Bytes bytes,
-                                     int src, int recv_tag,
-                                     msg::PayloadPtr payload
-                                     = nullptr) const;
+    msg::RecvAwaiter sendrecv(int dst, int send_tag, Bytes bytes,
+                              int src, int recv_tag,
+                              msg::PayloadPtr payload = nullptr) const;
 
     /** Occupy this rank's CPU for @p t (models local computation). */
     sim::Task<void> compute(Time t) const;

@@ -20,18 +20,46 @@ scaleTime(Time t, double f)
 
 } // namespace
 
-sim::DelayAwaiter
-Transport::busy(Time cost)
+Time
+Transport::occupyCpu(Time cost)
 {
     if (cost < 0)
         panic("Transport::busy: negative cost");
     if (const fault::FaultInjector *fi = fabric_.fi_)
         cost = fi->scaleCpu(node_, cost); // straggler injection
+    cpu_free_ = std::max(fabric_.sim_.now(), cpu_free_) + cost;
+    return cpu_free_;
+}
+
+sim::DelayAwaiter
+Transport::busy(Time cost)
+{
     sim::Simulator &sim = fabric_.sim_;
-    Time start = std::max(sim.now(), cpu_free_);
-    Time end = start + cost;
-    cpu_free_ = end;
-    return sim.delay(end - sim.now()); // ready at once when end == now
+    return sim.delay(occupyCpu(cost) - sim.now()); // ready at once when
+                                                   // the charge ends now
+}
+
+bool
+Transport::hold(Op &op, Time cost)
+{
+    sim::Simulator &sim = fabric_.sim_;
+    const Time end = occupyCpu(cost);
+    if (end == sim.now())
+        return false;
+    sim.callAt(end, &resumeOp, &op);
+    return true;
+}
+
+Time
+Transport::sendOverhead(const CostOverride &ov) const
+{
+    return ov.send >= 0 ? ov.send : fabric_.params_.send_overhead;
+}
+
+Time
+Transport::recvOverhead(const CostOverride &ov) const
+{
+    return ov.recv >= 0 ? ov.recv : fabric_.params_.recv_overhead;
 }
 
 bool
@@ -160,17 +188,19 @@ Transport::reliableDeliver(int dst, Bytes bytes, Time when,
 }
 
 void
-Transport::sendDone(int dst, Bytes bytes, stats::SendPath path, Time start)
+Transport::sendDone(const SendOp &op, stats::SendPath path)
 {
     if (stats::Probe *probe = fabric_.probe_)
-        probe->send(node_, dst, bytes, path, start, fabric_.sim_.now());
+        probe->send(node_, op.dst, op.bytes, path, op.start,
+                    fabric_.sim_.now());
 }
 
 void
-Transport::recvDone(const Message &m, Time start)
+Transport::recvDone(const RecvOp &op)
 {
     if (stats::Probe *probe = fabric_.probe_)
-        probe->recv(node_, m.src, m.bytes, start, fabric_.sim_.now());
+        probe->recv(node_, op.msg.src, op.msg.bytes, op.start,
+                    fabric_.sim_.now());
 }
 
 Time
@@ -210,13 +240,13 @@ Transport::transmitWire(int dst, Bytes bytes, Time when, F &&deliver)
 }
 
 void
-Transport::sendEager(int dst, int tag, int context, Bytes bytes,
-                     PayloadPtr payload)
+Transport::sendEager(SendOp &op)
 {
-    const Time inject_done = injectCopy(bytes);
-    Transport *peer = &fabric_.node(dst);
-    Message m{node_, dst, tag, context, bytes, std::move(payload), 0, 0};
-    transmitWire(dst, bytes, inject_done,
+    const Time inject_done = injectCopy(op.bytes);
+    Transport *peer = &fabric_.node(op.dst);
+    Message m{node_,    op.dst, op.tag, op.context,
+              op.bytes, std::move(op.payload), 0, 0};
+    transmitWire(op.dst, op.bytes, inject_done,
                  [this, peer, m = std::move(m)](Time arrival) mutable {
                      m.arrival = arrival;
                      fabric_.sim_.scheduleAt(
@@ -226,220 +256,351 @@ Transport::sendEager(int dst, int tag, int context, Bytes bytes,
                  });
 }
 
-Transport::HandshakePtr
-Transport::sendRts(int dst, int tag, int context)
+void
+Transport::sendRts(SendOp &op)
 {
-    HandshakePtr hs = fabric_.hs_pool_.make(fabric_.sim_);
-    Transport *peer = &fabric_.node(dst);
-    Rts rts{node_, tag, context, hs, 0};
-    transmitWire(dst, 0, fabric_.sim_.now(),
-                 [this, peer, rts = std::move(rts)](Time arrival) mutable {
-                     fabric_.sim_.scheduleAt(
-                         arrival, [peer, rts = std::move(rts)]() mutable {
-                             peer->deliverRts(std::move(rts));
-                         });
+    Transport *peer = &fabric_.node(op.dst);
+    const Rts rts{node_, op.tag, op.context, &op, 0};
+    transmitWire(op.dst, 0, fabric_.sim_.now(),
+                 [this, peer, rts](Time arrival) {
+                     fabric_.sim_.scheduleAt(arrival, [peer, rts] {
+                         peer->deliverRts(rts);
+                     });
                  });
-    return hs;
 }
 
 void
-Transport::sendData(const HandshakePtr &hs, int dst, int tag, int context,
-                    Bytes bytes, PayloadPtr payload, Time when)
+Transport::sendData(SendOp &op, Time when)
 {
-    hs->msg = Message{node_, dst, tag, context, bytes, std::move(payload),
-                      0, 0};
-    transmitWire(dst, bytes, when, [this, hs](Time arrival) {
-        hs->msg.arrival = arrival;
-        fabric_.sim_.scheduleAt(arrival, [hs] { hs->data.fire(); });
+    // The receive is parked until the data lands, so the message can
+    // wait in it.
+    RecvOp *to = op.receiver;
+    to->msg = Message{node_,    op.dst, op.tag, op.context,
+                      op.bytes, std::move(op.payload), 0, 0};
+    transmitWire(op.dst, op.bytes, when, [this, to](Time arrival) {
+        to->msg.arrival = arrival;
+        fabric_.sim_.callAt(arrival, &wake, to);
     });
 }
 
-sim::Task<void>
-Transport::sendTask(sim::PoolPtr<ReqState> st, int dst, int tag,
-                    int context, Bytes bytes, PayloadPtr payload,
-                    CostOverride ov)
+void
+Transport::wake(sim::EventQueue &q, void *arg)
 {
-    // Everything that does not suspend lives in plain members: this
-    // frame keeps every local of every branch.
-    try {
-        if (dst < 0 || dst >= fabric_.size())
-            panic("Transport::send: destination %d out of range", dst);
-        if (bytes < 0)
-            panic("Transport::send: negative size");
-        if (payload && static_cast<Bytes>(payload->size()) != bytes)
-            panic("Transport::send: payload size %zu != declared %lld",
-                  payload->size(), static_cast<long long>(bytes));
-        const Time o_send =
-            ov.send >= 0 ? ov.send : fabric_.params_.send_overhead;
-        const Time start = fabric_.sim_.now();
-
-        if (dst == node_) {
-            // Buffered local delivery: full copy on the sending side,
-            // nothing touches the network.
-            co_await busy(o_send + copyTime(bytes));
-            deliverEager(Message{node_, dst, tag, context, bytes,
-                                 std::move(payload), fabric_.sim_.now(),
-                                 0});
-            sendDone(dst, bytes, stats::SendPath::Self, start);
-        } else if (bytes <= fabric_.params_.eager_threshold) {
-            co_await busy(o_send);
-            sendEager(dst, tag, context, bytes, std::move(payload));
-            co_await busy(cpuCopyShare(bytes));
-            sendDone(dst, bytes, stats::SendPath::Eager, start);
-        } else {
-            // Rendezvous: RTS -> CTS -> DATA.
-            co_await busy(o_send + fabric_.params_.rendezvous_overhead);
-            HandshakePtr hs = sendRts(dst, tag, context);
-            co_await hs->cts.wait();
-            if (fabric_.params_.blt_enabled &&
-                bytes >= fabric_.params_.blt_threshold) {
-                // Block-transfer engine: descriptor setup instead of a
-                // memory copy; the engine streams straight from user
-                // memory.
-                co_await busy(fabric_.params_.blt_setup);
-                sendData(hs, dst, tag, context, bytes, std::move(payload),
-                         fabric_.sim_.now());
-                sendDone(dst, bytes, stats::SendPath::Blt, start);
-            } else {
-                sendData(hs, dst, tag, context, bytes, std::move(payload),
-                         injectCopy(bytes));
-                co_await busy(cpuCopyShare(bytes));
-                sendDone(dst, bytes, stats::SendPath::Rendezvous, start);
-            }
-        }
-    } catch (...) {
-        if (!st)
-            throw;
-        st->exc = std::current_exception();
-    }
-    if (st)
-        st->done.fire();
+    q.callNow(&resumeOp, arg);
 }
 
-sim::Task<void>
+void
+Transport::resumeOp(sim::EventQueue &, void *arg)
+{
+    Op &op = *static_cast<Op *>(arg);
+    if (op.recv)
+        op.tp->stepRecv(static_cast<RecvOp &>(op));
+    else
+        op.tp->stepSend(static_cast<SendOp &>(op));
+}
+
+void
+Transport::start(Op &op)
+{
+    ++op.refs;
+    fabric_.sim_.beginOp();
+    resumeOp(fabric_.sim_.queue(), &op);
+}
+
+void
+Transport::finish(Op &op)
+{
+    fabric_.sim_.endOp();
+    if (op.recv)
+        if (SendOp *half = std::exchange(
+                static_cast<RecvOp &>(op).send_half, nullptr))
+            Fabric::release(*half);
+    op.done.fire();
+    // A parked caller's awaiter still holds a reference, so the op
+    // outlives this release; its co_await drops the last one.
+    const std::coroutine_handle<> caller = op.caller;
+    Fabric::release(op);
+    if (caller)
+        caller.resume();
+}
+
+namespace {
+
+/** Where a send op resumes: each step runs to its next wait. */
+enum SendStep : std::uint8_t
+{
+    kSendStart,   //!< check, charge o_send (and the copy, for self)
+    kSelfDeliver, //!< hand the message to this node's own queues
+    kEagerInject, //!< put the payload on the wire, charge the copy
+    kEagerDone,
+    kRtsInject, //!< put the RTS on the wire, wait for the CTS
+    kCtsLanded, //!< BLT setup, or inject the data and charge the copy
+    kBltInject,
+    kRdvDone,
+};
+
+/** Where a receive op resumes. */
+enum RecvStep : std::uint8_t
+{
+    kRecvStart, //!< start the send half, match or park
+    kMatched,   //!< charge o_recv and the copy, or the rendezvous cost
+    kCtsSend,   //!< return the CTS, wait for the data
+    kDataLanded,
+    kReceived,    //!< report, wait for the send half
+    kSendHalfDone //!< take the send half's failure
+};
+
+} // namespace
+
+void
+Transport::stepSend(SendOp &op)
+{
+    // Each case runs one step; `continue` goes straight on to the
+    // next one when its charge ends now, `return` leaves the op
+    // waiting for the event that resumes it, and `break` ends it.
+    const TransportParams &params = fabric_.params_;
+    try {
+        for (;;) {
+            switch (op.step) {
+              case kSendStart: {
+                if (op.dst < 0 || op.dst >= fabric_.size())
+                    panic("Transport::send: destination %d out of range",
+                          op.dst);
+                if (op.bytes < 0)
+                    panic("Transport::send: negative size");
+                if (op.payload &&
+                    static_cast<Bytes>(op.payload->size()) != op.bytes)
+                    panic("Transport::send: payload size %zu != declared "
+                          "%lld",
+                          op.payload->size(),
+                          static_cast<long long>(op.bytes));
+                const Time o_send = sendOverhead(op.ov);
+                op.start = fabric_.sim_.now();
+                Time cost;
+                if (op.dst == node_) {
+                    // Buffered local delivery: full copy on the sending
+                    // side, nothing touches the network.
+                    op.step = kSelfDeliver;
+                    cost = o_send + copyTime(op.bytes);
+                } else if (op.bytes <= params.eager_threshold) {
+                    op.step = kEagerInject;
+                    cost = o_send;
+                } else {
+                    // Rendezvous: RTS -> CTS -> DATA.
+                    op.step = kRtsInject;
+                    cost = o_send + params.rendezvous_overhead;
+                }
+                if (hold(op, cost))
+                    return;
+                continue;
+              }
+              case kSelfDeliver:
+                deliverEager(Message{node_, op.dst, op.tag, op.context,
+                                     op.bytes, std::move(op.payload),
+                                     fabric_.sim_.now(), 0});
+                sendDone(op, stats::SendPath::Self);
+                break;
+              case kEagerInject:
+                sendEager(op);
+                op.step = kEagerDone;
+                if (hold(op, cpuCopyShare(op.bytes)))
+                    return;
+                continue;
+              case kEagerDone:
+                sendDone(op, stats::SendPath::Eager);
+                break;
+              case kRtsInject:
+                sendRts(op);
+                op.step = kCtsLanded;
+                return;
+              case kCtsLanded:
+                if (params.blt_enabled && op.bytes >= params.blt_threshold) {
+                    // Block-transfer engine: descriptor setup instead of
+                    // a memory copy; the engine streams straight from
+                    // user memory.
+                    op.step = kBltInject;
+                    if (hold(op, params.blt_setup))
+                        return;
+                    continue;
+                }
+                sendData(op, injectCopy(op.bytes));
+                op.step = kRdvDone;
+                if (hold(op, cpuCopyShare(op.bytes)))
+                    return;
+                continue;
+              case kBltInject:
+                sendData(op, fabric_.sim_.now());
+                sendDone(op, stats::SendPath::Blt);
+                break;
+              case kRdvDone:
+                sendDone(op, stats::SendPath::Rendezvous);
+                break;
+            }
+            break;
+        }
+    } catch (...) {
+        op.exc = std::current_exception();
+    }
+    finish(op);
+}
+
+SendOp &
+Transport::makeSend(int dst, int tag, int context, Bytes bytes,
+                    PayloadPtr payload, CostOverride ov)
+{
+    return *fabric_.send_ops_.make(fabric_.sim_, *this, dst, tag, context,
+                                   bytes, std::move(payload), ov);
+}
+
+RecvOp &
+Transport::makeRecv(int src, int tag, int context, CostOverride ov)
+{
+    return *fabric_.recv_ops_.make(fabric_.sim_, *this, src, tag, context,
+                                   ov);
+}
+
+SendAwaiter
 Transport::send(int dst, int tag, int context, Bytes bytes,
                 PayloadPtr payload, CostOverride ov)
 {
-    return sendTask({}, dst, tag, context, bytes, std::move(payload),
-                    ov);
+    return SendAwaiter(
+        makeSend(dst, tag, context, bytes, std::move(payload), ov));
 }
 
 bool
-Transport::takeArrived(PendingRecv &pr)
+Transport::takeArrived(RecvOp &op)
 {
     auto eit = std::find_if(
         unexpected_.begin(), unexpected_.end(), [&](const Message &m) {
-            return matches(pr.src, pr.tag, pr.context, m.src, m.tag,
+            return matches(op.src, op.tag, op.context, m.src, m.tag,
                            m.context);
         });
     auto rit = std::find_if(
         pending_rts_.begin(), pending_rts_.end(), [&](const Rts &r) {
-            return matches(pr.src, pr.tag, pr.context, r.src, r.tag,
+            return matches(op.src, op.tag, op.context, r.src, r.tag,
                            r.context);
         });
     const bool have_eager = eit != unexpected_.end();
     const bool have_rts = rit != pending_rts_.end();
     // Non-overtaking: take whichever arrived first.
     if (have_eager && (!have_rts || eit->seq < rit->seq)) {
-        pr.take(std::move(*eit));
+        op.msg = std::move(*eit);
         unexpected_.erase(eit);
     } else if (have_rts) {
-        pr.take(std::move(*rit));
+        op.msg.src = rit->src;
+        op.sender = rit->op;
         pending_rts_.erase(rit);
     } else {
         return false;
     }
+    op.matched = true;
     return true;
 }
 
 void
-Transport::park(PendingRecv &pr, std::coroutine_handle<> h)
+Transport::park(RecvOp &op)
 {
-    pr.handle = h;
-    pending_recvs_.push_back(&pr);
+    pending_recvs_.push_back(&op);
     if (stats::Probe *probe = fabric_.probe_)
         probe->queueDepth(stats::MatchQueue::PendingRecv,
                           pending_recvs_.size());
 }
 
 void
-Transport::sendCts(const PendingRecv &pr)
+Transport::sendCts(RecvOp &op)
 {
     sim::Simulator &sim = fabric_.sim_;
-    Time cts_arrival = injectAt(pr.msg.src, 0, sim.now());
-    sim.scheduleAt(cts_arrival, [hs = pr.hs] { hs->cts.fire(); });
+    Time cts_arrival = injectAt(op.msg.src, 0, sim.now());
+    op.sender->receiver = &op;
+    sim.callAt(cts_arrival, &wake, op.sender);
 }
 
-sim::Task<Message>
-Transport::recvTask(sim::PoolPtr<ReqState> st, int src, int tag,
-                    int context, CostOverride ov, int dst, int send_tag,
-                    Bytes bytes, PayloadPtr payload)
+void
+Transport::stepRecv(RecvOp &op)
 {
-    // Everything that does not suspend lives in plain members: this
-    // frame keeps every local of every branch.
-    PendingRecv pr(src, tag, context);
+    // The same shape as stepSend.
     try {
-        Request sreq;
-        if (dst >= 0)
-            sreq = isend(dst, send_tag, context, bytes,
-                         std::move(payload), ov);
-        if (src != kAnySource && (src < 0 || src >= fabric_.size()))
-            panic("Transport::recv: source %d out of range", src);
-        const Time start = fabric_.sim_.now();
-
-        if (!takeArrived(pr)) {
-            // Nothing has arrived yet: park until a matching delivery.
-            co_await sim::suspendWith(
-                [this, &pr](std::coroutine_handle<> h) { park(pr, h); });
-            if (!pr.matched)
-                panic("Transport::recv: woken with nothing delivered");
+        for (;;) {
+            switch (op.step) {
+              case kRecvStart:
+                if (op.send_half)
+                    start(*op.send_half);
+                if (op.src != kAnySource &&
+                    (op.src < 0 || op.src >= fabric_.size()))
+                    panic("Transport::recv: source %d out of range",
+                          op.src);
+                op.start = fabric_.sim_.now();
+                op.step = kMatched;
+                if (!takeArrived(op)) {
+                    // Nothing has arrived yet: park until a matching
+                    // delivery.
+                    park(op);
+                    return;
+                }
+                continue;
+              case kMatched: {
+                if (!op.matched)
+                    panic("Transport::recv: woken with nothing delivered");
+                Time cost;
+                if (!op.sender) {
+                    op.step = kReceived;
+                    cost = recvOverhead(op.ov) + copyTime(op.msg.bytes);
+                } else {
+                    // Rendezvous: process the RTS and return the
+                    // clear-to-send; the payload lands directly in the
+                    // user buffer, so only the completion cost remains.
+                    op.step = kCtsSend;
+                    cost = fabric_.params_.rendezvous_overhead;
+                }
+                if (hold(op, cost))
+                    return;
+                continue;
+              }
+              case kCtsSend:
+                sendCts(op);
+                op.step = kDataLanded;
+                return;
+              case kDataLanded:
+                op.step = kReceived;
+                if (hold(op, recvOverhead(op.ov)))
+                    return;
+                continue;
+              case kReceived:
+                recvDone(op);
+                op.step = kSendHalfDone;
+                if (op.send_half && !op.send_half->done.fired()) {
+                    op.send_half->done.addWaiter(&resumeOp, &op);
+                    return;
+                }
+                continue;
+              case kSendHalfDone:
+                if (op.send_half)
+                    op.exc = op.send_half->exc;
+                break;
+            }
+            break;
         }
-
-        const Time o_recv =
-            ov.recv >= 0 ? ov.recv : fabric_.params_.recv_overhead;
-        if (!pr.hs) {
-            co_await busy(o_recv + copyTime(pr.msg.bytes));
-        } else {
-            // Rendezvous: process the RTS and return the clear-to-send;
-            // the payload lands directly in the user buffer, so only
-            // the completion cost remains.
-            co_await busy(fabric_.params_.rendezvous_overhead);
-            sendCts(pr);
-            co_await pr.hs->data.wait();
-            co_await busy(o_recv);
-            pr.msg = std::move(pr.hs->msg);
-            pr.hs.reset();
-        }
-        recvDone(pr.msg, start);
-        if (sreq.state)
-            co_await wait(sreq);
-        if (!st)
-            co_return std::move(pr.msg);
-        st->msg = std::move(pr.msg);
     } catch (...) {
-        if (!st)
-            throw;
-        st->exc = std::current_exception();
+        op.exc = std::current_exception();
     }
-    // Only an irecv gets here: its request holds the outcome, and the
-    // root's own value is dropped.
-    st->done.fire();
-    co_return Message{};
+    finish(op);
 }
 
-sim::Task<Message>
+RecvAwaiter
 Transport::recv(int src, int tag, int context, CostOverride ov)
 {
-    return recvTask({}, src, tag, context, ov, -1, 0, 0, nullptr);
+    return RecvAwaiter(makeRecv(src, tag, context, ov));
 }
 
-sim::Task<Message>
+RecvAwaiter
 Transport::sendrecv(int dst, int send_tag, Bytes bytes, int src,
                     int recv_tag, int context, PayloadPtr payload,
                     CostOverride ov)
 {
-    return recvTask({}, src, recv_tag, context, ov, dst, send_tag, bytes,
-                    std::move(payload));
+    RecvOp &op = makeRecv(src, recv_tag, context, ov);
+    op.send_half =
+        &makeSend(dst, send_tag, context, bytes, std::move(payload), ov);
+    return RecvAwaiter(op);
 }
 
 void
@@ -448,12 +609,13 @@ Transport::deliverEager(Message m)
     m.seq = arrival_seq_++;
     for (auto it = pending_recvs_.begin(); it != pending_recvs_.end();
          ++it) {
-        PendingRecv *pr = *it;
-        if (matches(pr->src, pr->tag, pr->context, m.src, m.tag,
+        RecvOp *op = *it;
+        if (matches(op->src, op->tag, op->context, m.src, m.tag,
                     m.context)) {
             pending_recvs_.erase(it);
-            pr->take(std::move(m));
-            fabric_.sim_.resumeNow(pr->handle);
+            op->msg = std::move(m);
+            op->matched = true;
+            fabric_.sim_.callNow(&resumeOp, op);
             return;
         }
     }
@@ -469,16 +631,18 @@ Transport::deliverRts(Rts rts)
     rts.seq = arrival_seq_++;
     for (auto it = pending_recvs_.begin(); it != pending_recvs_.end();
          ++it) {
-        PendingRecv *pr = *it;
-        if (matches(pr->src, pr->tag, pr->context, rts.src, rts.tag,
+        RecvOp *op = *it;
+        if (matches(op->src, op->tag, op->context, rts.src, rts.tag,
                     rts.context)) {
             pending_recvs_.erase(it);
-            pr->take(std::move(rts));
-            fabric_.sim_.resumeNow(pr->handle);
+            op->msg.src = rts.src;
+            op->sender = rts.op;
+            op->matched = true;
+            fabric_.sim_.callNow(&resumeOp, op);
             return;
         }
     }
-    pending_rts_.push_back(std::move(rts));
+    pending_rts_.push_back(rts);
     if (stats::Probe *probe = fabric_.probe_)
         probe->queueDepth(stats::MatchQueue::PendingRts,
                           pending_rts_.size());
@@ -488,27 +652,37 @@ Request
 Transport::isend(int dst, int tag, int context, Bytes bytes,
                  PayloadPtr payload, CostOverride ov)
 {
-    sim::PoolPtr<ReqState> st = fabric_.req_pool_.make(fabric_.sim_);
-    fabric_.sim_.spawn(sendTask(st, dst, tag, context, bytes,
-                                std::move(payload), ov));
-    return Request{std::move(st)};
+    SendOp &op = makeSend(dst, tag, context, bytes, std::move(payload), ov);
+    start(op);
+    return Request(&op);
 }
 
 Request
 Transport::irecv(int src, int tag, int context, CostOverride ov)
 {
-    sim::PoolPtr<ReqState> st = fabric_.req_pool_.make(fabric_.sim_);
-    fabric_.sim_.spawn(recvTask(st, src, tag, context, ov, -1, 0, 0,
-                                nullptr));
-    return Request{std::move(st)};
+    RecvOp &op = makeRecv(src, tag, context, ov);
+    start(op);
+    return Request(&op);
 }
 
 WaitAwaiter
 Transport::wait(Request req)
 {
-    if (!req.state)
+    if (!req.op_)
         panic("Transport::wait: empty request");
-    return WaitAwaiter(std::move(req.state));
+    return WaitAwaiter(std::move(req));
+}
+
+void
+Fabric::release(Op &op) noexcept
+{
+    if (--op.refs != 0)
+        return;
+    Fabric &f = op.tp->fabric_;
+    if (op.recv)
+        f.recv_ops_.recycle(static_cast<RecvOp *>(&op));
+    else
+        f.send_ops_.recycle(static_cast<SendOp *>(&op));
 }
 
 Fabric::Fabric(sim::Simulator &sim, net::Network &net, int n,
@@ -542,8 +716,8 @@ Fabric::Fabric(sim::Simulator &sim, net::Network &net, int n,
 
 Fabric::~Fabric()
 {
-    // The pools are members, so the slots an endpoint's match queues
-    // still hold go back to them before they die.
+    // The endpoints go first; the operation pools, members, then
+    // destroy whatever a failed or deadlocked run left in flight.
     for (int i = n_; i-- > 0;)
         slab_[i].~Transport();
     ::operator delete(slab_, std::align_val_t{alignof(Transport)});

@@ -38,7 +38,7 @@
 #include <cstdint>
 #include <exception>
 #include <memory>
-#include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -93,6 +93,7 @@ struct TransportParams
 };
 
 class Fabric;
+class Transport;
 
 /**
  * Per-call software-overhead override.  Vendor MPI implementations
@@ -107,69 +108,197 @@ struct CostOverride
     Time recv = -1;
 };
 
-/** Completion state shared between a nonblocking op and its waiter. */
-struct ReqState
+/**
+ * What a send and a receive in flight share.  An operation is a
+ * record from its Fabric's pool, not a coroutine: each step runs to
+ * its next wait and schedules the step after it as a plain queue
+ * event (sim::EventQueue::callAt), at the time and place in the
+ * event order where a coroutine would have been resumed.  The last
+ * step fires @c done, which the Requests of an isend or irecv wait
+ * on, and resumes the parked caller of a blocking send, recv or
+ * sendrecv.
+ */
+struct Op
 {
-    explicit ReqState(sim::Simulator &s) : done(s) {}
+    Op(sim::Simulator &sim, Transport &t, bool is_recv, int tg, int ctx,
+       CostOverride o)
+        : tp(&t), done(sim), ov(o), tag(tg), context(ctx), recv(is_recv)
+    {
+    }
 
-    sim::Trigger done;
-    std::optional<Message> msg; // set for receives
-    std::exception_ptr exc;
+    Op(const Op &) = delete;
+    Op &operator=(const Op &) = delete;
+
+    Transport *tp;                  //!< the endpoint it runs on
+    sim::Trigger done;              //!< fired by the last step
+    std::exception_ptr exc;         //!< the failure, if any
+    std::coroutine_handle<> caller; //!< a blocking op's parked caller
+    Time start = 0;                 //!< when the op began (probe)
+    CostOverride ov;
+    int tag;
+    int context;
+    std::uint32_t refs = 1; //!< Requests, awaiter, the running op
+    std::uint8_t step = 0;  //!< where the next step resumes
+    bool recv;              //!< a RecvOp (else a SendOp)
+};
+
+struct RecvOp;
+
+/** A send in flight: self, eager, rendezvous or BLT. */
+struct SendOp : Op
+{
+    SendOp(sim::Simulator &sim, Transport &t, int d, int tg, int ctx,
+           Bytes b, PayloadPtr p, CostOverride o)
+        : Op(sim, t, false, tg, ctx, o), dst(d), bytes(b),
+          payload(std::move(p))
+    {
+    }
+
+    int dst;
+    Bytes bytes;
+    PayloadPtr payload;
+    RecvOp *receiver = nullptr; //!< rendezvous: the receive to fill
 };
 
 /**
- * Handle for a nonblocking send/receive.  The state slot is pooled
- * by the machine's Fabric, so a Request must not outlive its
- * Machine — which was already the rule, since ReqState references
- * the Simulator.
+ * A receive in flight: the wanted envelope, then what matched it.
+ * An eager match fills @c msg; a rendezvous match names its
+ * @c sender (and @c msg.src), whose data phase fills @c msg.  While
+ * parked the op is listed in its endpoint's pending receives until a
+ * delivery fills it.  A sendrecv's receive also owns its send half,
+ * started with it and awaited at its end.
  */
-struct Request
+struct RecvOp : Op
 {
-    sim::PoolPtr<ReqState> state;
+    RecvOp(sim::Simulator &sim, Transport &t, int s, int tg, int ctx,
+           CostOverride o)
+        : Op(sim, t, true, tg, ctx, o), src(s)
+    {
+    }
+
+    int src;
+    bool matched = false;
+    Message msg;
+    SendOp *sender = nullptr;    //!< rendezvous: the matched RTS's op
+    SendOp *send_half = nullptr; //!< sendrecv: the send, one reference
+};
+
+/**
+ * Handle for a nonblocking send/receive: one counted reference on
+ * its operation, whose record is pooled by the machine's Fabric, so a
+ * Request must not outlive its Machine.
+ */
+class Request
+{
+  public:
+    Request() = default;
+    Request(const Request &o) noexcept : op_(o.op_)
+    {
+        if (op_)
+            ++op_->refs;
+    }
+    Request(Request &&o) noexcept : op_(std::exchange(o.op_, nullptr)) {}
+
+    Request &
+    operator=(Request o) noexcept
+    {
+        std::swap(op_, o.op_);
+        return *this;
+    }
+
+    ~Request();
 
     /** True once the operation has completed (or failed). */
-    bool test() const { return state && state->done.fired(); }
+    bool test() const { return op_ && op_->done.fired(); }
+
+  private:
+    friend class Transport;
+    friend class WaitAwaiter;
+
+    /** Adopt one reference on @p op. */
+    explicit Request(Op *op) noexcept : op_(op) {}
+
+    Op *op_ = nullptr;
 };
 
 /**
  * Awaitable completion of a Request: parks the awaiting coroutine on
- * the request's trigger (no frame of its own), then rethrows the
- * request's failure or moves out its message (an empty Message for
- * sends).  Holds a reference on the state slot until it resumes.
+ * the operation's trigger (no frame of its own), then rethrows the
+ * operation's failure or moves out its message (an empty Message for
+ * sends).  Holds its reference until it is destroyed.
  */
-class WaitAwaiter
+class [[nodiscard]] WaitAwaiter
 {
   public:
-    explicit WaitAwaiter(sim::PoolPtr<ReqState> st) : st_(std::move(st))
-    {
-    }
+    explicit WaitAwaiter(Request req) : req_(std::move(req)) {}
 
-    bool await_ready() const noexcept { return st_->done.fired(); }
+    bool await_ready() const noexcept { return req_.op_->done.fired(); }
 
     void
     await_suspend(std::coroutine_handle<> h)
     {
-        st_->done.wait().await_suspend(h);
+        req_.op_->done.wait().await_suspend(h);
     }
 
     Message
     await_resume() const
     {
-        if (st_->exc)
-            std::rethrow_exception(st_->exc);
-        if (st_->msg)
-            return std::move(*st_->msg);
+        Op &op = *req_.op_;
+        if (op.exc)
+            std::rethrow_exception(op.exc);
+        if (op.recv)
+            return std::move(static_cast<RecvOp &>(op).msg);
         return Message{};
     }
 
   private:
-    sim::PoolPtr<ReqState> st_;
+    Request req_;
 };
+
+/**
+ * Awaitable blocking send (R = void) or receive (R = Message).  The
+ * operation is built at the call and started when awaited; the caller
+ * stays parked until the operation's last step, which resumes it
+ * directly from inside its own event, and the co_await then rethrows
+ * the failure or yields the message.  The awaiter is all the caller's
+ * frame holds: the operation costs no frame.
+ */
+template <typename R>
+class [[nodiscard]] OpAwaiter
+{
+  public:
+    explicit OpAwaiter(Op &op) noexcept : op_(&op) {}
+    OpAwaiter(OpAwaiter &&o) noexcept
+        : op_(std::exchange(o.op_, nullptr)), started_(o.started_)
+    {
+    }
+    OpAwaiter(const OpAwaiter &) = delete;
+    OpAwaiter &operator=(const OpAwaiter &) = delete;
+
+    /** Drops an operation that was never awaited.  A started one is
+     *  left alone: it resumes the caller, which releases it, or dies
+     *  with its Fabric when the run is abandoned. */
+    ~OpAwaiter();
+
+    bool await_ready();
+    void await_suspend(std::coroutine_handle<> h) noexcept
+    {
+        op_->caller = h;
+    }
+    R await_resume();
+
+  private:
+    Op *op_;
+    bool started_ = false;
+};
+
+using SendAwaiter = OpAwaiter<void>;
+using RecvAwaiter = OpAwaiter<Message>;
 
 /**
  * One node's messaging endpoint: its CPU and coprocessor timelines
  * and its match queues.  Everything the endpoints of a machine share
- * (simulator, network, parameters, completion pools, probe and fault
+ * (simulator, network, parameters, operation pools, probe and fault
  * hooks) lives once, in the owning Fabric.
  */
 class Transport
@@ -190,16 +319,14 @@ class Transport
      * receiver's CTS and the data injection).  Self-sends are
      * buffered locally and never deadlock.
      */
-    sim::Task<void> send(int dst, int tag, int context, Bytes bytes,
-                         PayloadPtr payload = nullptr,
-                         CostOverride ov = {});
+    SendAwaiter send(int dst, int tag, int context, Bytes bytes,
+                     PayloadPtr payload = nullptr, CostOverride ov = {});
 
     /**
      * Blocking receive matching (@p src | kAnySource,
      * @p tag | kAnyTag, @p context).  Returns the matched message.
      */
-    sim::Task<Message> recv(int src, int tag, int context,
-                            CostOverride ov = {});
+    RecvAwaiter recv(int src, int tag, int context, CostOverride ov = {});
 
     /** Nonblocking send; pair with wait(). */
     Request isend(int dst, int tag, int context, Bytes bytes,
@@ -217,12 +344,13 @@ class Transport
     /**
      * Combined send + receive, both in flight at once (the primitive
      * that keeps pairwise/ring/recursive-doubling exchanges from
-     * deadlocking under the rendezvous protocol).
+     * deadlocking under the rendezvous protocol).  The receive starts
+     * the send half first, completes, then waits for the send half.
      */
-    sim::Task<Message> sendrecv(int dst, int send_tag, Bytes bytes,
-                                int src, int recv_tag, int context,
-                                PayloadPtr payload = nullptr,
-                                CostOverride ov = {});
+    RecvAwaiter sendrecv(int dst, int send_tag, Bytes bytes, int src,
+                         int recv_tag, int context,
+                         PayloadPtr payload = nullptr,
+                         CostOverride ov = {});
 
     /**
      * Occupy this node's CPU for @p cost, serialized after any
@@ -239,80 +367,74 @@ class Transport
 
   private:
     friend class Fabric;
+    template <typename R>
+    friend class OpAwaiter;
 
-    /** Rendezvous handshake state, shared sender <-> receiver. */
-    struct Handshake
-    {
-        explicit Handshake(sim::Simulator &s) : cts(s), data(s) {}
-
-        sim::Trigger cts;  // fired at the sender when CTS arrives
-        sim::Trigger data; // fired at the receiver at data arrival
-        Message msg;       // filled by the sender for the data phase
-    };
-
-    using HandshakePtr = sim::PoolPtr<Handshake>;
-
-    /** An RTS awaiting a matching receive.  The payload travels with
-     *  the data phase (Handshake::msg), so the RTS carries only the
-     *  envelope. */
+    /** An RTS awaiting a matching receive.  It names the sending op;
+     *  the payload travels with the data phase. */
     struct Rts
     {
         int src = 0;
         int tag = 0;
         int context = 0;
-        HandshakePtr hs;
+        SendOp *op = nullptr;
         std::uint64_t seq = 0;
-    };
-
-    /**
-     * A receive being matched: the wanted envelope, then what matched
-     * it.  An eager match fills @c msg; a rendezvous match fills
-     * @c hs and names the sender to clear in @c msg.src.  While
-     * parked, the receive is listed in pending_recvs_ until a
-     * delivery fills it and resumes @c handle.
-     */
-    struct PendingRecv
-    {
-        PendingRecv(int s, int t, int c) : src(s), tag(t), context(c) {}
-
-        /** Match an eager arrival. */
-        void
-        take(Message &&m)
-        {
-            msg = std::move(m);
-            matched = true;
-        }
-
-        /** Match an RTS: keep its handshake, name its sender. */
-        void
-        take(Rts &&rts)
-        {
-            msg.src = rts.src;
-            hs = std::move(rts.hs);
-            matched = true;
-        }
-
-        int src;
-        int tag;
-        int context;
-        bool matched = false;
-        std::coroutine_handle<> handle;
-        Message msg;
-        HandshakePtr hs;
     };
 
     bool matches(int want_src, int want_tag, int want_ctx,
                  int src, int tag, int ctx) const;
 
+    /** A send op or receive op from the fabric's pools, holding one
+     *  reference for its maker. */
+    SendOp &makeSend(int dst, int tag, int context, Bytes bytes,
+                     PayloadPtr payload, CostOverride ov);
+    RecvOp &makeRecv(int src, int tag, int context, CostOverride ov);
+
+    /** Count @p op as pending, take the running op's reference on it
+     *  and run its first steps. */
+    void start(Op &op);
+
+    /** The Fire of every step after the first: runs the op at @p arg
+     *  from its current step to its next wait. */
+    static void resumeOp(sim::EventQueue &q, void *arg);
+
+    /** The Fire of a CTS or rendezvous data landing: wakes the op at
+     *  @p arg through one more event now, as a fired trigger wakes a
+     *  waiter. */
+    static void wake(sim::EventQueue &q, void *arg);
+
+    void stepSend(SendOp &op);
+    void stepRecv(RecvOp &op);
+
+    /** The op's last step: stop counting it, release its send half,
+     *  fire its trigger, drop the running op's reference, then resume
+     *  its caller, if one is parked. */
+    void finish(Op &op);
+
+    /**
+     * Charge @p cost to this node's CPU, serialized after earlier
+     * activity (straggler-scaled), and return when the charge ends.
+     * busy() and the operations' steps share it.
+     */
+    Time occupyCpu(Time cost);
+
+    /** occupyCpu() on behalf of @p op: true when the charge ends
+     *  after now, and @p op's next step is then scheduled for it. */
+    bool hold(Op &op, Time cost);
+
+    /** The per-message software overheads, @p ov applied. */
+    Time sendOverhead(const CostOverride &ov) const;
+    Time recvOverhead(const CostOverride &ov) const;
+
     /**
      * Take the earliest arrival (eager message or RTS) that matches
-     * @p pr out of the match queues into @p pr.  Returns false, and
+     * @p op out of the match queues into @p op.  Returns false, and
      * leaves the queues alone, when nothing matching has arrived.
      */
-    bool takeArrived(PendingRecv &pr);
+    bool takeArrived(RecvOp &op);
 
-    /** List @p pr as a parked receive, to be resumed through @p h. */
-    void park(PendingRecv &pr, std::coroutine_handle<> h);
+    /** List @p op as a parked receive. */
+    void park(RecvOp &op);
 
     /** Eager payload (or self-send) arrival at this node. */
     void deliverEager(Message m);
@@ -320,9 +442,9 @@ class Transport
     /** RTS arrival at this node. */
     void deliverRts(Rts rts);
 
-    /** Receiver side of a rendezvous: return the clear-to-send for
-     *  the handshake @p pr matched. */
-    void sendCts(const PendingRecv &pr);
+    /** Receiver side of a rendezvous: return the clear-to-send to the
+     *  sender @p op matched. */
+    void sendCts(RecvOp &op);
 
     /** Time to copy @p bytes into or out of system buffers. */
     Time copyTime(Bytes bytes) const;
@@ -337,18 +459,16 @@ class Transport
     /** The main CPU's (1 - overlap) share of an injection copy. */
     Time cpuCopyShare(Bytes bytes) const;
 
-    /** Copy an eager message out and put it on the wire to @p dst. */
-    void sendEager(int dst, int tag, int context, Bytes bytes,
-                   PayloadPtr payload);
+    /** Copy an eager message out and put it on the wire. */
+    void sendEager(SendOp &op);
 
-    /** Start a rendezvous to @p dst: a fresh handshake, its RTS on
-     *  the wire. */
-    HandshakePtr sendRts(int dst, int tag, int context);
+    /** Start a rendezvous: the RTS naming @p op on the wire. */
+    void sendRts(SendOp &op);
 
-    /** The rendezvous data phase: put the payload on the wire at
-     *  @p when and fire the receiver's data trigger on arrival. */
-    void sendData(const HandshakePtr &hs, int dst, int tag, int context,
-                  Bytes bytes, PayloadPtr payload, Time when);
+    /** The rendezvous data phase: fill the receive @p op matched, put
+     *  the payload on the wire at @p when and wake that receive on
+     *  arrival. */
+    void sendData(SendOp &op, Time when);
 
     /** Inject one wire message; returns its arrival time at dst. */
     Time injectAt(int dst, Bytes bytes, Time when);
@@ -387,36 +507,11 @@ class Transport
     sim::Task<void> reliableDeliver(int dst, Bytes bytes, Time when,
                                     sim::DeliverFn deliver);
 
-    /**
-     * The one send coroutine, behind send() and isend().  With a
-     * request state @p st (isend, spawned as a root) a failure goes
-     * into st->exc and st->done fires at the end; without one (a
-     * blocking send) the failure propagates to the awaiting caller.
-     */
-    sim::Task<void> sendTask(sim::PoolPtr<ReqState> st, int dst,
-                             int tag, int context, Bytes bytes,
-                             PayloadPtr payload, CostOverride ov);
-
-    /**
-     * The one receive coroutine, behind recv(), irecv() and
-     * sendrecv().  With @p dst >= 0 it first issues the send half
-     * (isend of @p bytes to @p dst under @p send_tag), then matches
-     * and completes the receive, then waits on the send.  With a
-     * request state @p st (irecv, spawned as a root) the message or
-     * the failure goes into @p st and st->done fires at the end;
-     * without one the message is the result and a failure propagates
-     * to the awaiting caller.
-     */
-    sim::Task<Message> recvTask(sim::PoolPtr<ReqState> st, int src,
-                                int tag, int context, CostOverride ov,
-                                int dst, int send_tag, Bytes bytes,
-                                PayloadPtr payload);
-
     /** Report a completed send to the probe (if anyone listens). */
-    void sendDone(int dst, Bytes bytes, stats::SendPath path, Time start);
+    void sendDone(const SendOp &op, stats::SendPath path);
 
-    /** Report a completed receive of @p m to the probe. */
-    void recvDone(const Message &m, Time start);
+    /** Report a completed receive to the probe. */
+    void recvDone(const RecvOp &op);
 
     Fabric &fabric_;
     int node_;
@@ -431,15 +526,14 @@ class Transport
     // move.
     std::vector<Message, sim::PoolAlloc<Message>> unexpected_;
     std::vector<Rts, sim::PoolAlloc<Rts>> pending_rts_;
-    std::vector<PendingRecv *, sim::PoolAlloc<PendingRecv *>>
-        pending_recvs_;
+    std::vector<RecvOp *, sim::PoolAlloc<RecvOp *>> pending_recvs_;
 };
 
 /**
  * One machine's messaging layer: the Transport of every node, and
  * once for all of them what they share — the simulator and network,
- * the parameter set, the completion-slot pools, the probe and the
- * fault hooks.
+ * the parameter set, the operation pools, the probe and the fault
+ * hooks.
  */
 class Fabric
 {
@@ -469,17 +563,22 @@ class Fabric
      *  @p probe (null: nobody listens; the default). */
     void setProbe(stats::Probe *probe) { probe_ = probe; }
 
-    /** Completion-slot pool counters (for metrics assembly). */
+    /** Operation-pool counters (for metrics assembly). */
     sim::PoolCounters
     poolCounters() const
     {
-        sim::PoolCounters out = req_pool_.counters();
-        out += hs_pool_.counters();
+        sim::PoolCounters out = send_ops_.counters();
+        out += recv_ops_.counters();
         return out;
     }
 
+    /** Drop one reference on @p op; the last one recycles it. */
+    static void release(Op &op) noexcept;
+
   private:
     friend class Transport;
+    template <typename R>
+    friend class OpAwaiter;
 
     sim::Simulator &sim_;
     net::Network &net_;
@@ -487,11 +586,11 @@ class Fabric
     fault::FaultInjector *fi_;
     stats::Probe *probe_ = nullptr; //!< null: nobody listens
 
-    /** Slot pools for the per-operation completion objects.  Members
-     *  of the fabric, they outlive every endpoint whose match queues
-     *  still hold a slot. */
-    sim::Pool<ReqState> req_pool_;
-    sim::Pool<Transport::Handshake> hs_pool_;
+    /** The operation records.  Members of the fabric, they outlive
+     *  every endpoint, and they destroy what a failed or deadlocked
+     *  run left in flight. */
+    sim::Pool<SendOp> send_ops_;
+    sim::Pool<RecvOp> recv_ops_;
 
     /** Endpoints live in one contiguous slab (placement-new): a
      *  single allocation per machine instead of one per node, and
@@ -500,6 +599,51 @@ class Fabric
     int n_ = 0;
     bool lossy_; //!< fi_ present and message loss possible
 };
+
+inline Request::~Request()
+{
+    if (op_)
+        Fabric::release(*op_);
+}
+
+template <typename R>
+OpAwaiter<R>::~OpAwaiter()
+{
+    if (!op_ || started_)
+        return;
+    if (op_->recv)
+        if (SendOp *half = static_cast<RecvOp *>(op_)->send_half)
+            Fabric::release(*half);
+    Fabric::release(*op_);
+}
+
+template <typename R>
+bool
+OpAwaiter<R>::await_ready()
+{
+    started_ = true;
+    op_->tp->start(*op_);
+    return op_->done.fired();
+}
+
+template <typename R>
+R
+OpAwaiter<R>::await_resume()
+{
+    Op &op = *std::exchange(op_, nullptr);
+    std::exception_ptr exc = std::move(op.exc);
+    if constexpr (std::is_void_v<R>) {
+        Fabric::release(op);
+        if (exc)
+            std::rethrow_exception(exc);
+    } else {
+        Message m = std::move(static_cast<RecvOp &>(op).msg);
+        Fabric::release(op);
+        if (exc)
+            std::rethrow_exception(exc);
+        return m;
+    }
+}
 
 } // namespace ccsim::msg
 

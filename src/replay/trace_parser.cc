@@ -67,6 +67,17 @@ parseInt(const LineCtx &ctx, std::string_view tok, const char *what)
     return v;
 }
 
+/** A tag: any int.  The value is checked before it is narrowed. */
+int
+parseTag(const LineCtx &ctx, std::string_view tok)
+{
+    const long long t = parseInt(ctx, tok, "tag");
+    if (t < std::numeric_limits<int>::min() ||
+        t > std::numeric_limits<int>::max())
+        ctx.fail("tag " + std::to_string(t) + " outside int");
+    return static_cast<int>(t);
+}
+
 /** Exact decimal-microsecond parse: digits[.digits{1..6}] -> ps,
  *  at most the largest Time. */
 Time
@@ -169,28 +180,33 @@ parsePtp(const LineCtx &ctx, ActionKind kind, Tokens toks, int np)
     bool is_send = kind == ActionKind::Send || kind == ActionKind::Isend;
     bool is_recv = kind == ActionKind::Recv || kind == ActionKind::Irecv;
 
+    // Peers are range-checked as parsed, before they are narrowed.
     if (kind == ActionKind::Sendrecv) {
-        a.peer = static_cast<int>(
-            parseInt(ctx, needPositional("destination rank"), "rank"));
-        a.peer2 = static_cast<int>(
-            parseInt(ctx, needPositional("source rank"), "rank"));
+        const long long to =
+            parseInt(ctx, needPositional("destination rank"), "rank");
+        const long long from =
+            parseInt(ctx, needPositional("source rank"), "rank");
         a.bytes = parseInt(ctx, needPositional("byte count"), "bytes");
-        if (a.peer < 0 || a.peer >= np || a.peer2 < 0 || a.peer2 >= np)
+        if (to < 0 || to >= np || from < 0 || from >= np)
             ctx.fail("sendrecv peer outside np " + std::to_string(np));
+        a.peer = static_cast<int>(to);
+        a.peer2 = static_cast<int>(from);
     } else if (is_send) {
-        a.peer = static_cast<int>(
-            parseInt(ctx, needPositional("destination rank"), "rank"));
+        const long long to =
+            parseInt(ctx, needPositional("destination rank"), "rank");
         a.bytes = parseInt(ctx, needPositional("byte count"), "bytes");
-        if (a.peer < 0 || a.peer >= np)
-            ctx.fail("destination rank " + std::to_string(a.peer) +
+        if (to < 0 || to >= np)
+            ctx.fail("destination rank " + std::to_string(to) +
                      " outside np " + std::to_string(np));
+        a.peer = static_cast<int>(to);
     } else if (is_recv) {
-        a.peer = static_cast<int>(
-            parseInt(ctx, needPositional("source rank"), "rank"));
-        if (a.peer < -1 || a.peer >= np)
-            ctx.fail("source rank " + std::to_string(a.peer) +
+        const long long from =
+            parseInt(ctx, needPositional("source rank"), "rank");
+        if (from < -1 || from >= np)
+            ctx.fail("source rank " + std::to_string(from) +
                      " outside np " + std::to_string(np) +
                      " (-1 = any source)");
+        a.peer = static_cast<int>(from);
     }
     if (a.bytes < 0)
         ctx.fail("negative byte count");
@@ -198,11 +214,11 @@ parsePtp(const LineCtx &ctx, ActionKind kind, Tokens toks, int np)
     for (; pos < toks.size(); ++pos) {
         auto [key, value] = splitAttr(ctx, toks[pos]);
         if (key == "tag" && kind != ActionKind::Sendrecv)
-            a.tag = static_cast<int>(parseInt(ctx, value, "tag"));
+            a.tag = parseTag(ctx, value);
         else if (key == "stag" && kind == ActionKind::Sendrecv)
-            a.tag = static_cast<int>(parseInt(ctx, value, "tag"));
+            a.tag = parseTag(ctx, value);
         else if (key == "rtag" && kind == ActionKind::Sendrecv)
-            a.tag2 = static_cast<int>(parseInt(ctx, value, "tag"));
+            a.tag2 = parseTag(ctx, value);
         else
             ctx.fail("unknown attribute '" + std::string(key) + "'");
     }
@@ -220,6 +236,7 @@ parseCollective(const LineCtx &ctx, const mpi::CollOp &row, Tokens toks,
     a.vector_variant = vector_variant;
     a.line = ctx.line;
     std::size_t pos = 0;
+    long long root = a.root; // narrowed once checked, below
 
     if (vector_variant) {
         if (pos >= toks.size() || isAttr(toks[pos]))
@@ -236,7 +253,7 @@ parseCollective(const LineCtx &ctx, const mpi::CollOp &row, Tokens toks,
     for (; pos < toks.size(); ++pos) {
         auto [key, value] = splitAttr(ctx, toks[pos]);
         if (key == "root" && row.rooted) {
-            a.root = static_cast<int>(parseInt(ctx, value, "root"));
+            root = parseInt(ctx, value, "root");
         } else if (key == "algo") {
             std::optional<Algo> algo = machine::algoFromKey(value);
             if (!algo)
@@ -259,10 +276,11 @@ parseCollective(const LineCtx &ctx, const mpi::CollOp &row, Tokens toks,
         std::find(a.group.begin(), a.group.end(), ctx.rank) ==
             a.group.end())
         ctx.fail("rank is not a member of group");
-    if (a.root < 0 || a.root >= comm_size)
-        ctx.fail("root " + std::to_string(a.root) +
+    if (root < 0 || root >= comm_size)
+        ctx.fail("root " + std::to_string(root) +
                  " outside communicator of " +
                  std::to_string(comm_size));
+    a.root = static_cast<int>(root);
     if (vector_variant &&
         static_cast<int>(a.counts.size()) != comm_size)
         ctx.fail("count list has " + std::to_string(a.counts.size()) +

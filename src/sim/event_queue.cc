@@ -55,19 +55,31 @@ EventQueue::schedule(Time when, Callback cb)
 }
 
 void
-EventQueue::resumeAt(Time when, std::coroutine_handle<> h)
+EventQueue::callAt(Time when, Fire fn, void *arg)
 {
     if (when < last_fired_)
-        panic("EventQueue::resumeAt: time %lld before current time %lld",
+        panic("EventQueue::callAt: time %lld before current time %lld",
               static_cast<long long>(when),
               static_cast<long long>(last_fired_));
-    insert(Entry{when, &resume, h.address()});
+    insert(Entry{when, fn, arg});
+}
+
+void
+EventQueue::callNow(Fire fn, void *arg)
+{
+    insert(Entry{last_fired_, fn, arg});
+}
+
+void
+EventQueue::resumeAt(Time when, std::coroutine_handle<> h)
+{
+    callAt(when, &resume, h.address());
 }
 
 void
 EventQueue::resumeNow(std::coroutine_handle<> h)
 {
-    insert(Entry{last_fired_, &resume, h.address()});
+    callNow(&resume, h.address());
 }
 
 void
@@ -127,6 +139,15 @@ EventQueue::nextTime() const
         ->when;
 }
 
+std::size_t
+EventQueue::storageEntries() const
+{
+    std::size_t n = 0;
+    for (const Bucket &b : buckets_)
+        n += b.capacity();
+    return n;
+}
+
 void
 EventQueue::refill()
 {
@@ -143,7 +164,11 @@ EventQueue::refill()
         buckets_[static_cast<std::size_t>(to)].push_back(e);
         occupied_ |= std::uint64_t(1) << to;
     }
-    from.clear();
+    // A wide wave's storage lasts only while the wave is pending.
+    if (from.capacity() > kKeptEntries)
+        Bucket().swap(from);
+    else
+        from.clear();
     occupied_ &= ~(std::uint64_t(1) << b);
 }
 
@@ -159,7 +184,10 @@ EventQueue::runNext()
     Bucket &now = buckets_[0];
     const Entry e = now[head_];
     if (++head_ == now.size()) {
-        now.clear();
+        if (now.capacity() > kKeptEntries)
+            Bucket().swap(now);
+        else
+            now.clear();
         head_ = 0;
         occupied_ &= ~std::uint64_t(1);
     }

@@ -35,12 +35,16 @@
  *
  * An entry is 24 bytes and trivially copyable: (when, fire, arg).
  * Most events resume a parked coroutine, and those entries hold the
- * coroutine handle itself.  Any other callback is a sim::SmallFn held
- * in a slot that the queue recycles through its own freelist, so
- * scheduling one costs no allocation after warm-up, and refills and
- * pops move plain words instead of relocating callables.  Slots and
- * bucket storage come from the thread-local frame pool only on a
- * miss; buckets keep their storage across refills.
+ * coroutine handle itself; callAt() schedules any other plain
+ * (function, argument) pair the same way, which is how the transport
+ * steps its operation records.  Any other callback is a sim::SmallFn
+ * held in a slot that the queue recycles through its own freelist,
+ * so scheduling one costs no allocation after warm-up, and refills
+ * and pops move plain words instead of relocating callables.  Slots
+ * and bucket storage come from the thread-local frame pool only on a
+ * miss.  A bucket keeps its storage across refills unless it drains
+ * holding more than kKeptEntries entries of it: a lockstep wave of
+ * thousands of events then gives its storage back as it drains.
  */
 
 #ifndef CCSIM_SIM_EVENT_QUEUE_HH
@@ -65,6 +69,13 @@ class EventQueue
   public:
     using Callback = SmallFn;
 
+    /** What an entry runs: fn(queue, arg). */
+    using Fire = void (*)(EventQueue &, void *);
+
+    /** A bucket that drains holding more entries of storage than
+     *  this releases it. */
+    static constexpr std::size_t kKeptEntries = 1024;
+
     EventQueue();
 
     /** Destroys the callbacks of events still pending. */
@@ -81,18 +92,28 @@ class EventQueue
     void schedule(Time when, Callback cb);
 
     /**
-     * Enqueue the resumption of the parked coroutine @p h at absolute
-     * time @p when.  The entry holds the handle itself: no callback
-     * slot.  Scheduling in the past panics, as for schedule().
+     * Enqueue the call @p fn(*this, @p arg) at absolute time @p when.
+     * The entry holds the pair itself: no callback slot.  Scheduling
+     * in the past panics, as for schedule().
      */
-    void resumeAt(Time when, std::coroutine_handle<> h);
+    void callAt(Time when, Fire fn, void *arg);
 
     /**
-     * Enqueue the resumption of @p h at the last fired time — the
-     * parked-coroutine wake path.  Equivalent to
-     * resumeAt(lastFired(), h) but skips the cannot-be-in-the-past
-     * check by construction.
+     * Enqueue @p fn(*this, @p arg) at the last fired time — the wake
+     * path.  Equivalent to callAt(lastFired(), fn, arg) but skips the
+     * cannot-be-in-the-past check by construction.
      */
+    void callNow(Fire fn, void *arg);
+
+    /** The Fire that resumes the coroutine whose address is @p addr. */
+    static void resume(EventQueue &q, void *addr);
+
+    /** Enqueue the resumption of the parked coroutine @p h at
+     *  absolute time @p when (callAt with resume). */
+    void resumeAt(Time when, std::coroutine_handle<> h);
+
+    /** Enqueue the resumption of @p h at the last fired time
+     *  (callNow with resume). */
     void resumeNow(std::coroutine_handle<> h);
 
     /** True when no events remain. */
@@ -119,12 +140,13 @@ class EventQueue
     /** Largest number of simultaneously pending events ever seen. */
     std::size_t maxDepth() const { return max_depth_; }
 
-  private:
-    /** What an entry runs: resume() for a coroutine handle (arg is
-     *  its address), runSlot() for a held callback (arg is its
-     *  Slot). */
-    using Fire = void (*)(EventQueue &, void *);
+    /** Entries of storage the buckets hold, pending or not. */
+    std::size_t storageEntries() const;
 
+  private:
+    /** An entry runs fire(queue, arg): resume() for a coroutine handle
+     *  (arg is its address), runSlot() for a held callback (arg is its
+     *  Slot), or whatever callAt() was given. */
     struct Entry
     {
         Time when;
@@ -164,7 +186,6 @@ class EventQueue
     void insert(Entry e);
     void refill();
 
-    static void resume(EventQueue &q, void *addr);
     static void runSlot(EventQueue &q, void *slot);
     /** Destroy @p s's callback and park the slot on the freelist. */
     void releaseSlot(Slot *s) noexcept;

@@ -4,7 +4,7 @@
  *
  * Profiling the sweep engine (see DESIGN.md §4.11) shows ~560 heap
  * allocations per sweep point, dominated by coroutine frames and the
- * per-operation request/handshake objects — at ~60 us per point the
+ * per-operation records of the transport — at ~60 us per point the
  * allocator IS the hot path.  Two pools remove almost all of it:
  *
  *  - FramePool: a thread-local size-class freelist that Task's
@@ -13,14 +13,11 @@
  *    distinct sizes exist, so a freelist turns every frame
  *    allocation after warm-up into a pointer pop.
  *
- *  - Pool<T> / PoolPtr<T>: an intrusive-refcount object pool used by
- *    the transport for its ReqState / Handshake completion objects,
- *    replacing std::make_shared.  Like the simulator itself it is
- *    single-threaded: a pool and all PoolPtrs into it must stay on
- *    one thread, and the pool must outlive its pointers (the
- *    machine's msg::Fabric owns the pools, and Requests already must
- *    not outlive their Machine because ReqState references the
- *    Simulator).
+ *  - Pool<T>: an object pool for one type, used by the transport for
+ *    its send and receive operation records.  Like the simulator
+ *    itself it is single-threaded, and it keeps its live objects
+ *    linked, so whatever a failed or deadlocked run leaves live dies
+ *    with the pool (the machine's msg::Fabric owns the pools).
  *
  * Under AddressSanitizer, free slots are poisoned while parked on a
  * freelist and unpoisoned on reuse, so use-after-release bugs in
@@ -30,9 +27,9 @@
 #ifndef CCSIM_SIM_POOL_HH
 #define CCSIM_SIM_POOL_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <new>
 #include <utility>
 
@@ -83,6 +80,11 @@ struct PoolCounters
     /** Block bytes handed out: the size class of a pooled block, the
      *  request of an oversize one. */
     std::uint64_t bytes = 0;
+    /** Block bytes handed out and not yet released (FramePool only). */
+    std::uint64_t live_bytes = 0;
+    /** High-water mark of live_bytes since the pool began or its
+     *  mark was last restarted (FramePool only). */
+    std::uint64_t peak_bytes = 0;
 
     PoolCounters &
     operator+=(const PoolCounters &o)
@@ -111,8 +113,8 @@ struct PoolCounters
 class FramePool
 {
   public:
-    static constexpr std::size_t kGranule = 64;
-    static constexpr std::size_t kClasses = 40; //!< up to 2560 bytes
+    static constexpr std::size_t kGranule = 16;
+    static constexpr std::size_t kClasses = 160; //!< up to 2560 bytes
 
     FramePool() = default;
     FramePool(const FramePool &) = delete;
@@ -137,10 +139,10 @@ class FramePool
         std::size_t c = classFor(n);
         if (c >= kClasses) {
             ++counters_.oversize;
-            counters_.bytes += n;
+            hand(n);
             return ::operator new(n);
         }
-        counters_.bytes += bytesFor(c);
+        hand(bytesFor(c));
         if (Node *head = free_[c]) {
             free_[c] = head->next;
             ++counters_.reuses;
@@ -157,9 +159,11 @@ class FramePool
     {
         std::size_t c = classFor(n);
         if (c >= kClasses) {
+            counters_.live_bytes -= n;
             ::operator delete(p);
             return;
         }
+        counters_.live_bytes -= bytesFor(c);
         Node *node = static_cast<Node *>(p);
         node->next = free_[c];
         free_[c] = node;
@@ -170,11 +174,24 @@ class FramePool
 
     const PoolCounters &counters() const { return counters_; }
 
+    /** Restart the high-water mark at the bytes live now. */
+    void restartPeak() { counters_.peak_bytes = counters_.live_bytes; }
+
   private:
     struct Node
     {
         Node *next;
     };
+
+    /** Count @p n block bytes handed out. */
+    void
+    hand(std::size_t n)
+    {
+        counters_.bytes += n;
+        counters_.live_bytes += n;
+        counters_.peak_bytes =
+            std::max(counters_.peak_bytes, counters_.live_bytes);
+    }
 
     static std::size_t classFor(std::size_t n)
     {
@@ -237,18 +254,21 @@ struct PoolAlloc
     }
 };
 
-template <typename T>
-class PoolPtr;
-
 /**
- * Freelist of embedded-refcount slots for one object type.
- * Single-threaded; make() returns a PoolPtr that recycles the slot
- * when the last copy drops.
+ * Object pool for one type.  make() constructs a T in a recycled (or
+ * fresh) slot and recycle() destroys it and parks the slot.
+ * Single-threaded.
+ *
+ * The pool links its live objects, so its destructor destroys the
+ * ones still live: the operations a failed or deadlocked run left in
+ * flight, which nothing else can reach once the run is abandoned.
+ * A live object's destructor must therefore not reach into another
+ * object of a pool.
  *
  * Slot memory comes from the thread's FramePool rather than the
  * global heap: pools are short-lived (two per Machine, one Machine
  * per sweep point), so without the shared backing every fresh
- * Machine would re-pay one heap allocation per in-flight request.
+ * Machine would re-pay one heap allocation per operation in flight.
  * Through the FramePool the slots a destroyed Machine parks are the
  * ones the next Machine's pools pick up.
  */
@@ -262,18 +282,18 @@ class Pool
 
     ~Pool()
     {
-        Slot *s = free_;
-        while (s) {
-            poolUnpoison(s, sizeof(Slot));
-            Slot *next = getNext(s);
+        while (live_)
+            recycle(obj(live_));
+        while (Slot *s = free_) {
+            free_ = s->next;
+            poolUnpoison(s->storage, sizeof(T));
             framePool().release(s, sizeof(Slot));
-            s = next;
         }
     }
 
     /** Construct a T in a recycled (or fresh) slot. */
     template <typename... A>
-    PoolPtr<T>
+    T *
     make(A &&...args)
     {
         static_assert(alignof(Slot) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
@@ -281,17 +301,36 @@ class Pool
                       "hands out default-aligned blocks");
         Slot *s = free_;
         if (s) {
-            poolUnpoison(s, sizeof(Slot));
-            free_ = getNext(s);
+            free_ = s->next;
+            poolUnpoison(s->storage, sizeof(T));
             ++reuses_;
         } else {
             s = static_cast<Slot *>(framePool().allocate(sizeof(Slot)));
             ++allocs_;
         }
-        s->refs = 1;
-        s->pool = this;
-        ::new (static_cast<void *>(s->storage)) T(std::forward<A>(args)...);
-        return PoolPtr<T>(s);
+        T *t = ::new (static_cast<void *>(s->storage))
+            T(std::forward<A>(args)...);
+        s->prev = nullptr;
+        s->next = live_;
+        if (live_)
+            live_->prev = s;
+        live_ = s;
+        return t;
+    }
+
+    /** Destroy @p t, made by this pool, and park its slot. */
+    void
+    recycle(T *t) noexcept
+    {
+        Slot *s = reinterpret_cast<Slot *>(
+            reinterpret_cast<unsigned char *>(t) - offsetof(Slot, storage));
+        (s->prev ? s->prev->next : live_) = s->next;
+        if (s->next)
+            s->next->prev = s->prev;
+        t->~T();
+        s->next = free_;
+        free_ = s;
+        poolPoison(s->storage, sizeof(T)); // the links stay readable
     }
 
     /** Slots handed out, and their bytes (every slot is one size). */
@@ -306,32 +345,12 @@ class Pool
     }
 
   private:
-    friend class PoolPtr<T>;
-
     struct Slot
     {
-        std::uint32_t refs = 0;
-        Pool *pool = nullptr;
-        alignas(T) unsigned char storage[sizeof(T) < sizeof(void *)
-                                             ? sizeof(void *)
-                                             : sizeof(T)];
+        Slot *prev; //!< live list; unused while parked
+        Slot *next; //!< live list, or freelist while parked
+        alignas(T) unsigned char storage[sizeof(T)];
     };
-
-    // While parked, the first storage bytes hold the freelist link
-    // (type-punned via memcpy: the T has been destroyed).
-    static Slot *
-    getNext(Slot *s)
-    {
-        Slot *n;
-        std::memcpy(&n, s->storage, sizeof n);
-        return n;
-    }
-
-    static void
-    setNext(Slot *s, Slot *n)
-    {
-        std::memcpy(s->storage, &n, sizeof n);
-    }
 
     static T *
     obj(Slot *s)
@@ -339,80 +358,10 @@ class Pool
         return std::launder(reinterpret_cast<T *>(s->storage));
     }
 
-    void
-    recycle(Slot *s) noexcept
-    {
-        obj(s)->~T();
-        setNext(s, free_);
-        free_ = s;
-        poolPoison(s, sizeof(Slot));
-        poolUnpoison(s->storage, sizeof(Slot *)); // keep the link live
-    }
-
+    Slot *live_ = nullptr;
     Slot *free_ = nullptr;
     std::uint64_t reuses_ = 0;
     std::uint64_t allocs_ = 0;
-};
-
-/** Shared handle to a pooled object (single-threaded refcount). */
-template <typename T>
-class PoolPtr
-{
-  public:
-    PoolPtr() = default;
-
-    PoolPtr(const PoolPtr &o) noexcept : s_(o.s_)
-    {
-        if (s_)
-            ++s_->refs;
-    }
-
-    PoolPtr(PoolPtr &&o) noexcept : s_(o.s_) { o.s_ = nullptr; }
-
-    PoolPtr &
-    operator=(const PoolPtr &o) noexcept
-    {
-        if (this != &o) {
-            reset();
-            s_ = o.s_;
-            if (s_)
-                ++s_->refs;
-        }
-        return *this;
-    }
-
-    PoolPtr &
-    operator=(PoolPtr &&o) noexcept
-    {
-        if (this != &o) {
-            reset();
-            s_ = o.s_;
-            o.s_ = nullptr;
-        }
-        return *this;
-    }
-
-    ~PoolPtr() { reset(); }
-
-    void
-    reset() noexcept
-    {
-        if (s_ && --s_->refs == 0)
-            s_->pool->recycle(s_);
-        s_ = nullptr;
-    }
-
-    T *get() const noexcept { return s_ ? Pool<T>::obj(s_) : nullptr; }
-    T &operator*() const noexcept { return *Pool<T>::obj(s_); }
-    T *operator->() const noexcept { return Pool<T>::obj(s_); }
-    explicit operator bool() const noexcept { return s_ != nullptr; }
-
-  private:
-    friend class Pool<T>;
-
-    explicit PoolPtr(typename Pool<T>::Slot *s) noexcept : s_(s) {}
-
-    typename Pool<T>::Slot *s_ = nullptr;
 };
 
 } // namespace ccsim::sim

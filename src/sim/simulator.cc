@@ -19,23 +19,31 @@ Trigger::fire()
     if (fired_)
         return;
     fired_ = true;
-    if (first_) {
-        sim_.resumeNow(first_);
-        first_ = nullptr;
+    if (first_.fn) {
+        sim_.callNow(first_.fn, first_.arg);
+        first_.fn = nullptr;
     }
     // Broadcast release, in wait order.
-    for (std::coroutine_handle<> h : spill_)
-        sim_.resumeNow(h);
+    for (const Waiter &w : spill_)
+        sim_.callNow(w.fn, w.arg);
     spill_.clear();
+}
+
+void
+Trigger::addWaiter(EventQueue::Fire fn, void *arg)
+{
+    if (fired_)
+        panic("Trigger::addWaiter: the trigger has fired");
+    if (!first_.fn && spill_.empty())
+        first_ = Waiter{fn, arg};
+    else
+        spill_.push_back(Waiter{fn, arg});
 }
 
 void
 Trigger::Awaiter::await_suspend(std::coroutine_handle<> h)
 {
-    if (!trigger_.first_ && trigger_.spill_.empty())
-        trigger_.first_ = h;
-    else
-        trigger_.spill_.push_back(h);
+    trigger_.addWaiter(&EventQueue::resume, h.address());
 }
 
 Simulator::~Simulator()
@@ -86,9 +94,10 @@ Simulator::run()
     if (failure_)
         std::rethrow_exception(failure_);
 
-    if (!live_.empty())
-        panic("Simulator::run: deadlock, %zu task(s) blocked with an "
-              "empty event queue", live_.size());
+    if (!live_.empty() || pending_ops_ != 0)
+        panic("Simulator::run: deadlock, %zu task(s) and %zu "
+              "operation(s) blocked with an empty event queue",
+              live_.size(), pending_ops_);
 }
 
 } // namespace ccsim::sim

@@ -13,9 +13,12 @@
  * Spawned tasks run until they block; "blocking" means parking the
  * coroutine handle and scheduling its resumption from an event.  A
  * spawned task's frame is freed the moment it finishes; the simulator
- * tracks only the unfinished ones.  If the queue drains while spawned
- * tasks are still incomplete, the run is deadlocked (e.g. a receive
- * nobody will ever match) and run() panics.
+ * tracks only the unfinished ones.  Work that runs on plain events
+ * instead of a coroutine (the transport's send and receive
+ * operations) is counted as pending between beginOp() and endOp().
+ * If the queue drains while spawned tasks or operations are still
+ * incomplete, the run is deadlocked (e.g. a receive nobody will ever
+ * match) and run() panics.
  */
 
 #ifndef CCSIM_SIM_SIMULATOR_HH
@@ -52,38 +55,12 @@ class DelayAwaiter
 };
 
 /**
- * Awaitable built from a callable that receives the suspended
- * coroutine handle; the callable is responsible for arranging the
- * handle's eventual resumption (via Simulator::resumeAt /
- * resumeNow).  This is the hook the messaging layer uses to park a
- * receiver until a matching message arrives.
- */
-template <typename F>
-class SuspendWith
-{
-  public:
-    explicit SuspendWith(F f) : f_(std::move(f)) {}
-
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) { f_(h); }
-    void await_resume() const noexcept {}
-
-  private:
-    F f_;
-};
-
-template <typename F>
-SuspendWith<F>
-suspendWith(F f)
-{
-    return SuspendWith<F>(std::move(f));
-}
-
-/**
- * One-shot broadcast trigger.  Coroutines co_await wait(); fire()
- * releases all current and future waiters (awaiting a fired trigger
- * completes immediately).  Used for request completion, rendezvous
- * handshakes and the active-message collectives' per-rank releases.
+ * One-shot broadcast trigger.  Coroutines co_await wait(), and any
+ * other waiter registers a plain (function, argument) pair with
+ * addWaiter(); fire() releases them all, each through one event at
+ * the current time, in wait order (awaiting a fired trigger completes
+ * immediately).  Used for request completion and the active-message
+ * collectives' per-rank releases.
  */
 class Trigger
 {
@@ -96,8 +73,12 @@ class Trigger
     /** True once fire() has been called. */
     bool fired() const { return fired_; }
 
-    /** Release all waiters (resumed via the event queue at now). */
+    /** Release all waiters (called via the event queue at now). */
     void fire();
+
+    /** Have @p fn(queue, @p arg) called from an event when the
+     *  trigger fires; it must not have fired yet. */
+    void addWaiter(EventQueue::Fire fn, void *arg);
 
     class Awaiter
     {
@@ -118,17 +99,22 @@ class Trigger
   private:
     friend class Awaiter;
 
+    /** A waiter: what fire() schedules for it. */
+    struct Waiter
+    {
+        EventQueue::Fire fn;
+        void *arg;
+    };
+
     Simulator &sim_;
     bool fired_ = false;
     /** Inline slot for the overwhelmingly common single waiter
-     *  (request completion, rendezvous CTS/DATA); only several
-     *  coroutines awaiting one trigger spill into the vector, whose
-     *  storage is pooled.  The hardware barrier parks its ranks
-     *  itself and does not fan out through a Trigger. */
-    std::coroutine_handle<> first_ = nullptr;
-    std::vector<std::coroutine_handle<>,
-                PoolAlloc<std::coroutine_handle<>>>
-        spill_;
+     *  (request completion); only several waiters on one trigger
+     *  spill into the vector, whose storage is pooled.  The hardware
+     *  barrier parks its ranks itself and does not fan out through a
+     *  Trigger. */
+    Waiter first_{nullptr, nullptr};
+    std::vector<Waiter, PoolAlloc<Waiter>> spill_;
 };
 
 /** Event loop + task lifetime management. */
@@ -175,6 +161,22 @@ class Simulator
         queue_.resumeNow(h);
     }
 
+    /** Call @p fn(queue, @p arg) at absolute time @p when.  The event
+     *  holds only the pair. */
+    void
+    callAt(Time when, EventQueue::Fire fn, void *arg)
+    {
+        queue_.callAt(when, fn, arg);
+    }
+
+    /** Call @p fn(queue, @p arg) at the current time, after the
+     *  events already due now. */
+    void
+    callNow(EventQueue::Fire fn, void *arg)
+    {
+        queue_.callNow(fn, arg);
+    }
+
     /** Awaitable: suspend the caller for @p d simulated time. */
     DelayAwaiter delay(Time d) { return DelayAwaiter(*this, d); }
 
@@ -198,12 +200,19 @@ class Simulator
      * Run until the event queue drains.  Rethrows the exception that
      * escaped the earliest-spawned failed task (it stays recorded, so
      * a later run() rethrows it again); otherwise panics on deadlock
-     * (tasks still pending with an empty queue).
+     * (tasks or operations still pending with an empty queue).
      */
     void run();
 
     /** Number of spawned tasks that have not yet completed. */
     std::size_t pendingTasks() const { return live_.size(); }
+
+    /** Count an operation that runs on plain events, with no task of
+     *  its own, as pending until the matching endOp(). */
+    void beginOp() { ++pending_ops_; }
+
+    /** The operation counted by beginOp() has completed. */
+    void endOp() { --pending_ops_; }
 
     /** Total events executed. */
     std::uint64_t eventsFired() const { return queue_.fired(); }
@@ -245,6 +254,7 @@ class Simulator
     std::uint64_t failure_index_ = 0;
     std::uint64_t event_limit_ = 0;
     std::uint64_t tasks_spawned_ = 0;
+    std::size_t pending_ops_ = 0;
 };
 
 } // namespace ccsim::sim

@@ -435,6 +435,28 @@ TEST(EventQueue, ResumesAndCallbacksAtOneInstantFireInScheduleOrder)
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
 }
 
+TEST(EventQueue, WideWaveGivesItsStorageBack)
+{
+    // A lockstep stage of 16,384 ranks makes one instant 16,384
+    // events wide, twice over.  The wave lands in a high bucket, moves
+    // to bucket 0 in one refill, and fires from there; each bucket
+    // gives its storage back as the wave leaves it, so once a wave has
+    // fired no bucket keeps more than kKeptEntries entries of it.
+    constexpr int kWave = 16384;
+    EventQueue q;
+    int fired = 0;
+    auto count = [](EventQueue &, void *arg) { ++*static_cast<int *>(arg); };
+    for (int wave = 1; wave <= 2; ++wave) {
+        for (int i = 0; i < kWave; ++i)
+            q.callAt(wave * US, count, &fired);
+        EXPECT_GE(q.storageEntries(), static_cast<std::size_t>(kWave));
+        while (!q.empty())
+            q.runNext();
+        EXPECT_EQ(fired, wave * kWave);
+        EXPECT_LE(q.storageEntries(), EventQueue::kKeptEntries);
+    }
+}
+
 TEST(EventQueue, PendingCallbacksAreDestroyedWithTheQueue)
 {
     auto token = std::make_shared<int>(0);

@@ -20,7 +20,7 @@ namespace {
 TEST(FramePool, SecondWaveComesFromTheFreelist)
 {
     constexpr std::size_t kWave = 2048;
-    constexpr std::size_t kBytes = 200; // one 64-byte size class
+    constexpr std::size_t kBytes = 200; // one size class
 
     FramePool pool;
     std::vector<void *> blocks;
@@ -54,6 +54,34 @@ TEST(FramePool, OversizeBlocksGoToTheHeap)
     EXPECT_EQ(pool.counters().oversize, 2u);
     EXPECT_EQ(pool.counters().reuses, 0u);
     EXPECT_EQ(pool.counters().allocs, 0u);
+}
+
+/**
+ * Live bytes are the block bytes out now, a pooled block counting
+ * its whole size class; the high-water mark is their most since the
+ * pool began or since restartPeak().
+ */
+TEST(FramePool, LiveBytesAndTheirHighWaterMark)
+{
+    constexpr std::size_t kClassBytes = 7 * FramePool::kGranule;
+    constexpr std::size_t kOversize =
+        FramePool::kGranule * FramePool::kClasses + 1;
+
+    FramePool pool;
+    void *a = pool.allocate(kClassBytes - 1);
+    void *b = pool.allocate(kOversize);
+    EXPECT_EQ(pool.counters().live_bytes, kClassBytes + kOversize);
+    pool.release(b, kOversize);
+    EXPECT_EQ(pool.counters().live_bytes, kClassBytes);
+    EXPECT_EQ(pool.counters().peak_bytes, kClassBytes + kOversize);
+
+    pool.restartPeak();
+    EXPECT_EQ(pool.counters().peak_bytes, kClassBytes);
+    pool.release(a, kClassBytes - 1);
+    b = pool.allocate(1);
+    EXPECT_EQ(pool.counters().live_bytes, FramePool::kGranule);
+    EXPECT_EQ(pool.counters().peak_bytes, kClassBytes);
+    pool.release(b, 1);
 }
 
 } // namespace

@@ -170,6 +170,36 @@ TEST(TraceParser, DiagnosticsCarryFileLineAndRank)
                   .ranks[0][0]
                   .duration,
               std::numeric_limits<Time>::max());
+
+    // A peer, root or tag outside int is an error, not a value
+    // narrowed into range (4294967297 would wrap to 1, 4294967303 to
+    // 7).
+    e = parseError("np 2\n0 send 4294967297 8 tag=7\n");
+    EXPECT_NE(e.find("t.trace:2: rank 0: destination rank 4294967297 "
+                     "outside np 2"),
+              std::string::npos)
+        << e;
+    e = parseError("np 2\n0 send 1 8 tag=4294967303\n");
+    EXPECT_NE(e.find("t.trace:2: rank 0: tag 4294967303 outside int"),
+              std::string::npos)
+        << e;
+    EXPECT_NE(parseError("np 2\n1 recv -4294967295\n")
+                  .find("source rank -4294967295 outside np 2"),
+              std::string::npos);
+    EXPECT_NE(parseError("np 2\n0 sendrecv 1 4294967296 8\n")
+                  .find("sendrecv peer outside np 2"),
+              std::string::npos);
+    EXPECT_NE(parseError("np 2\n0 sendrecv 1 1 8 rtag=-4294967296\n")
+                  .find("tag -4294967296 outside int"),
+              std::string::npos);
+    EXPECT_NE(parseError("np 2\n0 bcast 8 root=4294967296\n")
+                  .find("root 4294967296 outside communicator of 2"),
+              std::string::npos);
+    // The extremes of int are tags like any other.
+    const Program ends = parseText("np 2\n0 send 1 8 tag=2147483647\n"
+                                   "1 recv 0 tag=-2147483648\n");
+    EXPECT_EQ(ends.ranks[0][0].tag, std::numeric_limits<int>::max());
+    EXPECT_EQ(ends.ranks[1][0].tag, std::numeric_limits<int>::min());
 }
 
 TEST(TraceParser, AlgorithmTheOperationLacksIsATraceError)

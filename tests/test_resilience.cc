@@ -230,8 +230,8 @@ TEST_F(ResilienceTest, DeadlockedRendezvousTearsDownCleanly)
 {
     // Rank 1's 64 KiB send goes rendezvous, and its RTS waits at
     // rank 0 for a receive that never comes.  Tearing the machine
-    // down must return the handshake slot rank 1 pooled before that
-    // pool is destroyed (the sanitizer build checks it).
+    // down must destroy the send's pooled record, which the RTS still
+    // names, with its pool (the sanitizer build checks it).
     machine::Machine mach(machine::sp2Config(), 2);
     auto sender = [&]() -> sim::Task<void> {
         co_await mach.node(1).send(0, 0, 0, 64 * KiB);

@@ -376,9 +376,9 @@ TEST_F(TransportTest, RequestTestReflectsCompletion)
 
 TEST_F(TransportTest, CompletedRequestsReturnTheirSlots)
 {
-    // A request's state slot goes back to the fabric's pool as soon
+    // An operation's record goes back to the fabric's pool as soon
     // as the operation completes and its Request is dropped, so
-    // sequential rounds keep reusing the same few slots.
+    // sequential rounds keep reusing the same few records.
     constexpr int kRounds = 100;
     auto sender = [&]() -> Task<void> {
         for (int i = 0; i < kRounds; ++i) {
@@ -405,6 +405,21 @@ TEST_F(TransportTest, UnmatchedRecvDeadlocks)
     throwOnError(true);
     auto prog = [&]() -> Task<void> {
         co_await fabric_->node(1).recv(0, 99, 0);
+    };
+    sim().spawn(prog());
+    EXPECT_THROW(sim().run(), PanicError);
+    throwOnError(false);
+}
+
+TEST_F(TransportTest, UnmatchedIrecvDeadlocks)
+{
+    // Nobody matches the irecv and nobody waits on it, and the program
+    // that posted it has finished: the receive alone is still pending,
+    // so the drained queue is a deadlock.
+    throwOnError(true);
+    auto prog = [&]() -> Task<void> {
+        fabric_->node(1).irecv(0, 99, 0);
+        co_return;
     };
     sim().spawn(prog());
     EXPECT_THROW(sim().run(), PanicError);

@@ -123,6 +123,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -789,17 +790,20 @@ cmdTune(int argc, char **argv)
             grid.ops.push_back(*op);
         }
     }
-    auto parse_list = [&](const char *name, std::vector<long long> &out) {
+    // An entry outside [lo, hi] is a flag mistake, rejected here
+    // rather than deep in the machine or the selection table.
+    auto parse_list = [&](const char *name, long long lo, long long hi,
+                          std::vector<long long> &out) {
         for (const std::string &s : o.getList(name)) {
             long long v = 0;
-            if (!parseWhole(s, v))
+            if (!parseWhole(s, v) || v < lo || v > hi)
                 fatal("bad --%s entry '%s'", name, s.c_str());
             out.push_back(v);
         }
     };
     std::vector<long long> sizes, lengths;
-    parse_list("sizes", sizes);
-    parse_list("lengths", lengths);
+    parse_list("sizes", 2, std::numeric_limits<int>::max(), sizes);
+    parse_list("lengths", 0, std::numeric_limits<Bytes>::max(), lengths);
     grid.sizes.assign(sizes.begin(), sizes.end());
     grid.lengths.assign(lengths.begin(), lengths.end());
     // The sweep procedure: cheap, and every point doubles as a warm
